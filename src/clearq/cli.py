@@ -3,7 +3,8 @@
 Subcommands: solve, thresholds, sweep, simulate, verify, curve.  System
 parameters come from flags, a JSON file, or a named example preset; flags
 override file values.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+2 usage error, including bad parameters and files that cannot be read or
+written; every exit-2 error is one `clearq: ...` line on standard error.
 """
 from __future__ import annotations
 
@@ -234,7 +235,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParameterError as exc:
         parser.exit(2, f"clearq: parameter error: {exc}\n")
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.exit(2, f"clearq: {exc}\n")
 
 

@@ -14,15 +14,14 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .model import (
-    CostOrder,
-    RateOrder,
-    State,
     SystemParams,
     band_sign,
-    cost_gap_sign,
+    band_signs,
     blocked_cost_gap_sign,
-    regime_tag,
+    cost_gap_sign,
 )
 from .policies import optimal_greedy, pi_prime, policy_by_id
 from .solver import (
@@ -150,20 +149,25 @@ def _sweep_combo(args) -> list[tuple]:
     if policies is None:
         regime = cost_regime_label(params)
         policies = HIGHCOST_POLICIES if regime == "highcost" else LOWCOST_POLICIES
+    # Rows live as long as the sweep result, so they share floats: each
+    # optimal value is read once for every policy, and a policy value that
+    # ties it (about a quarter of the study grid's rows) reuses it.
+    starts = [(i0, k0, c1 - k0, optimal.value(i0, k0, c1 - k0))
+              for i0 in i0_values for k0 in range(0, c1 + 1)]
     rows = []
     for policy_id in policies:
         policy = policy_by_id(params, policy_id, value_table=optimal)
         v_pi = solve_under_policy(params, policy, depth) if policy_id != "optimal" else optimal
-        for i0 in i0_values:
-            for k0 in range(0, c1 + 1):
-                l0 = c1 - k0
-                v_opt_val = optimal.value(i0, k0, l0)
-                v_pi_val = v_pi.value(i0, k0, l0)
+        for i0, k0, l0, v_opt_val in starts:
+            v_pi_val = v_pi.value(i0, k0, l0)
+            if v_pi_val == v_opt_val:
+                v_pi_val, err_pct = v_opt_val, 0.0
+            else:
                 err_pct = (v_pi_val - v_opt_val) / v_opt_val * 100.0
-                rows.append(
-                    (c1, c2, h0, h1, h2, mu1, mu2, i0, k0, l0, policy_id,
-                     v_opt_val, v_pi_val, err_pct)
-                )
+            rows.append(
+                (c1, c2, h0, h1, h2, mu1, mu2, i0, k0, l0, policy_id,
+                 v_opt_val, v_pi_val, err_pct)
+            )
     return rows
 
 
@@ -205,10 +209,14 @@ def aggregate_stats(raw_rows: Iterable[tuple]) -> list[ErrorStats]:
     tables report.
     """
     cells: dict[tuple, list[float]] = {}
+    labels: dict[tuple, tuple[str, str]] = {}  # regime labels per distinct grid point
     for row in raw_rows:
         c1, c2, h0, h1, h2, mu1, mu2, i0, k0, l0, policy_id, _, _, err = row
-        params = SystemParams(c1, c2, mu1, mu2, h0, h1, h2)
-        key = (policy_id, c1, c2, cost_regime_label(params), rate_regime_label(params), i0)
+        point = row[:7]
+        if point not in labels:
+            params = SystemParams(c1, c2, mu1, mu2, h0, h1, h2)
+            labels[point] = (cost_regime_label(params), rate_regime_label(params))
+        key = (policy_id, c1, c2, *labels[point], i0)
         cells.setdefault(key, []).append(err)
     stats = []
     for key in sorted(cells):
@@ -317,50 +325,62 @@ class VerificationReport:
             fh.write("\n")
 
 
-def _ineq_tol(*values: float) -> float:
+def _ineq_tol(*values):
+    """Inequality slack; elementwise when given arrays."""
     return 1e-9 * (1.0 + sum(abs(v) for v in values))
 
 
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True entry of mask in row-major order, or None."""
+    hits = np.flatnonzero(mask)
+    if hits.size == 0:
+        return None
+    return tuple(int(x) for x in np.unravel_index(hits[0], mask.shape))
+
+
+def _by_k(dt: DiffTable, i_max: int) -> np.ndarray:
+    """D on the fully-busy levels 0..i_max, row k-1 holding index k = 1..C1."""
+    return dt.levels[: i_max + 1, 1:].T
+
+
+def _l_by_k(params: SystemParams) -> np.ndarray:
+    """Station 2 count l = C1 - k of each row of _by_k, as a column."""
+    return (params.C1 - np.arange(1, params.C1 + 1))[:, None]
+
+
 def check_value_monotone(params: SystemParams, table: ValueTable, i_max: int):
-    for i in range(0, i_max):
-        for k in range(0, params.C1 + 1):
-            l = params.C1 - k
-            lo, hi = table.value(i, k, l), table.value(i + 1, k, l)
-            if hi < lo - _ineq_tol(lo, hi):
-                return f"v({i + 1},{k},{l}) < v({i},{k},{l}): {hi!r} < {lo!r}"
-    return None
+    lo, hi = table.levels[:i_max], table.levels[1:i_max + 1]
+    at = _first(hi < lo - _ineq_tol(lo, hi))
+    if at is None:
+        return None
+    i, k = at
+    l = params.C1 - k
+    return f"v({i + 1},{k},{l}) < v({i},{k},{l}): {float(hi[at])!r} < {float(lo[at])!r}"
 
 
 def check_diagonal_monotone(params: SystemParams, dt: DiffTable, i_max: int):
-    for s in dt.states():
-        if s.i > i_max or s.k >= params.C1 or s.l < 1:
-            continue
-        lo = dt.d(s.i, s.k, s.l)
-        hi = dt.d(s.i, s.k + 1, s.l - 1)
-        if hi < lo - _ineq_tol(lo, hi):
-            return f"D({s.i},{s.k + 1},{s.l - 1}) < D({s.i},{s.k},{s.l})"
-    return None
+    # In states() order the partner (i, k+1, l-1) of a state with l >= 1 is
+    # the next state.
+    i, k, l, d = dt.columns(i_max)
+    lo, hi = d[:-1], d[1:]
+    at = _first((l[:-1] >= 1) & (hi < lo - _ineq_tol(lo, hi)))
+    if at is None:
+        return None
+    (n,) = at
+    return f"D({i[n]},{k[n] + 1},{l[n] - 1}) < D({i[n]},{k[n]},{l[n]})"
 
 
 def check_single_sign_change(params: SystemParams, dt: DiffTable, i_max: int):
     # Band-zeros commit to neither side; only a strict sign reversal counts.
     lowcost = cost_gap_sign(params) >= 0
-    for k in range(1, params.C1 + 1):
-        l = params.C1 - k
-        crossed = False
-        for i in range(0, i_max + 1):
-            sign = band_sign(dt.d(i, k, l))
-            if lowcost:
-                if sign < 0:
-                    crossed = True
-                elif sign > 0 and crossed:
-                    return f"D returned positive at ({i},{k},{l}) after crossing"
-            else:
-                if sign > 0:
-                    crossed = True
-                elif sign < 0 and crossed:
-                    return f"D returned negative at ({i},{k},{l}) after crossing"
-    return None
+    signs = band_signs(_by_k(dt, i_max))
+    crossing, back = (signs < 0, signs > 0) if lowcost else (signs > 0, signs < 0)
+    at = _first(back & np.logical_or.accumulate(crossing, axis=1))
+    if at is None:
+        return None
+    k, i = at[0] + 1, at[1]
+    side = "positive" if lowcost else "negative"
+    return f"D returned {side} at ({i},{k},{params.C1 - k}) after crossing"
 
 
 def check_positive_no_blocking(params: SystemParams, dt: DiffTable, i_max: int):
@@ -368,67 +388,61 @@ def check_positive_no_blocking(params: SystemParams, dt: DiffTable, i_max: int):
     if band_sign(params.mu1 - params.mu2) > 0 or cost_gap_sign(params) < 0:
         return None
     strict = cost_gap_sign(params) > 0
-    for k in range(1, params.C1 + 1):
-        l = params.C1 - k
-        if l >= params.C2:
-            continue
-        for i in range(0, i_max + 1):
-            sign = band_sign(dt.d(i, k, l))
-            if sign < 0 or (strict and sign == 0):
-                return f"D({i},{k},{l}) not positive"
-    return None
+    signs = band_signs(_by_k(dt, i_max))
+    at = _first((_l_by_k(params) < params.C2) & ((signs < 0) | (strict & (signs == 0))))
+    if at is None:
+        return None
+    k, i = at[0] + 1, at[1]
+    return f"D({i},{k},{params.C1 - k}) not positive"
 
 
 def check_nonpositive_blocked(params: SystemParams, dt: DiffTable, i_max: int):
     if band_sign(params.mu2 - params.mu1) < 0 or cost_gap_sign(params) > 0:
         return None
-    for k in range(1, params.C1 + 1):
-        l = params.C1 - k
-        if l < params.C2:
-            continue
-        for i in range(0, i_max + 1):
-            if band_sign(dt.d(i, k, l)) > 0:
-                return f"D({i},{k},{l}) > 0"
-    return None
+    signs = band_signs(_by_k(dt, i_max))
+    at = _first((_l_by_k(params) >= params.C2) & (signs > 0))
+    if at is None:
+        return None
+    k, i = at[0] + 1, at[1]
+    return f"D({i},{k},{params.C1 - k}) > 0"
 
 
 def check_monotone_in_queue(params: SystemParams, dt: DiffTable, i_max: int):
     rate = band_sign(params.mu1 - params.mu2)
     gap = cost_gap_sign(params)
-    for k in range(1, params.C1 + 1):
-        l = params.C1 - k
-        if rate >= 0:
-            direction = -1  # non-increasing
-        elif gap >= 0 and l >= params.C2:
-            direction = -1
-        elif gap <= 0 and l < params.C2:
-            direction = +1  # non-decreasing
-        else:
-            continue
-        for i in range(0, i_max):
-            lo, hi = dt.d(i, k, l), dt.d(i + 1, k, l)
-            if direction < 0 and hi > lo + _ineq_tol(lo, hi):
-                return f"D not non-increasing at ({i},{k},{l})"
-            if direction > 0 and hi < lo - _ineq_tol(lo, hi):
-                return f"D not non-decreasing at ({i},{k},{l})"
-    return None
+    l = _l_by_k(params)
+    if rate >= 0:
+        direction = np.full_like(l, -1)  # non-increasing
+    else:
+        direction = np.where(
+            (gap >= 0) & (l >= params.C2), -1, np.where((gap <= 0) & (l < params.C2), 1, 0)
+        )
+    d = _by_k(dt, i_max)
+    lo, hi = d[:, :-1], d[:, 1:]
+    tol = _ineq_tol(lo, hi)
+    at = _first(((direction < 0) & (hi > lo + tol)) | ((direction > 0) & (hi < lo - tol)))
+    if at is None:
+        return None
+    k, i = at[0] + 1, at[1]
+    trend = "non-increasing" if direction[at[0], 0] < 0 else "non-decreasing"
+    return f"D not {trend} at ({i},{k},{params.C1 - k})"
 
 
 def check_affine_bounds(params: SystemParams, dt: DiffTable, i_max: int):
     cst = constants(params)
-    upper_applies = band_sign(params.mu2 - params.mu1) >= 0
-    for s in dt.states():
-        if s.i > i_max:
-            continue
-        d_val = dt.d(s.i, s.k, s.l)
-        lower = s.i * cst.c_prime + cst.b_prime
-        if d_val < lower - _ineq_tol(d_val, lower):
-            return f"D({s.i},{s.k},{s.l}) below affine lower bound"
-        if upper_applies:
-            upper = s.i * cst.c + cst.b
-            if d_val > upper + _ineq_tol(d_val, upper):
-                return f"D({s.i},{s.k},{s.l}) above affine upper bound"
-    return None
+    i, k, l, d = dt.columns(i_max)
+    lower = i * cst.c_prime + cst.b_prime
+    below = d < lower - _ineq_tol(d, lower)
+    above = np.zeros_like(below)
+    if band_sign(params.mu2 - params.mu1) >= 0:
+        upper = i * cst.c + cst.b
+        above = d > upper + _ineq_tol(d, upper)
+    at = _first(below | above)
+    if at is None:
+        return None
+    (n,) = at
+    bound = "below affine lower bound" if below[n] else "above affine upper bound"
+    return f"D({i[n]},{k[n]},{l[n]}) {bound}"
 
 
 def check_recursion_residual(params: SystemParams, table: ValueTable, dt: DiffTable):
@@ -439,39 +453,38 @@ def check_recursion_residual(params: SystemParams, table: ValueTable, dt: DiffTa
 
 
 def check_boundary_formula(params: SystemParams, dt: DiffTable):
-    for s in dt.states():
-        if s.i != 0:
-            continue
-        expected = boundary_diff_formula(params, s.k, s.l)
-        if abs(dt.d(0, s.k, s.l) - expected) > 1e-12 * (1.0 + abs(expected)):
-            return f"D(0,{s.k},{s.l}) != boundary formula"
+    _, ks, ls, ds = dt.columns(0)
+    for k, l, d_val in zip(ks.tolist(), ls.tolist(), ds.tolist()):
+        expected = boundary_diff_formula(params, k, l)
+        if abs(d_val - expected) > 1e-12 * (1.0 + abs(expected)):
+            return f"D(0,{k},{l}) != boundary formula"
     return None
 
 
 def check_policy_dominance(params: SystemParams, table: ValueTable, i_max: int):
     regime = cost_regime_label(params)
     family = HIGHCOST_POLICIES if regime == "highcost" else LOWCOST_POLICIES
+    opt = table.levels[i_max]
     for policy_id in family:
         policy = policy_by_id(params, policy_id, value_table=table)
-        v_pi = solve_under_policy(params, policy, i_max)
-        for k in range(0, params.C1 + 1):
-            l = params.C1 - k
-            opt, got = table.value(i_max, k, l), v_pi.value(i_max, k, l)
-            if got < opt - _ineq_tol(opt, got):
-                return f"v^{policy_id}({i_max},{k},{l}) < optimal"
+        got = solve_under_policy(params, policy, i_max).levels[i_max]
+        at = _first(got < opt - _ineq_tol(opt, got))
+        if at is not None:
+            (k,) = at
+            return f"v^{policy_id}({i_max},{k},{params.C1 - k}) < optimal"
     return None
 
 
 def check_greedy_reproduces_optimal(params: SystemParams, table: ValueTable, i_max: int):
     greedy = optimal_greedy(table)
     v_g = solve_under_policy(params, greedy, i_max)
-    for s in table.states():
-        if s.i > i_max:
-            continue
-        opt, got = table.values[s], v_g.values[s]
-        if abs(got - opt) > 1e-9 * (1.0 + abs(opt)):
-            return f"greedy value differs at {tuple(s)}"
-    return None
+    i, k, l, opt = table.columns(i_max)
+    got = v_g.columns(i_max)[3]
+    at = _first(np.abs(got - opt) > 1e-9 * (1.0 + np.abs(opt)))
+    if at is None:
+        return None
+    (n,) = at
+    return f"greedy value differs at {(int(i[n]), int(k[n]), int(l[n]))}"
 
 
 def _band_integer(r: float) -> bool:
@@ -645,9 +658,8 @@ def dh_curve(
         k = params.C1 - l
     if not 1 <= k <= params.C1:
         raise ValueError(f"k must be in 1..{params.C1}, got {k}")
-    dt = diff(solve_optimal(params, i_max))
-    ll = params.C1 - k
-    return [(i, dt.d(i, k, ll), surrogate(params, i, k)) for i in range(0, i_max + 1)]
+    column = diff(solve_optimal(params, i_max)).levels[:, k].tolist()
+    return [(i, d_val, surrogate(params, i, k)) for i, d_val in enumerate(column)]
 
 
 def write_dh_csv(rows: list[tuple[int, float, float]], path) -> None:

@@ -11,9 +11,12 @@ three pools.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 # Sign tests on computed differences treat |x| <= ZERO_BAND*(1+|x|) as zero;
 # exact ties in the dynamic program otherwise turn into float coin flips.
@@ -87,7 +90,7 @@ class SystemParams:
         if missing:
             raise ParameterError(f"missing parameter keys: {sorted(missing)}")
         return cls(
-            C1=int(data["C1"]), C2=int(data["C2"]),
+            C1=data["C1"], C2=data["C2"],
             mu1=float(data["mu1"]), mu2=float(data["mu2"]),
             h0=float(data["h0"]), h1=float(data["h1"]), h2=float(data["h2"]),
         )
@@ -97,7 +100,8 @@ def validate(params: SystemParams) -> SystemParams:
     """Return params unchanged iff every invariant holds, else raise."""
     for field in ("C1", "C2"):
         count = getattr(params, field)
-        if int(count) != count:
+        # bool is an Integral subtype, and 2.0 or "2" would only be coerced.
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
             raise ParameterError(f"{field} must be an integer, got {count!r}")
         if count <= 0:
             raise ZeroServers(field)
@@ -142,6 +146,13 @@ def band_sign(x: float) -> int:
     if x < -tol:
         return -1
     return 0
+
+
+def band_signs(x) -> np.ndarray:
+    """band_sign elementwise over an array, as an integer array."""
+    x = np.asarray(x)
+    tol = ZERO_BAND * (1.0 + np.abs(x))
+    return np.where(x > tol, 1, np.where(x < -tol, -1, 0))
 
 
 def cost_gap_sign(params: SystemParams) -> int:

@@ -8,8 +8,9 @@ collaborative.  Whether the completion was at Station 1 or 2, the optimal
 comparison is the same difference D(q-1, k_busy+1, l_busy), so one rule
 covers both completion types.
 
-Rules accept scalars or numpy arrays so the simulator can evaluate whole
-replication batches at once.
+Rules accept scalars or numpy arrays and must act elementwise: the simulator
+evaluates them on whole replication batches, the solver on the whole
+(queue, k_busy) grid of a table.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import State, SystemParams, ZERO_BAND
+from .model import SystemParams, ZERO_BAND
 from .thresholds import Orientation, heuristic_profile
 
 STATION1 = 1
@@ -60,19 +61,17 @@ def optimal_greedy(value_table) -> Policy:
     Collaborative service is chosen iff it is strictly cheaper beyond the
     zero band; exact ties go independent.
     """
-    params = value_table.params
     i_max = value_table.i_max
-    d_arr = np.zeros((i_max + 1, params.C1 + 1))
-    for i in range(0, i_max + 1):
-        for k in range(1, params.C1 + 1):
-            l = params.C1 - k
-            d_arr[i, k] = value_table.value(i, k, l) - value_table.value(i, k - 1, l + 1)
+    # d_arr[i, k_busy] = D(i, k_busy + 1, C1 - k_busy - 1)
+    d_arr = np.diff(value_table.levels, axis=1)
 
     def rule(q, k_busy, l_busy, station):
         level = np.asarray(q) - 1
         if np.any(level > i_max):
             raise DepthExceeded(f"queue {np.max(np.asarray(q))} exceeds table depth {i_max}")
-        d = d_arr[level, np.asarray(k_busy) + 1]
+        if np.any(level < 0):
+            raise ValueError(f"queue {np.min(np.asarray(q))} < 1: no job is waiting to assign")
+        d = d_arr[level, np.asarray(k_busy)]
         return d > ZERO_BAND * (1.0 + np.abs(d))
 
     return Policy("optimal", rule)

@@ -5,20 +5,21 @@ With no external arrivals the queue length can only fall, so values at queue
 level i depend only on level i-1 and the i = 0 boundary layer, which in turn
 recurses on the total number of jobs in service.  One sweep is exact; there
 is no iteration or truncation error beyond float arithmetic.
+
+Tables are two float64 arrays.  ``boundary[n, k]`` holds the entry at
+(0, k, n - k), the i = 0 triangle by total jobs in service n.  ``levels[i, k]``
+holds the entry at (i, k, C1 - k) for the fully-busy levels i = 0..i_max, so
+row 0 is the full boundary row ``boundary[C1]``.  Cells outside a table's
+index set are NaN.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
-from .model import (
-    State,
-    SystemParams,
-    band_sign,
-    enumerate_states,
-    holding_rate,
-    service_rate,
-)
+import numpy as np
+
+from .model import State, SystemParams, band_signs, enumerate_states, service_rate
 from .thresholds import affine_pieces, probs
 
 ActionRule = Callable[[int, int, int, int], int]
@@ -28,53 +29,83 @@ class IndexOutOfSpace(KeyError):
     """Difference requested at an index outside the admissible set."""
 
 
-@dataclass(frozen=True)
-class ValueTable:
+@dataclass(frozen=True, eq=False)
+class _Table:
     params: SystemParams
     i_max: int
-    values: Mapping[State, float]
+    boundary: np.ndarray
+    levels: np.ndarray
+
+    K_MIN = 0  # smallest Station 1 count with an entry
+
+    def _get(self, i: int, k: int, l: int) -> float:
+        c1 = self.params.C1
+        if k >= self.K_MIN and l >= 0:
+            if i == 0 and k + l <= c1:
+                return float(self.boundary[k + l, k])
+            if 0 < i <= self.i_max and k + l == c1:
+                return float(self.levels[i, k])
+        raise KeyError(State(i, k, l))
+
+    def states(self) -> list[State]:
+        return [s for s in enumerate_states(self.params, self.i_max) if s.k >= self.K_MIN]
+
+    def columns(self, i_max: int | None = None):
+        """Arrays (i, k, l, entry) over the states up to queue i_max, in states() order."""
+        depth = self.i_max if i_max is None else min(i_max, self.i_max)
+        c1 = self.params.C1
+        n, tri_k = np.tril_indices(c1 + 1)
+        keep = tri_k >= self.K_MIN
+        n, tri_k = n[keep], tri_k[keep]
+        ks = np.arange(self.K_MIN, c1 + 1)
+        i = np.concatenate([np.zeros_like(n), np.repeat(np.arange(1, depth + 1), len(ks))])
+        k = np.concatenate([tri_k, np.tile(ks, depth)])
+        total = np.concatenate([n, np.full(depth * len(ks), c1)])
+        entry = np.concatenate(
+            [self.boundary[n, tri_k], self.levels[1:depth + 1, self.K_MIN:].ravel()]
+        )
+        return i, k, total - k, entry
+
+    def _write_csv(self, path, column: str) -> None:
+        i, k, l, entry = self.columns()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"i,k,l,{column}\n")
+            fh.writelines(
+                f"{a},{b},{c},{x!r}\n"
+                for a, b, c, x in zip(i.tolist(), k.tolist(), l.tolist(), entry.tolist())
+            )
+
+
+@dataclass(frozen=True, eq=False)
+class ValueTable(_Table):
     kind: str
 
     def value(self, i: int, k: int, l: int) -> float:
-        return self.values[State(i, k, l)]
+        return self._get(i, k, l)
 
     def __getitem__(self, state) -> float:
-        return self.values[State(*state)]
-
-    def states(self) -> list[State]:
-        return enumerate_states(self.params, self.i_max)
+        return self._get(*state)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("i,k,l,value\n")
-            for s in self.states():
-                fh.write(f"{s.i},{s.k},{s.l},{self.values[s]!r}\n")
+        self._write_csv(path, "value")
 
 
-@dataclass(frozen=True)
-class DiffTable:
+@dataclass(frozen=True, eq=False)
+class DiffTable(_Table):
     """D(i, k, l) = v(i, k, l) - v(i, k-1, l+1) on all admissible indices."""
 
-    params: SystemParams
-    i_max: int
-    entries: Mapping[State, float]
+    K_MIN = 1
 
     def d(self, i: int, k: int, l: int) -> float:
         if k < 1:
             raise IndexOutOfSpace(f"difference undefined for k = {k} < 1")
         try:
-            return self.entries[State(i, k, l)]
+            return self._get(i, k, l)
         except KeyError:
             raise IndexOutOfSpace(f"no difference entry at {(i, k, l)}") from None
 
-    def states(self) -> list[State]:
-        return [s for s in enumerate_states(self.params, self.i_max) if s.k >= 1]
-
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("i,k,l,D\n")
-            for s in self.states():
-                fh.write(f"{s.i},{s.k},{s.l},{self.entries[s]!r}\n")
+        self._write_csv(path, "D")
 
 
 def solve_boundary(params: SystemParams) -> dict[State, float]:
@@ -105,32 +136,63 @@ def boundary_diff_formula(params: SystemParams, k: int, l: int) -> float:
     )
 
 
+def _decisions(params: SystemParams, rule: ActionRule, i_max: int):
+    """The rule's actions at every decision of levels 1..i_max, one call per station.
+
+    Entry i-1 is a pair of lists over k: the action after a Station 1
+    completion at (i, k, C1-k), and after a Station 2 completion there.  Both
+    contexts have k_busy + l_busy = C1 - 1.
+    """
+    c1 = params.C1
+    q, k_busy = np.meshgrid(np.arange(1, i_max + 1), np.arange(c1), indexing="ij")
+    l_busy = c1 - 1 - k_busy
+    after1 = np.zeros((i_max, c1 + 1), dtype=bool)
+    after2 = np.zeros((i_max, c1 + 1), dtype=bool)
+    after1[:, 1:] = np.asarray(rule(q, k_busy, l_busy, 1), dtype=bool)
+    after2[:, :-1] = np.asarray(rule(q, k_busy, l_busy, 2), dtype=bool)
+    return list(zip(after1.tolist(), after2.tolist()))
+
+
 def _solve(params: SystemParams, i_max: int, rule: ActionRule | None, kind: str) -> ValueTable:
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
-    v = solve_boundary(params)
+    c1, c2 = params.C1, params.C2
+    boundary = np.full((c1 + 1, c1 + 1), np.nan)
+    for (_, k, l), value in solve_boundary(params).items():
+        boundary[k + l, k] = value
+    # Per-k coefficients: each is the same float product the scalar recursion
+    # forms, and the sums below keep its order, so values match it bit for bit.
+    coefficients = [
+        (k, k * params.h1, (c1 - k) * params.h2, k * params.mu1,
+         min(c1 - k, c2) * params.mu2, service_rate(params, k, c1 - k))
+        for k in range(c1 + 1)
+    ]
+    choices = _decisions(params, rule, i_max) if rule is not None and i_max else None
+    prev = boundary[c1].tolist()
+    rows = [prev]
     for i in range(1, i_max + 1):
-        for k in range(0, params.C1 + 1):
-            l = params.C1 - k
-            d = service_rate(params, k, l)
-            acc = i * params.h0 + k * params.h1 + l * params.h2
+        queue_cost = i * params.h0
+        go1, go2 = choices[i - 1] if choices else (None, None)
+        row = []
+        # "move if move < stay else stay" is min(stay, move) without the call.
+        for k, hold1, hold2, up, down, rate in coefficients:
+            acc = queue_cost + hold1 + hold2
             if k > 0:
-                stay = v[State(i - 1, k, l)]
-                move = v[State(i - 1, k - 1, l + 1)]
-                if rule is None:
-                    acc += k * params.mu1 * min(stay, move)
+                stay, move = prev[k], prev[k - 1]
+                if go1 is None:
+                    acc += up * (move if move < stay else stay)
                 else:
-                    acc += k * params.mu1 * (move if rule(i, k - 1, l, 1) else stay)
-            served = min(l, params.C2)
-            if served > 0:
-                stay = v[State(i - 1, k + 1, l - 1)]
-                move = v[State(i - 1, k, l)]
-                if rule is None:
-                    acc += served * params.mu2 * min(stay, move)
+                    acc += up * (move if go1[k] else stay)
+            if k < c1:
+                stay, move = prev[k + 1], prev[k]
+                if go2 is None:
+                    acc += down * (move if move < stay else stay)
                 else:
-                    acc += served * params.mu2 * (move if rule(i, k, l - 1, 2) else stay)
-            v[State(i, k, l)] = acc / d
-    return ValueTable(params, i_max, v, kind)
+                    acc += down * (move if go2[k] else stay)
+            row.append(acc / rate)
+        rows.append(row)
+        prev = row
+    return ValueTable(params, i_max, boundary, np.array(rows), kind)
 
 
 def solve_optimal(params: SystemParams, i_max: int) -> ValueTable:
@@ -142,23 +204,28 @@ def solve_under_policy(params: SystemParams, policy, i_max: int) -> ValueTable:
     """Expected clearing costs when every decision follows the given policy.
 
     The policy is consulted with the canonical decision context
-    (q, k_busy, l_busy, station); it must be total for q up to i_max.
+    (q, k_busy, l_busy, station), once per station with integer arrays over
+    every decision of the table, so it must be elementwise and total for q
+    up to i_max.
     """
     rule = policy if callable(policy) else policy.rule
     policy_id = getattr(policy, "id", getattr(policy, "__name__", "anonymous"))
     return _solve(params, i_max, rule, f"policy:{policy_id}")
 
 
+def _k_differences(a: np.ndarray) -> np.ndarray:
+    out = np.full_like(a, np.nan)
+    np.subtract(a[:, 1:], a[:, :-1], out=out[:, 1:])
+    return out
+
+
 def diff(table: ValueTable) -> DiffTable:
     """Difference table of an optimal solve."""
     if table.kind != "optimal":
         raise ValueError(f"diff requires an optimal table, got kind={table.kind!r}")
-    entries: dict[State, float] = {}
-    for s in enumerate_states(table.params, table.i_max):
-        if s.k < 1:
-            continue
-        entries[s] = table.values[s] - table.values[State(s.i, s.k - 1, s.l + 1)]
-    return DiffTable(table.params, table.i_max, entries)
+    return DiffTable(
+        table.params, table.i_max, _k_differences(table.boundary), _k_differences(table.levels)
+    )
 
 
 @dataclass(frozen=True)
@@ -177,33 +244,38 @@ def recursion_check(
     recursion whose form depends on the sign of the difference one level
     down; both forms apply at a zero.  Residuals are scaled by 1/(1 + |D|).
     """
-    worst = 0.0
-    worst_state = None
+    c1 = params.C1
+    d = diff_table.levels
+    i = np.arange(1, diff_table.i_max + 1)
+    # scaled[i-1, k-1, form]: form 0 holds where D one level down is >= 0,
+    # form 1 where it is <= 0; zero where the form does not apply.
+    scaled = np.zeros((len(i), c1, 2))
     checked = 0
-    for i in range(1, diff_table.i_max + 1):
-        for k in range(1, params.C1 + 1):
-            l = params.C1 - k
-            d_here = diff_table.d(i, k, l)
-            d_prev = diff_table.d(i - 1, k, l)
-            p, q, r = probs(params, k)
-            c_k, b_k = affine_pieces(params, k)
-            base = p * (i * c_k + b_k)
-            sign_prev = band_sign(d_prev)
-            predictions = []
-            if sign_prev >= 0:
-                pos = base + r * d_prev
-                if k >= 2:
-                    pos += q * max(0.0, diff_table.d(i - 1, k - 1, l + 1))
-                predictions.append(pos)
-            if sign_prev <= 0:
-                neg = base + q * d_prev
-                if l >= 1:
-                    neg += r * min(diff_table.d(i - 1, k + 1, l - 1), 0.0)
-                predictions.append(neg)
-            for pred in predictions:
-                checked += 1
-                scaled = abs(d_here - pred) / (1.0 + abs(d_here))
-                if scaled > worst:
-                    worst = scaled
-                    worst_state = State(i, k, l)
+    for k in range(1, c1 + 1):
+        l = c1 - k
+        here, prev = d[1:, k], d[:-1, k]
+        p, q, r = probs(params, k)
+        c_k, b_k = affine_pieces(params, k)
+        base = p * (i * c_k + b_k)
+        sign_prev = band_signs(prev)
+        pos = base + r * prev
+        if k >= 2:
+            pos += q * np.maximum(0.0, d[:-1, k - 1])
+        neg = base + q * prev
+        if l >= 1:
+            neg += r * np.minimum(d[:-1, k + 1], 0.0)
+        for form, (pred, applies) in enumerate(((pos, sign_prev >= 0), (neg, sign_prev <= 0))):
+            scaled[:, k - 1, form] = np.where(
+                applies, np.abs(here - pred) / (1.0 + np.abs(here)), 0.0
+            )
+            checked += int(np.count_nonzero(applies))
+    scaled[np.isnan(scaled)] = np.inf  # a NaN difference fails, it is never skipped
+    worst, worst_state = 0.0, None
+    if scaled.size:
+        # The first maximum in (i, k, form) order, as a scan would report it.
+        at = int(np.argmax(scaled))
+        if scaled.flat[at] > 0.0:
+            worst = float(scaled.flat[at])
+            level, k_index, _ = np.unravel_index(at, scaled.shape)
+            worst_state = State(int(level) + 1, int(k_index) + 1, c1 - int(k_index) - 1)
     return RecursionReport(worst, worst_state, checked)

@@ -23,13 +23,11 @@ from typing import Mapping
 
 from .model import (
     INT_SNAP,
-    CostOrder,
-    RateOrder,
     SystemParams,
     band_sign,
+    band_signs,
     blocked_cost_gap_sign,
     cost_gap_sign,
-    regime_tag,
     service_rate,
 )
 
@@ -381,19 +379,11 @@ def actual_profile(
                 f"required at index {index}"
             )
         k = index if orient is Orientation.COLLABORATIVE else params.C1 - index
-        l = params.C1 - k
-        found = None
-        for i in range(0, cap + 1):
-            sign = band_sign(diff_table.d(i, k, l))
-            if orient is Orientation.COLLABORATIVE and sign < 0:
-                found = i
-                break
-            if orient is Orientation.INDEPENDENT and sign >= 0:
-                found = i
-                break
-        if found is None:
+        signs = band_signs(diff_table.levels[: cap + 1, k])
+        hits = signs < 0 if orient is Orientation.COLLABORATIVE else signs >= 0
+        if not hits.any():
             raise CapExceeded(index, cap)
-        entries[index] = found
+        entries[index] = int(hits.argmax())
     return ThresholdProfile(orient, ProfileKind.ACTUAL, entries, i_max_used=diff_table.i_max)
 
 

@@ -59,6 +59,25 @@ class TestSolveCommand:
                  "--outdir", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_missing_params_json_one_line_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--params-json", str(tmp_path / "absent.json"), "--imax", "0",
+                 "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("clearq: ") and err.count("\n") == 1
+        assert "absent.json" in err
+
+    def test_uncreatable_outdir_one_line_error(self, tmp_path, capsys):
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--preset", "ex1", "--imax", "3", "--outdir", str(blocker / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("clearq: ") and err.count("\n") == 1
+        assert "plain-file" in err
+
 
 class TestThresholdsCommand:
     def test_condition_column_and_values(self, tmp_path):

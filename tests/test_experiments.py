@@ -16,7 +16,7 @@ from clearq.experiments import (
     verify_point,
     write_table_csv,
 )
-from clearq.model import State, SystemParams
+from clearq.model import SystemParams
 from clearq.solver import DiffTable, diff, solve_optimal
 
 
@@ -138,9 +138,9 @@ class TestVerify:
     def test_fault_injection_flags_diagonal(self):
         params = EXAMPLE_PARAMS["ex1"]
         dt = diff(solve_optimal(params, 10))
-        corrupted = dict(dt.entries)
-        corrupted[State(4, 3, 1)] = corrupted[State(4, 2, 2)] - 5.0
-        bad = DiffTable(params, 10, corrupted)
+        corrupted = dt.levels.copy()
+        corrupted[4, 3] = corrupted[4, 2] - 5.0  # D(4,3,1) = D(4,2,2) - 5
+        bad = DiffTable(params, 10, dt.boundary, corrupted)
         detail = check_diagonal_monotone(params, bad, 10)
         assert detail is not None and "D(4,3,1)" in detail
 

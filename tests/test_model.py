@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from clearq.model import (
     CostOrder,
     NonPositiveParameter,
+    ParameterError,
     RateOrder,
     State,
     SystemParams,
@@ -45,6 +46,11 @@ class TestValidate:
         kwargs[field] = 0
         with pytest.raises(NonPositiveParameter):
             SystemParams(**kwargs)
+
+    @pytest.mark.parametrize("c1, c2", [(2.0, 1), (2, True), (2.5, 1), ("2", 1), (2, None)])
+    def test_server_counts_must_be_integers(self, c1, c2):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            SystemParams(c1, c2, 10, 4, 0.01, 1, 0.1)
 
     def test_ratio_m(self):
         assert make(mu1=10, mu2=4).m == pytest.approx(0.4)
@@ -151,4 +157,17 @@ class TestJson:
         data = make().to_json_dict()
         del data["mu2"]
         with pytest.raises(Exception, match="missing"):
+            SystemParams.from_json_dict(data)
+
+    @pytest.mark.parametrize("field, bad", [("C1", 2.7), ("C1", 2.0), ("C1", "2"), ("C2", True)])
+    def test_server_counts_not_coerced(self, field, bad):
+        data = make().to_json_dict()
+        data[field] = bad
+        with pytest.raises(ParameterError, match=field):
+            SystemParams.from_json_dict(data)
+
+    def test_fractional_and_bool_counts_rejected_together(self):
+        data = make().to_json_dict()
+        data.update(C1=2.7, C2=True)
+        with pytest.raises(ParameterError):
             SystemParams.from_json_dict(data)

@@ -60,6 +60,15 @@ class TestOptimalGreedy:
         with pytest.raises(DepthExceeded):
             greedy.decide(DecisionContext(7, 2, 1, STATION1))
 
+    def test_queue_below_one_rejected(self):
+        # With q = 0 there is no job to assign; the level index would wrap
+        # around to the deepest level.
+        greedy = optimal_greedy(solve_optimal(EXAMPLE_PARAMS["ex1"], 5))
+        with pytest.raises(ValueError, match="< 1"):
+            greedy.rule(0, 0, 1, 1)
+        with pytest.raises(ValueError, match="< 1"):
+            greedy.rule(np.array([1, 0]), np.array([0, 0]), np.array([3, 3]), STATION2)
+
     def test_diagonal_consistency(self):
         # Collaborating at (q, kb, lb) implies collaborating at (q, kb+1, lb-1).
         params = EXAMPLE_PARAMS["ex3"]
@@ -117,15 +126,15 @@ class TestPiPrime:
         params = EXAMPLE_PARAMS["ex3b"]  # exactness condition holds
         v_opt = solve_optimal(params, 20)
         v_pp = solve_under_policy(params, pi_prime(params), 20)
-        for s, opt in v_opt.values.items():
-            assert v_pp.values[s] == pytest.approx(opt, rel=1e-9, abs=1e-12)
+        for s in v_opt.states():
+            assert v_pp[s] == pytest.approx(v_opt[s], rel=1e-9, abs=1e-12)
 
     def test_single_flexible_server_is_optimal(self):
         params = SystemParams(1, 2, 3.0, 1.5, 0.5, 1.0, 0.3)
         v_opt = solve_optimal(params, 15)
         v_pp = solve_under_policy(params, pi_prime(params), 15)
-        for s, opt in v_opt.values.items():
-            assert v_pp.values[s] == pytest.approx(opt, rel=1e-9, abs=1e-12)
+        for s in v_opt.states():
+            assert v_pp[s] == pytest.approx(v_opt[s], rel=1e-9, abs=1e-12)
 
 
 class TestBenchmarks:

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clearq.model import State, SystemParams
-from clearq.policies import benchmark, optimal_greedy
+from clearq.experiments import EXAMPLE_PARAMS
+from clearq.model import State, SystemParams, enumerate_states, service_rate
+from clearq.policies import POLICY_IDS, benchmark, optimal_greedy, policy_by_id
 from clearq.solver import (
     IndexOutOfSpace,
+    _decisions,
     boundary_diff_formula,
     diff,
     recursion_check,
@@ -85,13 +88,22 @@ class TestOptimal:
 
     def test_values_finite_nonnegative(self):
         table = solve_optimal(EX1, 20)
-        assert all(math.isfinite(v) and v >= 0 for v in table.values.values())
+        values = table.columns()[3]
+        assert all(math.isfinite(v) and v >= 0 for v in values.tolist())
 
     def test_domain_is_exactly_the_enumeration(self):
-        from clearq.model import enumerate_states
-
         table = solve_optimal(EX1, 7)
-        assert set(table.values) == set(enumerate_states(EX1, 7))
+        domain = []
+        for i in range(-1, 9):
+            for k in range(-1, EX1.C1 + 2):
+                for l in range(-1, EX1.C1 + 2):
+                    try:
+                        table.value(i, k, l)
+                    except KeyError:
+                        continue
+                    domain.append(State(i, k, l))
+        assert set(domain) == set(enumerate_states(EX1, 7))
+        assert table.states() == enumerate_states(EX1, 7)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -102,8 +114,8 @@ class TestUnderPolicy:
     def test_greedy_reproduces_optimal(self):
         table = solve_optimal(EX1, 15)
         v_g = solve_under_policy(EX1, optimal_greedy(table), 15)
-        for s, opt in table.values.items():
-            assert v_g.values[s] == pytest.approx(opt, rel=1e-9, abs=1e-12)
+        for s in table.states():
+            assert v_g[s] == pytest.approx(table[s], rel=1e-9, abs=1e-12)
 
     def test_always_collaborative_can_be_terrible(self):
         # Worst observed excess of the always-collaborate rule exceeds 200%.
@@ -126,8 +138,9 @@ class TestUnderPolicy:
     def test_policy_value_dominates_optimal(self, params, which):
         v_opt = solve_optimal(params, 8)
         v_pi = solve_under_policy(params, benchmark(params, which), 8)
-        for s, opt in v_opt.values.items():
-            assert v_pi.values[s] >= opt - 1e-9 * (1 + abs(opt))
+        for s in v_opt.states():
+            opt = v_opt[s]
+            assert v_pi[s] >= opt - 1e-9 * (1 + abs(opt))
 
 
 class TestDiff:
@@ -192,3 +205,100 @@ class TestCsv:
         # enumeration order: boundary layers by total jobs then k
         assert [line.split(",")[:3] for line in v_lines[1:4]] == [
             ["0", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]]
+
+
+def scalar_solve(params, i_max, rule=None):
+    """The scalar level recursion over dict[State, float] that preceded the array tables.
+
+    Kept here as the oracle the array solver must equal bit for bit.
+    """
+    v = solve_boundary(params)
+    for i in range(1, i_max + 1):
+        for k in range(0, params.C1 + 1):
+            l = params.C1 - k
+            d = service_rate(params, k, l)
+            acc = i * params.h0 + k * params.h1 + l * params.h2
+            if k > 0:
+                stay = v[State(i - 1, k, l)]
+                move = v[State(i - 1, k - 1, l + 1)]
+                if rule is None:
+                    acc += k * params.mu1 * min(stay, move)
+                else:
+                    acc += k * params.mu1 * (move if rule(i, k - 1, l, 1) else stay)
+            served = min(l, params.C2)
+            if served > 0:
+                stay = v[State(i - 1, k + 1, l - 1)]
+                move = v[State(i - 1, k, l)]
+                if rule is None:
+                    acc += served * params.mu2 * min(stay, move)
+                else:
+                    acc += served * params.mu2 * (move if rule(i, k, l - 1, 2) else stay)
+            v[State(i, k, l)] = acc / d
+    return v
+
+
+class TestScalarOracle:
+    @given(param_strategy, st.integers(0, 30), st.sampled_from(POLICY_IDS))
+    @settings(max_examples=80, deadline=None)
+    def test_array_solver_equals_scalar_recursion(self, params, i_max, policy_id):
+        states = enumerate_states(params, i_max)
+        table = solve_optimal(params, i_max)
+        want = scalar_solve(params, i_max)
+        assert {s: table[s] for s in states} == want
+        dt = diff(table)
+        assert {s: dt.d(*s) for s in states if s.k >= 1} == {
+            s: want[s] - want[State(s.i, s.k - 1, s.l + 1)] for s in states if s.k >= 1
+        }
+        policy = policy_by_id(params, policy_id, value_table=table)
+        v_pi = solve_under_policy(params, policy, i_max)
+        assert {s: v_pi[s] for s in states} == scalar_solve(params, i_max, policy.rule)
+
+    def test_deep_solve_equals_scalar_recursion(self):
+        params = SystemParams(4, 3, 10.0, 10.0, 0.01, 1.0, 0.5)
+        table = solve_optimal(params, 400)
+        want = scalar_solve(params, 400)
+        assert {s: table[s] for s in table.states()} == want
+
+    @pytest.mark.parametrize("policy_id", POLICY_IDS)
+    def test_grid_decisions_match_scalar_calls(self, policy_id):
+        points = [EX1, EXAMPLE_PARAMS["ex3"], EXAMPLE_PARAMS["ex8"],
+                  SystemParams(3, 1, 10.0, 4.0, 0.1, 1.0, 0.1),
+                  SystemParams(1, 2, 3.0, 1.5, 0.5, 1.0, 0.3)]
+        for params in points:
+            i_max = 25
+            policy = policy_by_id(params, policy_id, value_table=solve_optimal(params, i_max))
+            choices = _decisions(params, policy.rule, i_max)
+            for i in range(1, i_max + 1):
+                after1, after2 = choices[i - 1]
+                for k in range(0, params.C1 + 1):
+                    l = params.C1 - k
+                    if k > 0:
+                        assert after1[k] == bool(policy.rule(i, k - 1, l, 1))
+                    if k < params.C1:
+                        assert after2[k] == bool(policy.rule(i, k, l - 1, 2))
+
+    def test_scalar_only_rule_result_broadcasts(self):
+        table = solve_under_policy(EX1, lambda q, kb, lb, n: 1, 6)
+        want = scalar_solve(EX1, 6, lambda q, kb, lb, n: 1)
+        assert {s: table[s] for s in table.states()} == want
+
+    def test_lookups_return_python_floats(self, tmp_path):
+        table = solve_optimal(EX1, 3)
+        assert type(table.value(2, 1, 3)) is float
+        assert type(table[(0, 1, 1)]) is float
+        assert type(diff(table).d(3, 2, 2)) is float
+        with pytest.raises(KeyError):
+            table.value(4, 1, 3)
+        with pytest.raises(KeyError):
+            table.value(1, -1, 5)
+        with pytest.raises(IndexOutOfSpace):
+            diff(table).d(0, 3, 2)
+
+    def test_recursion_check_flags_nan(self):
+        table = solve_optimal(EX1, 6)
+        dt = diff(table)
+        levels = dt.levels.copy()
+        levels[3, 2] = np.nan
+        broken = type(dt)(EX1, 6, dt.boundary, levels)
+        report = recursion_check(EX1, table, broken)
+        assert report.max_scaled_residual > 1e-9

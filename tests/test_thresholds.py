@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clearq.experiments import EXAMPLE_PARAMS
-from clearq.model import State, SystemParams
+from clearq.model import SystemParams
 from clearq.solver import DiffTable, diff, solve_optimal
 from clearq.thresholds import (
     CapExceeded,
@@ -168,8 +169,10 @@ class TestActualProfile:
         # A difference table that never turns negative must trip the trap.
         params = SystemParams(1, 1, 10.0, 4.0, 0.1, 1.0, 0.1)
         cap = search_cap(params, 1)
-        entries = {State(i, 1, 0): 1.0 for i in range(0, cap + 2)}
-        fake = DiffTable(params, cap + 1, entries)
+        # D(i, 1, 0) = 1.0 for i = 0..cap+1; NaN marks cells outside the index set.
+        boundary = np.array([[np.nan, np.nan], [np.nan, 1.0]])
+        levels = np.array([[np.nan, 1.0]] * (cap + 2))
+        fake = DiffTable(params, cap + 1, boundary, levels)
         with pytest.raises(CapExceeded):
             actual_profile(params, fake)
 
