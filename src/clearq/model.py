@@ -52,6 +52,7 @@ class State(NamedTuple):
 
 
 PARAM_FIELDS = ("C1", "C2", "mu1", "mu2", "h0", "h1", "h2")
+RATE_COST_FIELDS = PARAM_FIELDS[2:]
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,20 @@ class SystemParams:
         missing = set(PARAM_FIELDS) - set(data)
         if missing:
             raise ParameterError(f"missing parameter keys: {sorted(missing)}")
+        for field in RATE_COST_FIELDS:
+            _check_number(field, data[field])
         return cls(
             C1=data["C1"], C2=data["C2"],
-            mu1=float(data["mu1"]), mu2=float(data["mu2"]),
-            h0=float(data["h0"]), h1=float(data["h1"]), h2=float(data["h2"]),
+            **{field: float(data[field]) for field in RATE_COST_FIELDS},
         )
+
+
+def _check_number(field: str, value) -> None:
+    if isinstance(value, float):
+        return  # the common case, without the slower abstract-class check below
+    # bool is a Real subtype, and "4" would only be coerced by float().
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{field} must be a number, got {value!r}")
 
 
 def validate(params: SystemParams) -> SystemParams:
@@ -105,8 +115,9 @@ def validate(params: SystemParams) -> SystemParams:
             raise ParameterError(f"{field} must be an integer, got {count!r}")
         if count <= 0:
             raise ZeroServers(field)
-    for field in ("mu1", "mu2", "h0", "h1", "h2"):
+    for field in RATE_COST_FIELDS:
         value = getattr(params, field)
+        _check_number(field, value)
         if not math.isfinite(value) or value <= 0:
             raise NonPositiveParameter(field, value)
     return params

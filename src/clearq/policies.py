@@ -8,9 +8,9 @@ collaborative.  Whether the completion was at Station 1 or 2, the optimal
 comparison is the same difference D(q-1, k_busy+1, l_busy), so one rule
 covers both completion types.
 
-Rules accept scalars or numpy arrays and must act elementwise: the simulator
-evaluates them on whole replication batches, the solver on the whole
-(queue, k_busy) grid of a table.
+Rules accept scalars or numpy arrays and must act elementwise: the solver and
+the simulator both evaluate them once per completing station, on the whole
+(queue, k_busy) grid (``decision_grid``).
 """
 from __future__ import annotations
 
@@ -53,6 +53,25 @@ class Policy:
 
     def decide(self, ctx: DecisionContext) -> int:
         return int(bool(self.rule(ctx.q, ctx.k_busy, ctx.l_busy, ctx.completed_at)))
+
+
+def decision_grid(rule, c1: int, q_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule's action at every decision with queue 1..q_max, one call per station.
+
+    A decision with jobs in queue always finds all C1 flexible servers busy,
+    so the contexts form a (q, k_busy) grid with l_busy = C1 - 1 - k_busy.
+    Returns boolean arrays ``after1[q - 1, k]`` and ``after2[q - 1, k]``: the
+    action after a Station 1 and after a Station 2 completion leaves state
+    (q, k, C1 - k).  Cells with no such completion, k = 0 for Station 1 and
+    k = C1 for Station 2, are False.
+    """
+    q, k_busy = np.meshgrid(np.arange(1, q_max + 1), np.arange(c1), indexing="ij")
+    l_busy = c1 - 1 - k_busy
+    after1 = np.zeros((q_max, c1 + 1), dtype=bool)
+    after2 = np.zeros((q_max, c1 + 1), dtype=bool)
+    after1[:, 1:] = np.asarray(rule(q, k_busy, l_busy, STATION1), dtype=bool)
+    after2[:, :-1] = np.asarray(rule(q, k_busy, l_busy, STATION2), dtype=bool)
+    return after1, after2
 
 
 def optimal_greedy(value_table) -> Policy:

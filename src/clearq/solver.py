@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .model import State, SystemParams, band_signs, enumerate_states, service_rate
+from .policies import decision_grid
 from .thresholds import affine_pieces, probs
 
 ActionRule = Callable[[int, int, int, int], int]
@@ -136,23 +137,6 @@ def boundary_diff_formula(params: SystemParams, k: int, l: int) -> float:
     )
 
 
-def _decisions(params: SystemParams, rule: ActionRule, i_max: int):
-    """The rule's actions at every decision of levels 1..i_max, one call per station.
-
-    Entry i-1 is a pair of lists over k: the action after a Station 1
-    completion at (i, k, C1-k), and after a Station 2 completion there.  Both
-    contexts have k_busy + l_busy = C1 - 1.
-    """
-    c1 = params.C1
-    q, k_busy = np.meshgrid(np.arange(1, i_max + 1), np.arange(c1), indexing="ij")
-    l_busy = c1 - 1 - k_busy
-    after1 = np.zeros((i_max, c1 + 1), dtype=bool)
-    after2 = np.zeros((i_max, c1 + 1), dtype=bool)
-    after1[:, 1:] = np.asarray(rule(q, k_busy, l_busy, 1), dtype=bool)
-    after2[:, :-1] = np.asarray(rule(q, k_busy, l_busy, 2), dtype=bool)
-    return list(zip(after1.tolist(), after2.tolist()))
-
-
 def _solve(params: SystemParams, i_max: int, rule: ActionRule | None, kind: str) -> ValueTable:
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
@@ -167,7 +151,10 @@ def _solve(params: SystemParams, i_max: int, rule: ActionRule | None, kind: str)
          min(c1 - k, c2) * params.mu2, service_rate(params, k, c1 - k))
         for k in range(c1 + 1)
     ]
-    choices = _decisions(params, rule, i_max) if rule is not None and i_max else None
+    choices = None
+    if rule is not None and i_max:
+        after1, after2 = decision_grid(rule, c1, i_max)
+        choices = list(zip(after1.tolist(), after2.tolist()))
     prev = boundary[c1].tolist()
     rows = [prev]
     for i in range(1, i_max + 1):

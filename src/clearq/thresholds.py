@@ -297,9 +297,32 @@ def search_cap(params: SystemParams, index: int, *, equal_cost_as: str = "lowcos
     Maximum of the applicable linear crossing bounds (sandwich around the
     surrogate threshold plus the explicit appendix bounds), padded by C1.
     """
-    orient = orientation_for(params, equal_cost_as)
-    rate = band_sign(params.mu1 - params.mu2)
+    return _search_cap(params, index, heuristic_profile(params, equal_cost_as=equal_cost_as))
+
+
+def search_caps(params: SystemParams, *, equal_cost_as: str = "lowcost") -> dict[int, int]:
+    """search_cap at every finite-expected index, on one heuristic profile."""
+    indices = _indices(orientation_for(params, equal_cost_as), params)
+    finite = [
+        idx for idx in indices
+        if classify(params, idx, equal_cost_as=equal_cost_as) is Classification.FINITE_EXPECTED
+    ]
+    if not finite:
+        return {}
     heur = heuristic_profile(params, equal_cost_as=equal_cost_as)
+    return {idx: _search_cap(params, idx, heur) for idx in finite}
+
+
+def _indices(orient: Orientation, params: SystemParams) -> range:
+    """Threshold indices of an orientation: k = 1..C1, or l = 0..C1-1."""
+    if orient is Orientation.COLLABORATIVE:
+        return range(1, params.C1 + 1)
+    return range(0, params.C1)
+
+
+def _search_cap(params: SystemParams, index: int, heur: ThresholdProfile) -> int:
+    orient = heur.orientation
+    rate = band_sign(params.mu1 - params.mu2)
     bounds: list[float] = []
     if orient is Orientation.COLLABORATIVE:
         k = index
@@ -335,36 +358,29 @@ def search_cap(params: SystemParams, index: int, *, equal_cost_as: str = "lowcos
 
 def required_depth(params: SystemParams, *, equal_cost_as: str = "lowcost") -> int:
     """Queue depth sufficient to extract every finite actual threshold."""
-    orient = orientation_for(params, equal_cost_as)
-    if orient is Orientation.COLLABORATIVE:
-        indices = range(1, params.C1 + 1)
-    else:
-        indices = range(0, params.C1)
-    caps = [
-        search_cap(params, idx, equal_cost_as=equal_cost_as)
-        for idx in indices
-        if classify(params, idx, equal_cost_as=equal_cost_as) is Classification.FINITE_EXPECTED
-    ]
-    return max(caps, default=0)
+    return max(search_caps(params, equal_cost_as=equal_cost_as).values(), default=0)
 
 
 def actual_profile(
-    params: SystemParams, diff_table, *, equal_cost_as: str = "lowcost"
+    params: SystemParams,
+    diff_table,
+    *,
+    equal_cost_as: str = "lowcost",
+    caps: Mapping[int, int] | None = None,
 ) -> ThresholdProfile:
     """First sign change of the solved difference, per index.
 
     Indices classified provably infinite are emitted as inf without search;
     always-zero indices as 0.  A finite-expected index whose sign change is
     missing below the analytic cap raises CapExceeded (bug trap); a diff
-    table shallower than the cap is a precondition error.
+    table shallower than the cap is a precondition error.  ``caps`` is
+    ``search_caps(params)``, computed here when not given.
     """
     orient = orientation_for(params, equal_cost_as)
+    if caps is None:
+        caps = search_caps(params, equal_cost_as=equal_cost_as)
     entries: dict[int, float] = {}
-    if orient is Orientation.COLLABORATIVE:
-        indices = list(range(1, params.C1 + 1))
-    else:
-        indices = list(range(0, params.C1))
-    for index in indices:
+    for index in _indices(orient, params):
         cls = classify(params, index, equal_cost_as=equal_cost_as)
         if cls is Classification.PROVABLY_INFINITE:
             entries[index] = INF
@@ -372,7 +388,7 @@ def actual_profile(
         if cls is Classification.ALWAYS_ZERO:
             entries[index] = 0
             continue
-        cap = search_cap(params, index, equal_cost_as=equal_cost_as)
+        cap = caps[index]
         if diff_table.i_max < cap:
             raise ValueError(
                 f"diff table depth {diff_table.i_max} is below the search cap {cap} "
@@ -393,9 +409,9 @@ def compute_actual_profile(
     """Solve to the required depth and extract the actual profile."""
     from .solver import diff, solve_optimal  # deferred: solver imports this module
 
-    depth = required_depth(params, equal_cost_as=equal_cost_as)
-    table = solve_optimal(params, depth)
-    return actual_profile(params, diff(table), equal_cost_as=equal_cost_as)
+    caps = search_caps(params, equal_cost_as=equal_cost_as)
+    table = solve_optimal(params, max(caps.values(), default=0))
+    return actual_profile(params, diff(table), equal_cost_as=equal_cost_as, caps=caps)
 
 
 class Condition1Verdict(Enum):

@@ -68,6 +68,19 @@ class TestSolveCommand:
         assert err.startswith("clearq: ") and err.count("\n") == 1
         assert "absent.json" in err
 
+    def test_bool_rate_in_params_json_one_line_error(self, tmp_path, capsys):
+        params_file = tmp_path / "p.json"
+        params_file.write_text(json.dumps(
+            {"C1": 4, "C2": 2, "mu1": True, "mu2": 0.96, "h0": 0.1, "h1": 1, "h2": 0.16}))
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--params-json", str(params_file), "--imax", "0",
+                 "--outdir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("clearq: ") and err.count("\n") == 1
+        assert "mu1 must be a number" in err
+        assert not (tmp_path / "out").exists()
+
     def test_uncreatable_outdir_one_line_error(self, tmp_path, capsys):
         blocker = tmp_path / "plain-file"
         blocker.write_text("")

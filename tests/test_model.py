@@ -52,6 +52,14 @@ class TestValidate:
         with pytest.raises(ParameterError, match="must be an integer"):
             SystemParams(c1, c2, 10, 4, 0.01, 1, 0.1)
 
+    @pytest.mark.parametrize("field", ["mu1", "mu2", "h0", "h1", "h2"])
+    @pytest.mark.parametrize("bad", [True, False, "4", None, [1.0]])
+    def test_rates_and_costs_must_be_numbers(self, field, bad):
+        kwargs = dict(C1=2, C2=1, mu1=10, mu2=4, h0=0.01, h1=1, h2=0.1)
+        kwargs[field] = bad
+        with pytest.raises(ParameterError, match=f"{field} must be a number"):
+            SystemParams(**kwargs)
+
     def test_ratio_m(self):
         assert make(mu1=10, mu2=4).m == pytest.approx(0.4)
 
@@ -165,6 +173,26 @@ class TestJson:
         data[field] = bad
         with pytest.raises(ParameterError, match=field):
             SystemParams.from_json_dict(data)
+
+    @pytest.mark.parametrize("field", ["mu1", "mu2", "h0", "h1", "h2"])
+    @pytest.mark.parametrize("bad", [True, "4", None, {"value": 4}])
+    def test_rates_and_costs_not_coerced(self, field, bad):
+        data = make().to_json_dict()
+        data[field] = bad
+        with pytest.raises(ParameterError, match=f"{field} must be a number"):
+            SystemParams.from_json_dict(data)
+
+    def test_bool_and_string_rates_rejected_together(self):
+        data = make().to_json_dict()
+        data.update(mu1=True, mu2="4")
+        with pytest.raises(ParameterError):
+            SystemParams.from_json_dict(data)
+
+    def test_integer_rates_and_costs_become_floats(self):
+        data = dict(C1=2, C2=1, mu1=10, mu2=4, h0=1, h1=1, h2=2)
+        params = SystemParams.from_json_dict(data)
+        assert params == make(mu1=10.0, mu2=4.0, h0=1.0, h1=1.0, h2=2.0)
+        assert all(type(params.to_json_dict()[f]) is float for f in ("mu1", "mu2", "h0", "h1", "h2"))
 
     def test_fractional_and_bool_counts_rejected_together(self):
         data = make().to_json_dict()

@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from clearq.experiments import EXAMPLE_PARAMS
 from clearq.model import State, SystemParams, enumerate_states, service_rate
-from clearq.policies import POLICY_IDS, benchmark, optimal_greedy, policy_by_id
+from clearq.policies import POLICY_IDS, benchmark, decision_grid, optimal_greedy, policy_by_id
 from clearq.solver import (
     IndexOutOfSpace,
-    _decisions,
     boundary_diff_formula,
     diff,
     recursion_check,
@@ -267,15 +266,15 @@ class TestScalarOracle:
         for params in points:
             i_max = 25
             policy = policy_by_id(params, policy_id, value_table=solve_optimal(params, i_max))
-            choices = _decisions(params, policy.rule, i_max)
+            after1, after2 = decision_grid(policy.rule, params.C1, i_max)
+            assert after1.shape == after2.shape == (i_max, params.C1 + 1)
             for i in range(1, i_max + 1):
-                after1, after2 = choices[i - 1]
                 for k in range(0, params.C1 + 1):
                     l = params.C1 - k
-                    if k > 0:
-                        assert after1[k] == bool(policy.rule(i, k - 1, l, 1))
-                    if k < params.C1:
-                        assert after2[k] == bool(policy.rule(i, k, l - 1, 2))
+                    want1 = k > 0 and bool(policy.rule(i, k - 1, l, 1))
+                    want2 = k < params.C1 and bool(policy.rule(i, k, l - 1, 2))
+                    assert after1[i - 1, k] == want1
+                    assert after2[i - 1, k] == want2
 
     def test_scalar_only_rule_result_broadcasts(self):
         table = solve_under_policy(EX1, lambda q, kb, lb, n: 1, 6)

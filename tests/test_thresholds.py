@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import clearq.thresholds as thresholds
 from clearq.experiments import EXAMPLE_PARAMS
 from clearq.model import SystemParams
 from clearq.solver import DiffTable, diff, solve_optimal
@@ -24,6 +25,7 @@ from clearq.thresholds import (
     probs,
     required_depth,
     search_cap,
+    search_caps,
     surrogate,
 )
 
@@ -215,6 +217,27 @@ class TestDepthMachinery:
         depth = required_depth(params)
         act = actual_profile(params, diff(solve_optimal(params, depth)))
         assert all(math.isinf(v) or v <= depth for v in act.entries.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=param_strategy, equal_cost_as=st.sampled_from(["lowcost", "highcost"]))
+    def test_search_caps_match_search_cap(self, params, equal_cost_as):
+        caps = search_caps(params, equal_cost_as=equal_cost_as)
+        orient = heuristic_profile(params, equal_cost_as=equal_cost_as).orientation
+        indices = range(1, params.C1 + 1) if orient is Orientation.COLLABORATIVE else range(params.C1)
+        finite = [i for i in indices if classify(params, i, equal_cost_as=equal_cost_as)
+                  is Classification.FINITE_EXPECTED]
+        assert list(caps) == finite
+        assert caps == {i: search_cap(params, i, equal_cost_as=equal_cost_as) for i in finite}
+        assert required_depth(params, equal_cost_as=equal_cost_as) == max(caps.values(), default=0)
+
+    def test_actual_profile_builds_one_heuristic_profile(self, monkeypatch):
+        params = EXAMPLE_PARAMS["ex3b"]
+        want = compute_actual_profile(params)
+        calls = []
+        real = thresholds.constants
+        monkeypatch.setattr(thresholds, "constants", lambda p: calls.append(p) or real(p))
+        assert compute_actual_profile(params) == want
+        assert len(calls) == 1
 
     def test_no_bound_for_provably_infinite(self):
         params = SystemParams(2, 1, 10.0, 12.0, 0.1, 1.0, 0.1)
