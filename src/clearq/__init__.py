@@ -1,73 +1,7 @@
 """Two-server-type clearing system: exact DP, threshold heuristics, simulation."""
 
-from .model import (
-    CapacityOrder,
-    CostOrder,
-    NonPositiveParameter,
-    ParameterError,
-    RateOrder,
-    RegimeTag,
-    State,
-    SystemParams,
-    ZeroServers,
-    enumerate_states,
-    holding_rate,
-    in_state_space,
-    regime_tag,
-    service_rate,
-    validate,
-)
-from .policies import (
-    DecisionContext,
-    DepthExceeded,
-    Policy,
-    STATION1,
-    STATION2,
-    benchmark,
-    optimal_greedy,
-    pi_prime,
-    policy_by_id,
-)
-from .simulate import SimConfig, SimEstimate, StuckState, estimate, run_episode
-from .solver import (
-    DiffTable,
-    IndexOutOfSpace,
-    RecursionReport,
-    ValueTable,
-    boundary_diff_formula,
-    diff,
-    recursion_check,
-    solve_boundary,
-    solve_optimal,
-    solve_under_policy,
-)
-from .thresholds import (
-    CapExceeded,
-    Classification,
-    Condition1Verdict,
-    DegenerateSlope,
-    HeuristicConstants,
-    Orientation,
-    ProfileKind,
-    ThresholdProfile,
-    actual_profile,
-    classify,
-    compute_actual_profile,
-    condition1,
-    constants,
-    heuristic_profile,
-    probs,
-    required_depth,
-    search_cap,
-    surrogate,
-)
-from .experiments import (
-    EXAMPLE_PARAMS,
-    SweepSpec,
-    dh_curve,
-    sweep,
-    table4_params,
-    verify,
-)
+from .model import SystemParams
+from .policies import pi_prime
+from .solver import diff, solve_optimal, solve_under_policy
 
 __version__ = "0.1.0"

@@ -12,17 +12,11 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .model import (
-    SystemParams,
-    band_sign,
-    band_signs,
-    blocked_cost_gap_sign,
-    cost_gap_sign,
-)
+from .model import SystemParams, band_sign, band_signs, cost_gap_sign
 from .policies import optimal_greedy, pi_prime, policy_by_id
 from .solver import (
     DiffTable,
@@ -36,14 +30,13 @@ from .solver import (
 from .thresholds import (
     Classification,
     Condition1Verdict,
-    Orientation,
-    classify,
+    actual_profile,
     condition1,
     constants,
-    actual_profile,
     heuristic_profile,
-    required_depth,
+    search_caps,
     surrogate,
+    threshold_spec,
 )
 
 # Parameter grid of the numerical study; h1 and mu1 are fixed by scaling.
@@ -72,15 +65,18 @@ EXAMPLE_PARAMS = {
 }
 
 
+def _grid(server_configs, h0_values, h2_values, mu2_values, mu1, h1) -> Iterator[SystemParams]:
+    """Every parameter combination of a grid, servers outermost and mu2 innermost."""
+    for c1, c2 in server_configs:
+        for h0 in h0_values:
+            for h2 in h2_values:
+                for mu2 in mu2_values:
+                    yield SystemParams(c1, c2, mu1, mu2, h0, h1, h2)
+
+
 def table4_params(server_configs: Sequence[tuple[int, int]] = TABLE4_SERVERS) -> list[SystemParams]:
     """Every parameter combination of the study grid."""
-    out = []
-    for c1, c2 in server_configs:
-        for h0 in TABLE4_H0:
-            for h2 in TABLE4_H2:
-                for mu2 in TABLE4_MU2:
-                    out.append(SystemParams(c1, c2, TABLE4_MU1, mu2, h0, TABLE4_H1, h2))
-    return out
+    return list(_grid(server_configs, TABLE4_H0, TABLE4_H2, TABLE4_MU2, TABLE4_MU1, TABLE4_H1))
 
 
 def cost_regime_label(params: SystemParams) -> str:
@@ -96,6 +92,11 @@ def rate_regime_label(params: SystemParams) -> str:
     return "mu1_ge" if params.mu1 >= params.mu2 else "mu1_lt"
 
 
+def policy_family(cost_regime: str) -> tuple[str, ...]:
+    """The policies compared in a cost regime: pi1..pi4, or tpi1..tpi4 when highcost."""
+    return HIGHCOST_POLICIES if cost_regime == "highcost" else LOWCOST_POLICIES
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep; defaults reproduce the study grid."""
@@ -108,7 +109,6 @@ class SweepSpec:
     mu1: float = TABLE4_MU1
     i0_values: Sequence[int] = (20, 30)
     policies: Sequence[str] | None = None  # None: regime-appropriate family
-    regime_filter: Callable[[SystemParams], bool] | None = None
     include_equal_cost: bool = False
 
 
@@ -142,13 +142,13 @@ class SweepResult:
 
 def _sweep_combo(args) -> list[tuple]:
     """Raw error rows for one parameter combination (worker function)."""
-    (c1, c2, h0, h2, mu2, h1, mu1, i0_values, policies) = args
-    params = SystemParams(c1, c2, mu1, mu2, h0, h1, h2)
+    params, i0_values, policies = args
+    c1 = params.C1
+    point = (c1, params.C2, params.h0, params.h1, params.h2, params.mu1, params.mu2)
     depth = max(i0_values)
     optimal = solve_optimal(params, depth)
     if policies is None:
-        regime = cost_regime_label(params)
-        policies = HIGHCOST_POLICIES if regime == "highcost" else LOWCOST_POLICIES
+        policies = policy_family(cost_regime_label(params))
     # Rows live as long as the sweep result, so they share floats: each
     # optimal value is read once for every policy, and a policy value that
     # ties it (about a quarter of the study grid's rows) reuses it.
@@ -164,10 +164,7 @@ def _sweep_combo(args) -> list[tuple]:
                 v_pi_val, err_pct = v_opt_val, 0.0
             else:
                 err_pct = (v_pi_val - v_opt_val) / v_opt_val * 100.0
-            rows.append(
-                (c1, c2, h0, h1, h2, mu1, mu2, i0, k0, l0, policy_id,
-                 v_opt_val, v_pi_val, err_pct)
-            )
+            rows.append((*point, i0, k0, l0, policy_id, v_opt_val, v_pi_val, err_pct))
     return rows
 
 
@@ -179,20 +176,15 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
     deterministically ordered combination list, so the worker count cannot
     change the result.
     """
-    combos = []
-    for c1, c2 in spec.server_configs:
-        for h0 in spec.h0_values:
-            for h2 in spec.h2_values:
-                for mu2 in spec.mu2_values:
-                    params = SystemParams(c1, c2, spec.mu1, mu2, h0, spec.h1, h2)
-                    if not spec.include_equal_cost and cost_gap_sign(params) == 0:
-                        continue
-                    if spec.regime_filter is not None and not spec.regime_filter(params):
-                        continue
-                    combos.append(
-                        (c1, c2, h0, h2, mu2, spec.h1, spec.mu1,
-                         tuple(spec.i0_values), tuple(spec.policies) if spec.policies else None)
-                    )
+    grid = _grid(spec.server_configs, spec.h0_values, spec.h2_values, spec.mu2_values,
+                 spec.mu1, spec.h1)
+    i0_values = tuple(spec.i0_values)
+    policies = tuple(spec.policies) if spec.policies else None
+    combos = [
+        (params, i0_values, policies)
+        for params in grid
+        if spec.include_equal_cost or cost_gap_sign(params) != 0
+    ]
     if jobs is not None and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_combo = list(pool.map(_sweep_combo, combos, chunksize=8))
@@ -260,7 +252,7 @@ def table_cells(stats: list[ErrorStats], table: int) -> dict[tuple, ErrorStats]:
 def write_table_csv(stats: list[ErrorStats], table: int, path) -> None:
     """Aggregated CSV mirroring the published layout (columns = servers)."""
     cells = table_cells(stats, table)
-    policies = HIGHCOST_POLICIES if TABLE_DEFS[table][0] == "highcost" else LOWCOST_POLICIES
+    policies = policy_family(TABLE_DEFS[table][0])
     cols = [(c1, c2) for c1, c2 in TABLE4_SERVERS]
     with open(path, "w", encoding="utf-8") as fh:
         header = "policy,stat," + ",".join(f"C1={c1} C2={c2}" for c1, c2 in cols)
@@ -462,10 +454,8 @@ def check_boundary_formula(params: SystemParams, dt: DiffTable):
 
 
 def check_policy_dominance(params: SystemParams, table: ValueTable, i_max: int):
-    regime = cost_regime_label(params)
-    family = HIGHCOST_POLICIES if regime == "highcost" else LOWCOST_POLICIES
     opt = table.levels[i_max]
-    for policy_id in family:
+    for policy_id in policy_family(cost_regime_label(params)):
         policy = policy_by_id(params, policy_id, value_table=table)
         got = solve_under_policy(params, policy, i_max).levels[i_max]
         at = _first(got < opt - _ineq_tol(opt, got))
@@ -491,91 +481,84 @@ def _band_integer(r: float) -> bool:
     return abs(r - round(r)) <= 1e-9 * max(1.0, abs(r))
 
 
-def check_threshold_structure(params: SystemParams, dt: DiffTable):
+def check_threshold_structure(
+    params: SystemParams, dt: DiffTable, *, caps: Mapping[int, int] | None = None
+):
     """Threshold-level structural guarantees.
 
     Exactness and increment assertions are scoped to non-degenerate points:
     where a surrogate root sits exactly on an integer, or a neighbouring
     index sits exactly on the blocked-cost equality, the published
     guarantees are boundary-tight and the collaborative-side tie rule can
-    shift one side by one.
+    shift one side by one.  ``caps`` is passed on to ``actual_profile``.
     """
+    spec = threshold_spec(params)
     heur = heuristic_profile(params)
-    act = actual_profile(params, dt)
+    act = actual_profile(params, dt, caps=caps)
     cst = constants(params)
+    # Independent-orientation thresholds carry a tilde and are indexed by l.
+    d_name, h_name, ix = ("i~_D", "i~_H", "l") if spec.independent else ("i_D", "i_H", "k")
+    finite = Classification.FINITE_EXPECTED
     issues = []
-    if heur.orientation is Orientation.COLLABORATIVE:
-        ks = act.indices()
-        for a, b in zip(ks, ks[1:]):
-            if act[a] > act[b]:
-                issues.append(f"i_D({a}) > i_D({b})")
-        for k in ks:
-            l = params.C1 - k
-            i_h, i_d = heur[k], act[k]
-            if l < params.C2 and band_sign(params.mu1 - params.mu2) > 0:
-                if not (i_h <= i_d <= i_h + params.C1 - 1):
-                    issues.append(f"sandwich fails at k={k}: {i_h} vs {i_d}")
-            if l >= params.C2:
-                blocked = blocked_cost_gap_sign(params, l) <= 0
-                if blocked != (i_d == 0):
-                    issues.append(f"zero-threshold iff fails at k={k}")
-                if i_d >= 1:
-                    h_gap = band_sign(params.h0 - params.h2)
-                    if h_gap > 0 and i_h < i_d:
-                        issues.append(f"h0>h2 but i_H({k}) < i_D({k})")
-                    if h_gap < 0 and i_h > i_d:
-                        issues.append(f"h0<h2 but i_H({k}) > i_D({k})")
-                    if h_gap == 0 and i_h != i_d:
-                        issues.append(f"h0=h2 but i_H({k}) != i_D({k})")
-                clean_k = not _band_integer(cst.r2[k])
-                neighbour_strict = k >= 2 and blocked_cost_gap_sign(params, params.C1 - (k - 1)) > 0
-                verdict = condition1(params, k)
-                holds = verdict in (
-                    Condition1Verdict.HOLDS_QUEUE_SIDE,
-                    Condition1Verdict.HOLDS_COLLAB_SIDE,
-                )
-                if holds and clean_k:
-                    if i_h != i_d:
-                        issues.append(f"condition holds at k={k} but thresholds differ")
-                    prev_holds = k >= 2 and condition1(params, k - 1) == verdict
-                    if prev_holds and neighbour_strict and not _band_integer(cst.r2[k - 1]):
-                        if act[k] != act[k - 1] + 1:
-                            issues.append(f"condition holds at k={k} but i_D increment != 1")
-                if (
-                    band_sign(params.h0 - params.h2) == 0
-                    and neighbour_strict
-                    and blocked_cost_gap_sign(params, l) > 0
-                    and act[k] != act[k - 1] + 1
-                ):
-                    issues.append(f"h0=h2 but i_D({k}) != i_D({k - 1}) + 1")
-                if (
-                    neighbour_strict
-                    and blocked_cost_gap_sign(params, l) > 0
-                    and not math.isinf(heur[k])
-                    and heur[k] >= 1
-                    and heur[k] != heur[k - 1] + 1
-                ):
-                    issues.append(f"i_H({k}) != i_H({k - 1}) + 1")
-        if params.C1 == 1:
-            for k in ks:
-                if not math.isinf(act[k]) and act[k] != heur[k]:
-                    issues.append(f"C1=1 but i_D({k}) != i_H({k})")
-    else:
-        ls = act.indices()
-        for a, b in zip(ls, ls[1:]):
-            if act[a] > act[b]:
-                issues.append(f"i~_D({a}) > i~_D({b})")
-        for l in ls:
-            i_h, i_d = heur[l], act[l]
-            if l < params.C2 and band_sign(params.mu2 - params.mu1) > 0:
-                if not (i_h <= i_d <= i_h + params.C1 - 1):
-                    issues.append(f"sandwich fails at l={l}: {i_h} vs {i_d}")
-            if math.isinf(i_h) != math.isinf(i_d):
-                issues.append(f"finiteness mismatch at l={l}")
-        if params.C1 == 1:
-            for l in ls:
-                if not math.isinf(act[l]) and act[l] != heur[l]:
-                    issues.append(f"C1=1 but i~_D({l}) != i~_H({l})")
+    indices = act.indices()
+    for a, b in zip(indices, indices[1:]):
+        if act[a] > act[b]:
+            issues.append(f"{d_name}({a}) > {d_name}({b})")
+    for s in spec:
+        index, k, l = s.index, s.k, s.l
+        i_h, i_d = heur[index], act[index]
+        if l < params.C2 and s.classification is finite:
+            if not (i_h <= i_d <= i_h + params.C1 - 1):
+                issues.append(f"sandwich fails at {ix}={index}: {i_h} vs {i_d}")
+        if math.isinf(i_h) != math.isinf(i_d):
+            issues.append(f"finiteness mismatch at {ix}={index}")
+        if spec.independent or l < params.C2:
+            continue
+        # Collaborative orientation with a Station 2 queue: index = k.
+        strict = s.classification is finite
+        if strict == (i_d == 0):
+            issues.append(f"zero-threshold iff fails at k={k}")
+        if i_d >= 1:
+            h_gap = band_sign(params.h0 - params.h2)
+            if h_gap > 0 and i_h < i_d:
+                issues.append(f"h0>h2 but i_H({k}) < i_D({k})")
+            if h_gap < 0 and i_h > i_d:
+                issues.append(f"h0<h2 but i_H({k}) > i_D({k})")
+            if h_gap == 0 and i_h != i_d:
+                issues.append(f"h0=h2 but i_H({k}) != i_D({k})")
+        clean_k = not _band_integer(cst.r2[k])
+        neighbour_strict = k >= 2 and spec[k - 1].classification is finite
+        verdict = condition1(params, k)
+        holds = verdict in (
+            Condition1Verdict.HOLDS_QUEUE_SIDE,
+            Condition1Verdict.HOLDS_COLLAB_SIDE,
+        )
+        if holds and clean_k:
+            if i_h != i_d:
+                issues.append(f"condition holds at k={k} but thresholds differ")
+            prev_holds = k >= 2 and condition1(params, k - 1) == verdict
+            if prev_holds and neighbour_strict and not _band_integer(cst.r2[k - 1]):
+                if act[k] != act[k - 1] + 1:
+                    issues.append(f"condition holds at k={k} but i_D increment != 1")
+        if (
+            band_sign(params.h0 - params.h2) == 0
+            and neighbour_strict
+            and strict
+            and act[k] != act[k - 1] + 1
+        ):
+            issues.append(f"h0=h2 but i_D({k}) != i_D({k - 1}) + 1")
+        if (
+            neighbour_strict
+            and strict
+            and not math.isinf(heur[k])
+            and heur[k] >= 1
+            and heur[k] != heur[k - 1] + 1
+        ):
+            issues.append(f"i_H({k}) != i_H({k - 1}) + 1")
+    if params.C1 == 1:
+        for index in indices:
+            if not math.isinf(act[index]) and act[index] != heur[index]:
+                issues.append(f"C1=1 but {d_name}({index}) != {h_name}({index})")
     return "; ".join(issues) if issues else None
 
 
@@ -596,8 +579,8 @@ POINT_CHECKS = (
 
 
 def verify_point(params: SystemParams, i_max: int) -> list[CheckResult]:
-    depth = max(i_max, required_depth(params))
-    table = solve_optimal(params, depth)
+    caps = search_caps(params)
+    table = solve_optimal(params, max([i_max, *caps.values()]))
     dt = diff(table)
     outcomes = {
         "value_monotone_in_queue": check_value_monotone(params, table, i_max),
@@ -611,7 +594,7 @@ def verify_point(params: SystemParams, i_max: int) -> list[CheckResult]:
         "boundary_formula": check_boundary_formula(params, dt),
         "policy_dominance": check_policy_dominance(params, table, i_max),
         "greedy_reproduces_optimal": check_greedy_reproduces_optimal(params, table, i_max),
-        "threshold_structure": check_threshold_structure(params, dt),
+        "threshold_structure": check_threshold_structure(params, dt, caps=caps),
     }
     return [
         CheckResult(name, params, passed=(detail is None), detail=detail or "")

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,32 +122,6 @@ def validate(params: SystemParams) -> SystemParams:
     return params
 
 
-class CostOrder(Enum):
-    """Ordering of the per-job expected service costs h1/mu1 vs h2/mu2."""
-
-    INDEP_COSTLIER = "indep_costlier"
-    EQUAL = "equal"
-    COLLAB_COSTLIER = "collab_costlier"
-
-
-class RateOrder(Enum):
-    MU1_GT = "mu1_gt"
-    MU1_EQ = "mu1_eq"
-    MU1_LT = "mu1_lt"
-
-
-class CapacityOrder(Enum):
-    C2_LT_C1 = "c2_lt_c1"
-    C2_GE_C1 = "c2_ge_c1"
-
-
-@dataclass(frozen=True)
-class RegimeTag:
-    cost_order: CostOrder
-    rate_order: RateOrder
-    capacity_order: CapacityOrder
-
-
 def band_sign(x: float) -> int:
     """-1, 0, +1 with a relative dead band around zero."""
     tol = ZERO_BAND * (1.0 + abs(x))
@@ -178,25 +151,6 @@ def blocked_cost_gap_sign(params: SystemParams, l: int) -> int:
     )
 
 
-def regime_tag(params: SystemParams) -> RegimeTag:
-    cost = cost_gap_sign(params)
-    if cost > 0:
-        cost_order = CostOrder.INDEP_COSTLIER
-    elif cost < 0:
-        cost_order = CostOrder.COLLAB_COSTLIER
-    else:
-        cost_order = CostOrder.EQUAL
-    rate = band_sign(params.mu1 - params.mu2)
-    if rate > 0:
-        rate_order = RateOrder.MU1_GT
-    elif rate < 0:
-        rate_order = RateOrder.MU1_LT
-    else:
-        rate_order = RateOrder.MU1_EQ
-    capacity = CapacityOrder.C2_GE_C1 if params.C2 >= params.C1 else CapacityOrder.C2_LT_C1
-    return RegimeTag(cost_order, rate_order, capacity)
-
-
 def in_state_space(params: SystemParams, state: State) -> bool:
     i, k, l = state
     if i < 0 or k < 0 or l < 0:
@@ -209,11 +163,6 @@ def in_state_space(params: SystemParams, state: State) -> bool:
 def service_rate(params: SystemParams, k: int, l: int) -> float:
     """Overall completion rate with k jobs at Station 1 and l at Station 2."""
     return k * params.mu1 + min(l, params.C2) * params.mu2
-
-
-def holding_rate(params: SystemParams, state: State) -> float:
-    i, k, l = state
-    return i * params.h0 + k * params.h1 + l * params.h2
 
 
 def enumerate_states(params: SystemParams, i_max: int) -> list[State]:
@@ -234,8 +183,3 @@ def enumerate_states(params: SystemParams, i_max: int) -> list[State]:
             states.append(State(i, k, params.C1 - k))
     return states
 
-
-def iter_level(params: SystemParams, i: int) -> Iterator[State]:
-    """States at queue level i >= 1 (all flexible servers busy)."""
-    for k in range(0, params.C1 + 1):
-        yield State(i, k, params.C1 - k)

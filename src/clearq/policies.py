@@ -1,7 +1,7 @@
-"""Decision rules behind one canonical context.
+"""Decision rules.
 
 Every decision happens when a flexible server frees up with jobs still in
-queue.  The canonical context is (q, k_busy, l_busy, station): queue length
+queue.  A rule is called as rule(q, k_busy, l_busy, station): queue length
 including the job being engaged, busy counts excluding the freed server, and
 which station completed.  Action a = 0 starts independent service, a = 1
 collaborative.  Whether the completion was at Station 1 or 2, the optimal
@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .model import SystemParams, ZERO_BAND
-from .thresholds import Orientation, heuristic_profile
+from .thresholds import heuristic_profile, threshold_spec
 
 STATION1 = 1
 STATION2 = 2
@@ -34,13 +34,6 @@ class DepthExceeded(LookupError):
     """Greedy policy consulted beyond the depth of its value table."""
 
 
-class DecisionContext(NamedTuple):
-    q: int
-    k_busy: int
-    l_busy: int
-    completed_at: int  # STATION1 or STATION2
-
-
 @dataclass(frozen=True)
 class Policy:
     """Deterministic decision rule with a stable identifier."""
@@ -50,9 +43,6 @@ class Policy:
 
     def __call__(self, q, k_busy, l_busy, station):
         return self.rule(q, k_busy, l_busy, station)
-
-    def decide(self, ctx: DecisionContext) -> int:
-        return int(bool(self.rule(ctx.q, ctx.k_busy, ctx.l_busy, ctx.completed_at)))
 
 
 def decision_grid(rule, c1: int, q_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -96,28 +86,23 @@ def optimal_greedy(value_table) -> Policy:
     return Policy("optimal", rule)
 
 
-def pi_prime(params: SystemParams, *, equal_cost_as: str = "lowcost") -> Policy:
+def pi_prime(params: SystemParams) -> Policy:
     """Threshold policy built on the closed-form surrogate thresholds.
 
-    Collaborative orientation: collaborate iff q <= threshold(k_busy+1),
-    an infinite threshold meaning always.  Independent orientation: serve
-    independently iff q - 1 < threshold(l_busy), infinite meaning always.
+    A decision reads the threshold th of the index whose D column is
+    k_busy + 1 (so l_busy = C1 - 1 - k_busy), an infinite threshold meaning
+    always.  Collaborative orientation: collaborate iff q <= th.  Independent
+    orientation: serve independently iff q <= th, that is q - 1 < th.
     """
-    profile = heuristic_profile(params, equal_cost_as=equal_cost_as)
-    if profile.orientation is Orientation.COLLABORATIVE:
-        th = np.full(params.C1 + 2, math.inf)
-        for k, value in profile.entries.items():
-            th[k] = value
+    spec = threshold_spec(params)
+    profile = heuristic_profile(params)
+    th = np.full(params.C1 + 1, math.inf)  # by D column k; column 0 is never read
+    for s in spec:
+        th[s.k] = profile[s.index]
+    independent = spec.independent
 
-        def rule(q, k_busy, l_busy, station):
-            return np.asarray(q) <= th[np.asarray(k_busy) + 1]
-    else:
-        th = np.full(params.C1 + 1, math.inf)
-        for l, value in profile.entries.items():
-            th[l] = value
-
-        def rule(q, k_busy, l_busy, station):
-            return np.asarray(q) - 1 >= th[np.asarray(l_busy)]
+    def rule(q, k_busy, l_busy, station):
+        return (np.asarray(q) <= th[np.asarray(k_busy) + 1]) != independent
 
     return Policy("heuristic", rule)
 
@@ -133,14 +118,12 @@ def benchmark(params: SystemParams, which: str) -> Policy:
     c2 = params.C2
     rules = {
         "pi1": lambda q, kb, lb, n: np.zeros_like(np.asarray(q), dtype=bool),
-        "tpi1": lambda q, kb, lb, n: np.zeros_like(np.asarray(q), dtype=bool),
-        "pi3": lambda q, kb, lb, n: np.ones_like(np.asarray(q), dtype=bool),
-        "tpi3": lambda q, kb, lb, n: np.ones_like(np.asarray(q), dtype=bool),
         "pi2": lambda q, kb, lb, n: np.asarray(q) <= 10,
-        "tpi2": lambda q, kb, lb, n: np.asarray(q) > 10,
+        "pi3": lambda q, kb, lb, n: np.ones_like(np.asarray(q), dtype=bool),
         "pi4": lambda q, kb, lb, n: np.asarray(lb) < c2,
-        "tpi4": lambda q, kb, lb, n: np.asarray(lb) < c2,
+        "tpi2": lambda q, kb, lb, n: np.asarray(q) > 10,
     }
+    rules.update(tpi1=rules["pi1"], tpi3=rules["pi3"], tpi4=rules["pi4"])
     if which not in rules:
         raise ValueError(f"unknown benchmark {which!r}; expected one of {BENCHMARK_IDS}")
     return Policy(which, rules[which])
@@ -151,11 +134,10 @@ def policy_by_id(
     policy_id: str,
     *,
     value_table=None,
-    equal_cost_as: str = "lowcost",
 ) -> Policy:
     """Look up a policy by its CLI identifier."""
     if policy_id == "heuristic":
-        return pi_prime(params, equal_cost_as=equal_cost_as)
+        return pi_prime(params)
     if policy_id == "optimal":
         if value_table is None:
             raise ValueError("policy 'optimal' needs a solved value table")

@@ -23,9 +23,6 @@ from .model import State, SystemParams, band_signs, enumerate_states, service_ra
 from .policies import decision_grid
 from .thresholds import affine_pieces, probs
 
-ActionRule = Callable[[int, int, int, int], int]
-
-
 class IndexOutOfSpace(KeyError):
     """Difference requested at an index outside the admissible set."""
 
@@ -137,7 +134,7 @@ def boundary_diff_formula(params: SystemParams, k: int, l: int) -> float:
     )
 
 
-def _solve(params: SystemParams, i_max: int, rule: ActionRule | None, kind: str) -> ValueTable:
+def _solve(params: SystemParams, i_max: int, rule: Callable | None, kind: str) -> ValueTable:
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
     c1, c2 = params.C1, params.C2
@@ -190,14 +187,12 @@ def solve_optimal(params: SystemParams, i_max: int) -> ValueTable:
 def solve_under_policy(params: SystemParams, policy, i_max: int) -> ValueTable:
     """Expected clearing costs when every decision follows the given policy.
 
-    The policy is consulted with the canonical decision context
-    (q, k_busy, l_busy, station), once per station with integer arrays over
-    every decision of the table, so it must be elementwise and total for q
-    up to i_max.
+    The policy is called as policy(q, k_busy, l_busy, station), once per
+    station with integer arrays over every decision of the table, so it must
+    be elementwise and total for q up to i_max.
     """
-    rule = policy if callable(policy) else policy.rule
     policy_id = getattr(policy, "id", getattr(policy, "__name__", "anonymous"))
-    return _solve(params, i_max, rule, f"policy:{policy_id}")
+    return _solve(params, i_max, policy, f"policy:{policy_id}")
 
 
 def _k_differences(a: np.ndarray) -> np.ndarray:

@@ -12,14 +12,19 @@ threshold is the first index where the quantity is strictly negative, while
 the independent-orientation threshold is the first index where it is zero or
 positive.  The golden values in the acceptance suite pin this direction at
 exactly-integer crossing roots; see the README for the full convention.
+
+Which orientation applies, and each index's D column and classification,
+are decided once per parameter set by ``threshold_spec``; every function
+here reads them from its result.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .model import (
     INT_SNAP,
@@ -160,51 +165,78 @@ class Classification(Enum):
     ALWAYS_ZERO = "always_zero"
 
 
-def orientation_for(params: SystemParams, equal_cost_as: str = "lowcost") -> Orientation:
-    """Threshold orientation implied by the cost ordering.
+class IndexSpec(NamedTuple):
+    """One threshold index: the D column k it is read off, l = C1 - k, its class."""
 
-    Cost-order ties are routed by equal_cost_as, default the lowcost
-    (collaborative) branch whose structural results hold weakly.
+    index: int
+    k: int
+    l: int
+    classification: Classification
+
+
+@dataclass(frozen=True)
+class ThresholdSpec:
+    """A parameter set's threshold orientation and its indices, in index order.
+
+    Collaborative orientation: index k = 1..C1, read off D column k.
+    Independent orientation: index l = 0..C1-1, read off D column C1 - l.
     """
-    gap = cost_gap_sign(params)
-    if gap > 0:
-        return Orientation.COLLABORATIVE
-    if gap < 0:
-        return Orientation.INDEPENDENT
-    if equal_cost_as not in ("lowcost", "highcost"):
-        raise ValueError(f"equal_cost_as must be 'lowcost' or 'highcost', got {equal_cost_as!r}")
-    return Orientation.COLLABORATIVE if equal_cost_as == "lowcost" else Orientation.INDEPENDENT
+
+    orientation: Orientation
+    indices: tuple[IndexSpec, ...]
+
+    @property
+    def independent(self) -> bool:
+        return self.orientation is Orientation.INDEPENDENT
+
+    def __iter__(self):
+        return iter(self.indices)
+
+    def __getitem__(self, index: int) -> IndexSpec:
+        first, last = self.indices[0].index, self.indices[-1].index
+        if not first <= index <= last:
+            name = "l" if self.independent else "k"
+            raise ValueError(f"{name} must be in {first}..{last}, got {index}")
+        return self.indices[index - first]
 
 
-def classify(
-    params: SystemParams, index: int, *, equal_cost_as: str = "lowcost"
-) -> Classification:
-    """Finite-threshold expectation for one index of the active orientation.
+@functools.lru_cache(maxsize=32)
+def threshold_spec(params: SystemParams) -> ThresholdSpec:
+    """Orientation and per-index facts, decided once per parameter set.
 
-    Collaborative orientation: index is k; the threshold is provably
-    infinite when mu1 <= mu2 with no Station 2 queue, and identically zero
-    when the blocked cost comparison already favors independent service.
-    Independent orientation: index is l; finite only when mu1 < mu2 with no
-    Station 2 queue.
+    The cost ordering picks the orientation; a cost-order tie takes the
+    collaborative one, whose structural results hold weakly.  Collaborative
+    orientation: the threshold is provably infinite when mu1 <= mu2 with no
+    Station 2 queue (l < C2), and identically zero when the blocked cost
+    comparison already favors independent service.  Independent orientation:
+    finite only when mu1 < mu2 with no Station 2 queue.  The last few specs
+    are cached: every threshold function of one point asks for its spec.
     """
-    orient = orientation_for(params, equal_cost_as)
+    finite, infinite = Classification.FINITE_EXPECTED, Classification.PROVABLY_INFINITE
+    c1, c2 = params.C1, params.C2
     rate = band_sign(params.mu1 - params.mu2)
-    if orient is Orientation.COLLABORATIVE:
-        k = index
-        if not 1 <= k <= params.C1:
-            raise ValueError(f"k must be in 1..{params.C1}, got {k}")
-        l = params.C1 - k
-        if l < params.C2:
-            return Classification.PROVABLY_INFINITE if rate <= 0 else Classification.FINITE_EXPECTED
-        if blocked_cost_gap_sign(params, l) <= 0:
-            return Classification.ALWAYS_ZERO
-        return Classification.FINITE_EXPECTED
-    l = index
-    if not 0 <= l <= params.C1 - 1:
-        raise ValueError(f"l must be in 0..{params.C1 - 1}, got {l}")
-    if l < params.C2 and rate < 0:
-        return Classification.FINITE_EXPECTED
-    return Classification.PROVABLY_INFINITE
+    if cost_gap_sign(params) < 0:
+        indices = tuple(
+            IndexSpec(l, c1 - l, l, finite if l < c2 and rate < 0 else infinite)
+            for l in range(c1)
+        )
+        return ThresholdSpec(Orientation.INDEPENDENT, indices)
+    collaborative = []
+    for k in range(1, c1 + 1):
+        l = c1 - k
+        if l < c2:
+            classification = finite if rate > 0 else infinite
+        elif blocked_cost_gap_sign(params, l) <= 0:
+            classification = Classification.ALWAYS_ZERO
+        else:
+            classification = finite
+        collaborative.append(IndexSpec(k, k, l, classification))
+    return ThresholdSpec(Orientation.COLLABORATIVE, tuple(collaborative))
+
+
+def classify(params: SystemParams, index: int) -> Classification:
+    """Finite-threshold expectation for one index of the active orientation."""
+    return threshold_spec(params)[index].classification
 
 
 @dataclass(frozen=True)
@@ -253,83 +285,73 @@ def format_threshold_json(value: float):
     return "inf" if math.isinf(value) else int(value)
 
 
-def heuristic_profile(
-    params: SystemParams, *, equal_cost_as: str = "lowcost"
+# Thresholds that the classification alone fixes.
+FIXED_THRESHOLDS = {Classification.PROVABLY_INFINITE: INF, Classification.ALWAYS_ZERO: 0}
+
+
+def _profile(
+    spec: ThresholdSpec,
+    kind: ProfileKind,
+    finite: Callable[[IndexSpec], int],
+    i_max_used: int | None = None,
 ) -> ThresholdProfile:
+    """Profile with the fixed thresholds, and finite(s) at finite-expected indices."""
+    entries: dict[int, float] = {}
+    for s in spec:
+        fixed = FIXED_THRESHOLDS.get(s.classification)
+        entries[s.index] = finite(s) if fixed is None else fixed
+    return ThresholdProfile(spec.orientation, kind, entries, i_max_used)
+
+
+def heuristic_profile(params: SystemParams) -> ThresholdProfile:
     """Closed-form thresholds of the affine surrogate.
 
-    Collaborative orientation (index k = 1..C1):
-      * Station 2 queueing (l >= C2): 0 when the blocked comparison favors
-        independent service, else the first integer past R2(k), clamped at 0.
-      * No Station 2 queue: first integer past R1 when mu1 > mu2, else
-        infinite.
-    Independent orientation (index l = 0..C1-1): first integer at or past R1
-    when l < C2 and mu1 < mu2, else infinite.
+    Provably infinite indices are inf and always-zero ones 0.  At a
+    finite-expected index the threshold is, in the collaborative orientation,
+    the first integer past R2(k), clamped at 0, with a Station 2 queue
+    (l >= C2), else the first integer past R1; in the independent orientation
+    it is the first integer at or past R1.
     """
+    spec = threshold_spec(params)
     cst = constants(params)
-    orient = orientation_for(params, equal_cost_as)
-    rate = band_sign(params.mu1 - params.mu2)
-    entries: dict[int, float] = {}
-    if orient is Orientation.COLLABORATIVE:
-        for k in range(1, params.C1 + 1):
-            l = params.C1 - k
-            if l >= params.C2:
-                if blocked_cost_gap_sign(params, l) <= 0:
-                    entries[k] = 0
-                else:
-                    entries[k] = max(first_int_after_root(cst.r2[k]), 0)
-            elif rate > 0:
-                entries[k] = first_int_after_root(cst.R1)
-            else:
-                entries[k] = INF
-    else:
-        for l in range(0, params.C1):
-            if l < params.C2 and rate < 0:
-                entries[l] = first_int_at_root(cst.R1)
-            else:
-                entries[l] = INF
-    return ThresholdProfile(orient, ProfileKind.HEURISTIC, entries)
+
+    def finite(s: IndexSpec) -> int:
+        if spec.independent:
+            return first_int_at_root(cst.R1)
+        if s.l >= params.C2:
+            return max(first_int_after_root(cst.r2[s.k]), 0)
+        return first_int_after_root(cst.R1)
+
+    return _profile(spec, ProfileKind.HEURISTIC, finite)
 
 
-def search_cap(params: SystemParams, index: int, *, equal_cost_as: str = "lowcost") -> int:
-    """Analytic upper bound on the first sign change at a finite index.
+def search_caps(params: SystemParams) -> dict[int, int]:
+    """Analytic upper bound on the first sign change at every finite-expected index.
 
-    Maximum of the applicable linear crossing bounds (sandwich around the
-    surrogate threshold plus the explicit appendix bounds), padded by C1.
+    Each is the maximum of the applicable linear crossing bounds (sandwich
+    around the surrogate threshold plus the explicit appendix bounds), padded
+    by C1.
     """
-    return _search_cap(params, index, heuristic_profile(params, equal_cost_as=equal_cost_as))
-
-
-def search_caps(params: SystemParams, *, equal_cost_as: str = "lowcost") -> dict[int, int]:
-    """search_cap at every finite-expected index, on one heuristic profile."""
-    indices = _indices(orientation_for(params, equal_cost_as), params)
-    finite = [
-        idx for idx in indices
-        if classify(params, idx, equal_cost_as=equal_cost_as) is Classification.FINITE_EXPECTED
-    ]
+    spec = threshold_spec(params)
+    finite = [s for s in spec if s.classification is Classification.FINITE_EXPECTED]
     if not finite:
         return {}
-    heur = heuristic_profile(params, equal_cost_as=equal_cost_as)
-    return {idx: _search_cap(params, idx, heur) for idx in finite}
+    heur = heuristic_profile(params)
+    return {s.index: _search_cap(params, spec, s, heur[s.index]) for s in finite}
 
 
-def _indices(orient: Orientation, params: SystemParams) -> range:
-    """Threshold indices of an orientation: k = 1..C1, or l = 0..C1-1."""
-    if orient is Orientation.COLLABORATIVE:
-        return range(1, params.C1 + 1)
-    return range(0, params.C1)
-
-
-def _search_cap(params: SystemParams, index: int, heur: ThresholdProfile) -> int:
-    orient = heur.orientation
+def _search_cap(params: SystemParams, spec: ThresholdSpec, s: IndexSpec, heur: float) -> int:
     rate = band_sign(params.mu1 - params.mu2)
+    k, l = s.k, s.l
     bounds: list[float] = []
-    if orient is Orientation.COLLABORATIVE:
-        k = index
-        l = params.C1 - k
-        if l < params.C2 and rate > 0 and not math.isinf(heur[k]):
-            bounds.append(heur[k] + params.C1)
-        d_prod = service_rate(params, k, l) * service_rate(params, k - 1, l + 1)
+    if l < params.C2 and not math.isinf(heur):
+        bounds.append(heur + params.C1)
+    d_prod = service_rate(params, k, l) * service_rate(params, k - 1, l + 1)
+    if spec.independent:
+        c5_coef = (params.mu2 - params.mu1) * params.h0 / d_prod
+        c6_bound = -(params.h1 / params.mu1 - params.h2 / params.mu2)
+        bounds.append(math.ceil(c6_bound / c5_coef) + 1)
+    else:
         c2_bound = params.h1 / params.mu1 - (max(l + 1, params.C2) / params.C2) * (
             params.h2 / params.mu2
         )
@@ -341,32 +363,18 @@ def _search_cap(params: SystemParams, index: int, heur: ThresholdProfile) -> int
         if rate <= 0 and l >= params.C2:
             c3_coef = params.mu1 * params.h0 / d_prod
             bounds.append(math.ceil(c2_bound / c3_coef) + 1)
-    else:
-        l = index
-        k = params.C1 - l
-        if l < params.C2 and rate < 0:
-            if not math.isinf(heur[l]):
-                bounds.append(heur[l] + params.C1)
-            d_prod = service_rate(params, k, l) * service_rate(params, k - 1, l + 1)
-            c5_coef = (params.mu2 - params.mu1) * params.h0 / d_prod
-            c6_bound = -(params.h1 / params.mu1 - params.h2 / params.mu2)
-            bounds.append(math.ceil(c6_bound / c5_coef) + 1)
     if not bounds:
-        raise ValueError(f"no finite-threshold bound applies at index {index}")
+        raise ValueError(f"no finite-threshold bound applies at index {s.index}")
     return int(max(bounds)) + params.C1
 
 
-def required_depth(params: SystemParams, *, equal_cost_as: str = "lowcost") -> int:
+def required_depth(params: SystemParams) -> int:
     """Queue depth sufficient to extract every finite actual threshold."""
-    return max(search_caps(params, equal_cost_as=equal_cost_as).values(), default=0)
+    return max(search_caps(params).values(), default=0)
 
 
 def actual_profile(
-    params: SystemParams,
-    diff_table,
-    *,
-    equal_cost_as: str = "lowcost",
-    caps: Mapping[int, int] | None = None,
+    params: SystemParams, diff_table, *, caps: Mapping[int, int] | None = None
 ) -> ThresholdProfile:
     """First sign change of the solved difference, per index.
 
@@ -376,42 +384,34 @@ def actual_profile(
     table shallower than the cap is a precondition error.  ``caps`` is
     ``search_caps(params)``, computed here when not given.
     """
-    orient = orientation_for(params, equal_cost_as)
+    spec = threshold_spec(params)
     if caps is None:
-        caps = search_caps(params, equal_cost_as=equal_cost_as)
-    entries: dict[int, float] = {}
-    for index in _indices(orient, params):
-        cls = classify(params, index, equal_cost_as=equal_cost_as)
-        if cls is Classification.PROVABLY_INFINITE:
-            entries[index] = INF
-            continue
-        if cls is Classification.ALWAYS_ZERO:
-            entries[index] = 0
-            continue
-        cap = caps[index]
+        caps = search_caps(params)
+
+    def first_sign_change(s: IndexSpec) -> int:
+        cap = caps[s.index]
         if diff_table.i_max < cap:
             raise ValueError(
                 f"diff table depth {diff_table.i_max} is below the search cap {cap} "
-                f"required at index {index}"
+                f"required at index {s.index}"
             )
-        k = index if orient is Orientation.COLLABORATIVE else params.C1 - index
-        signs = band_signs(diff_table.levels[: cap + 1, k])
-        hits = signs < 0 if orient is Orientation.COLLABORATIVE else signs >= 0
+        signs = band_signs(diff_table.levels[: cap + 1, s.k])
+        # The collaborative threshold is the first D < 0, the independent the first D >= 0.
+        hits = (signs < 0) != spec.independent
         if not hits.any():
-            raise CapExceeded(index, cap)
-        entries[index] = int(hits.argmax())
-    return ThresholdProfile(orient, ProfileKind.ACTUAL, entries, i_max_used=diff_table.i_max)
+            raise CapExceeded(s.index, cap)
+        return int(hits.argmax())
+
+    return _profile(spec, ProfileKind.ACTUAL, first_sign_change, diff_table.i_max)
 
 
-def compute_actual_profile(
-    params: SystemParams, *, equal_cost_as: str = "lowcost"
-) -> ThresholdProfile:
+def compute_actual_profile(params: SystemParams) -> ThresholdProfile:
     """Solve to the required depth and extract the actual profile."""
     from .solver import diff, solve_optimal  # deferred: solver imports this module
 
-    caps = search_caps(params, equal_cost_as=equal_cost_as)
+    caps = search_caps(params)
     table = solve_optimal(params, max(caps.values(), default=0))
-    return actual_profile(params, diff(table), equal_cost_as=equal_cost_as, caps=caps)
+    return actual_profile(params, diff(table), caps=caps)
 
 
 class Condition1Verdict(Enum):
@@ -421,26 +421,24 @@ class Condition1Verdict(Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-def condition1(
-    params: SystemParams, k: int, *, equal_cost_as: str = "lowcost"
-) -> Condition1Verdict:
+def condition1(params: SystemParams, k: int) -> Condition1Verdict:
     """Sufficient condition for the surrogate threshold to be exact.
 
     Applicable in the collaborative orientation at indices with a Station 2
     queue (l = C1 - k >= C2) and a strict blocked cost gap; the inequality
     checked depends on the sign of h0 - h2, and h0 = h2 needs no condition.
     """
-    orient = orientation_for(params, equal_cost_as)
-    if orient is not Orientation.COLLABORATIVE:
+    spec = threshold_spec(params)
+    if spec.independent:
         return Condition1Verdict.NOT_APPLICABLE
-    l = params.C1 - k
-    if l < params.C2 or blocked_cost_gap_sign(params, l) <= 0:
+    s = spec[k]
+    if s.l < params.C2 or s.classification is Classification.ALWAYS_ZERO:
         return Condition1Verdict.NOT_APPLICABLE
     h_gap = band_sign(params.h0 - params.h2)
     if h_gap == 0:
         return Condition1Verdict.NOT_APPLICABLE
     cst = constants(params)
-    i_h = heuristic_profile(params, equal_cost_as=equal_cost_as)[k]
+    i_h = heuristic_profile(params)[k]
     r = params.C2 * cst.m / (1.0 + params.C2 * cst.m)
     decay = cst.y[k] * r ** (i_h - k)
     # Band-equality of either inequality is reported as a failure: at the

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+import clearq.experiments as experiments
+import clearq.thresholds as thresholds
 from clearq.experiments import (
     EXAMPLE_PARAMS,
     SweepSpec,
@@ -149,6 +151,23 @@ class TestVerify:
         report.write_json(tmp_path / "report.json")
         text = (tmp_path / "report.json").read_text()
         assert '"passed": true' in text
+
+    def test_verify_point_computes_search_caps_once(self, monkeypatch):
+        # The caps set the solve depth and bound the threshold search; the
+        # threshold-structure check must reuse them, not compute them again.
+        params = EXAMPLE_PARAMS["ex3b"]
+        want = verify_point(params, 15)
+        calls = []
+        real = thresholds.search_caps
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(thresholds, "search_caps", counting)
+        monkeypatch.setattr(experiments, "search_caps", counting)
+        assert verify_point(params, 15) == want
+        assert len(calls) == 1
 
     def test_point_check_names_stable(self):
         results = verify_point(EXAMPLE_PARAMS["ex5"], 15)

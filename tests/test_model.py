@@ -4,17 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clearq.model import (
-    CostOrder,
     NonPositiveParameter,
     ParameterError,
-    RateOrder,
     State,
     SystemParams,
     ZeroServers,
     enumerate_states,
-    holding_rate,
     in_state_space,
-    regime_tag,
     service_rate,
     validate,
 )
@@ -74,12 +70,6 @@ class TestRates:
     def test_service_rate_clamps_at_capacity(self):
         assert service_rate(make(C2=2, mu2=4), k=0, l=5) == 8
 
-    def test_holding_rate(self):
-        params = make(h0=0.01, h1=1, h2=0.1)
-        assert holding_rate(params, State(20, 1, 1)) == pytest.approx(1.3)
-        assert holding_rate(params, State(0, 0, 0)) == 0
-        assert holding_rate(make(h0=1, h1=1, h2=1), State(1, 0, 2)) == 3
-
     @given(k=st.integers(0, 6), l=st.integers(0, 6))
     def test_service_rate_monotone(self, k, l):
         params = make(C1=6, C2=2)
@@ -123,27 +113,6 @@ class TestEnumeration:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             enumerate_states(make(), -1)
-
-
-class TestRegime:
-    def test_partitions(self):
-        tag = regime_tag(make(mu1=10, mu2=4, h1=1, h2=0.1))
-        assert tag.cost_order is CostOrder.INDEP_COSTLIER
-        assert tag.rate_order is RateOrder.MU1_GT
-
-    def test_equality_detected(self):
-        tag = regime_tag(make(mu1=10, mu2=10, h1=1, h2=1))
-        assert tag.cost_order is CostOrder.EQUAL
-        assert tag.rate_order is RateOrder.MU1_EQ
-
-    @given(
-        mu2=st.sampled_from([4.0, 5.0, 10.0, 12.0, 25.0]),
-        h2=st.sampled_from([0.1, 0.5, 1.0, 2.0]),
-    )
-    def test_exactly_one_tag(self, mu2, h2):
-        tag = regime_tag(make(mu2=mu2, h2=h2))
-        assert tag.cost_order in CostOrder
-        assert tag.rate_order in RateOrder
 
 
 class TestJson:

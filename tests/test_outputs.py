@@ -8,7 +8,15 @@ one run writes: the sorted file names and their bytes.
 import hashlib
 
 import clearq.cli as cli
-from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep
+from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep, table4_params
+from clearq.policies import decision_grid, pi_prime
+from clearq.thresholds import (
+    classify,
+    compute_actual_profile,
+    condition1,
+    heuristic_profile,
+    search_caps,
+)
 
 PRESETS = sorted(EXAMPLE_PARAMS)
 
@@ -101,3 +109,40 @@ PINNED = {
 
 def test_outputs_byte_identical(tmp_path, capsys):
     assert produce(tmp_path) == PINNED
+
+
+def threshold_grid_lines():
+    """One text line per threshold-machinery output on every study-grid point.
+
+    Per point: the heuristic and actual profiles (orientation, entries, solve
+    depth), ``classify`` and ``condition1`` at every index, ``search_caps``,
+    and the heuristic policy's decisions on the (q, k_busy) grid to depth 40.
+    """
+    for params in table4_params():
+        heur = heuristic_profile(params)
+        act = compute_actual_profile(params)
+        yield f"{params!r}"
+        yield f"heuristic {heur.orientation.value} {sorted(heur.entries.items())!r}"
+        yield f"actual {act.orientation.value} {sorted(act.entries.items())!r} {act.i_max_used}"
+        for index in heur.indices():
+            yield f"index {index} {classify(params, index).value} {condition1(params, index).value}"
+        yield f"caps {sorted(search_caps(params).items())!r}"
+        after1, after2 = decision_grid(pi_prime(params).rule, params.C1, 40)
+        yield f"pi_prime {after1.tobytes().hex()} {after2.tobytes().hex()}"
+
+
+PINNED_THRESHOLD_GRID = "212431d3a148de7c729edb7692eac2d1ce2e9cdd9d916c8018d32ea409f362d8"
+
+
+def test_threshold_grid_byte_identical():
+    """Threshold outputs over the whole study grid, pinned by SHA-256.
+
+    The digest was taken from the code before the orientation dispatch moved
+    into one per-index spec (``thresholds.threshold_spec``), with no source
+    change applied: each index's column, classification and sign rule were
+    then worked out separately in every function.
+    """
+    sha = hashlib.sha256()
+    for line in threshold_grid_lines():
+        sha.update(line.encode() + b"\n")
+    assert sha.hexdigest() == PINNED_THRESHOLD_GRID

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import clearq.thresholds as thresholds
 from clearq.experiments import EXAMPLE_PARAMS
-from clearq.model import SystemParams
+from clearq.model import SystemParams, cost_gap_sign
 from clearq.solver import DiffTable, diff, solve_optimal
 from clearq.thresholds import (
     CapExceeded,
@@ -24,9 +24,9 @@ from clearq.thresholds import (
     heuristic_profile,
     probs,
     required_depth,
-    search_cap,
     search_caps,
     surrogate,
+    threshold_spec,
 )
 
 param_strategy = st.builds(
@@ -126,6 +126,42 @@ class TestClassify:
         assert classify(params, 1) is Classification.ALWAYS_ZERO
 
 
+class TestThresholdSpec:
+    @given(param_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_index_facts(self, params):
+        spec = threshold_spec(params)
+        independent = spec.orientation is Orientation.INDEPENDENT
+        assert spec.independent == independent == (cost_gap_sign(params) < 0)
+        want = list(range(params.C1)) if independent else list(range(1, params.C1 + 1))
+        assert [s.index for s in spec] == want
+        for s in spec:
+            assert s.k == (params.C1 - s.index if independent else s.index)
+            assert s.l == params.C1 - s.k
+            assert spec[s.index] == s
+            assert classify(params, s.index) is s.classification
+
+    @given(param_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_classification_fixes_the_heuristic_shape(self, params):
+        heur = heuristic_profile(params)
+        for s in threshold_spec(params):
+            assert math.isinf(heur[s.index]) == (s.classification is Classification.PROVABLY_INFINITE)
+            if s.classification is Classification.ALWAYS_ZERO:
+                assert heur[s.index] == 0
+
+    def test_cost_order_tie_is_collaborative(self):
+        params = SystemParams(2, 1, 10.0, 5.0, 0.1, 1.0, 0.5)  # h1/mu1 = h2/mu2
+        assert threshold_spec(params).orientation is Orientation.COLLABORATIVE
+        assert heuristic_profile(params).orientation is Orientation.COLLABORATIVE
+
+    def test_index_range_enforced(self):
+        with pytest.raises(ValueError, match=r"k must be in 1\.\.4, got 0"):
+            classify(EXAMPLE_PARAMS["ex1"], 0)
+        with pytest.raises(ValueError, match=r"l must be in 0\.\.3, got 4"):
+            classify(EXAMPLE_PARAMS["ex7"], 4)
+
+
 class TestHeuristicProfile:
     def test_ex1(self):
         assert heuristic_profile(EXAMPLE_PARAMS["ex1"])[3] == 10
@@ -170,7 +206,7 @@ class TestActualProfile:
     def test_cap_exceeded_is_a_bug_trap(self):
         # A difference table that never turns negative must trip the trap.
         params = SystemParams(1, 1, 10.0, 4.0, 0.1, 1.0, 0.1)
-        cap = search_cap(params, 1)
+        cap = search_caps(params)[1]
         # D(i, 1, 0) = 1.0 for i = 0..cap+1; NaN marks cells outside the index set.
         boundary = np.array([[np.nan, np.nan], [np.nan, 1.0]])
         levels = np.array([[np.nan, 1.0]] * (cap + 2))
@@ -182,12 +218,13 @@ class TestActualProfile:
     @settings(max_examples=20, deadline=None)
     def test_finite_entries_below_cap(self, params):
         act = compute_actual_profile(params)
+        caps = search_caps(params)
         for index, value in act.entries.items():
             if not math.isinf(value):
                 cls = classify(params, index)
                 assert cls is not Classification.PROVABLY_INFINITE
                 if cls is Classification.FINITE_EXPECTED:
-                    assert value <= search_cap(params, index)
+                    assert value <= caps[index]
 
 
 class TestCondition1:
@@ -219,16 +256,15 @@ class TestDepthMachinery:
         assert all(math.isinf(v) or v <= depth for v in act.entries.values())
 
     @settings(max_examples=60, deadline=None)
-    @given(params=param_strategy, equal_cost_as=st.sampled_from(["lowcost", "highcost"]))
-    def test_search_caps_match_search_cap(self, params, equal_cost_as):
-        caps = search_caps(params, equal_cost_as=equal_cost_as)
-        orient = heuristic_profile(params, equal_cost_as=equal_cost_as).orientation
+    @given(params=param_strategy)
+    def test_search_caps_match_search_cap(self, params):
+        # One cap per finite-expected index, in index order; the deepest is the required depth.
+        caps = search_caps(params)
+        orient = heuristic_profile(params).orientation
         indices = range(1, params.C1 + 1) if orient is Orientation.COLLABORATIVE else range(params.C1)
-        finite = [i for i in indices if classify(params, i, equal_cost_as=equal_cost_as)
-                  is Classification.FINITE_EXPECTED]
+        finite = [i for i in indices if classify(params, i) is Classification.FINITE_EXPECTED]
         assert list(caps) == finite
-        assert caps == {i: search_cap(params, i, equal_cost_as=equal_cost_as) for i in finite}
-        assert required_depth(params, equal_cost_as=equal_cost_as) == max(caps.values(), default=0)
+        assert required_depth(params) == max(caps.values(), default=0)
 
     def test_actual_profile_builds_one_heuristic_profile(self, monkeypatch):
         params = EXAMPLE_PARAMS["ex3b"]
@@ -241,8 +277,11 @@ class TestDepthMachinery:
 
     def test_no_bound_for_provably_infinite(self):
         params = SystemParams(2, 1, 10.0, 12.0, 0.1, 1.0, 0.1)
+        assert 2 not in search_caps(params)
+        # The bound itself is a bug trap for an index that needs no search.
+        spec = threshold_spec(params)
         with pytest.raises(ValueError, match="no finite-threshold bound"):
-            search_cap(params, 2)
+            thresholds._search_cap(params, spec, spec[2], heuristic_profile(params)[2])
 
 
 class TestSurrogate:
