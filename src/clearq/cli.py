@@ -30,21 +30,12 @@ from .policies import POLICY_IDS, policy_by_id
 from .simulate import SimConfig, estimate
 from .solver import diff, solve_optimal
 from .thresholds import (
-    Condition1Verdict,
     Orientation,
     compute_actual_profile,
     condition1,
     format_threshold,
     heuristic_profile,
 )
-
-CONDITION_LABELS = {
-    Condition1Verdict.HOLDS_QUEUE_SIDE: "HoldsQueueSide",
-    Condition1Verdict.HOLDS_COLLAB_SIDE: "HoldsCollabSide",
-    Condition1Verdict.FAILS: "Fails",
-    Condition1Verdict.NOT_APPLICABLE: "NotApplicable",
-}
-
 
 def add_param_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("system parameters")
@@ -70,10 +61,8 @@ def params_from_args(args: argparse.Namespace) -> SystemParams:
         if unknown:
             raise ParameterError(f"unknown keys in {args.params_json}: {sorted(unknown)}")
         values.update(data)
-    flag_names = {"C1": "c1", "C2": "c2", "mu1": "mu1", "mu2": "mu2",
-                  "h0": "h0", "h1": "h1", "h2": "h2"}
-    for field, flag in flag_names.items():
-        value = getattr(args, flag)
+    for field in PARAM_FIELDS:
+        value = getattr(args, field.lower())  # the flag of C1 is --c1
         if value is not None:
             values[field] = value
     missing = [f for f in PARAM_FIELDS if f not in values]
@@ -113,7 +102,8 @@ def cmd_thresholds(args) -> int:
         for index in act.indices():
             verdict = ""
             if act.orientation is Orientation.COLLABORATIVE:
-                verdict = CONDITION_LABELS[condition1(params, index)]
+                # The verdict in CamelCase: holds_queue_side -> HoldsQueueSide.
+                verdict = condition1(params, index).value.title().replace("_", "")
             fh.write(
                 f"{index},{format_threshold(act[index])},"
                 f"{format_threshold(heur[index])},{verdict}\n"

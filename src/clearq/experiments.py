@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -140,6 +140,15 @@ class SweepResult:
                 fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
+def _map(fn, jobs: int | None, chunksize: int, *args) -> list:
+    """fn over the argument lists, in order, on ``jobs`` worker processes when jobs > 1."""
+    if jobs is None or jobs <= 1:
+        return list(map(fn, *args))
+    from concurrent.futures import ProcessPoolExecutor  # so serial runs never load multiprocessing
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *args, chunksize=chunksize))
+
+
 def _sweep_combo(args) -> list[tuple]:
     """Raw error rows for one parameter combination (worker function)."""
     params, i0_values, policies = args
@@ -185,12 +194,7 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
         for params in grid
         if spec.include_equal_cost or cost_gap_sign(params) != 0
     ]
-    if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_combo = list(pool.map(_sweep_combo, combos, chunksize=8))
-    else:
-        per_combo = [_sweep_combo(c) for c in combos]
-    raw_rows = [row for rows in per_combo for row in rows]
+    raw_rows = [row for rows in _map(_sweep_combo, jobs, 8, combos) for row in rows]
     return SweepResult(stats=aggregate_stats(raw_rows), raw_rows=raw_rows)
 
 
@@ -294,13 +298,10 @@ class VerificationReport:
         return [r for r in self.results if not r.passed]
 
     def to_json_dict(self) -> dict:
-        counts: dict[str, int] = {}
-        for r in self.results:
-            counts[r.name] = counts.get(r.name, 0) + 1
         return {
             "passed": self.passed,
             "checks_run": len(self.results),
-            "checks_by_name": counts,
+            "checks_by_name": dict(Counter(r.name for r in self.results)),
             "failures": [
                 {
                     "name": r.name,
@@ -351,8 +352,8 @@ def check_value_monotone(params: SystemParams, table: ValueTable, i_max: int):
 
 
 def check_diagonal_monotone(params: SystemParams, dt: DiffTable, i_max: int):
-    # In states() order the partner (i, k+1, l-1) of a state with l >= 1 is
-    # the next state.
+    # In column order (by level, then total jobs in service, then k) the
+    # partner (i, k+1, l-1) of a state with l >= 1 is the next state.
     i, k, l, d = dt.columns(i_max)
     lo, hi = d[:-1], d[1:]
     at = _first((l[:-1] >= 1) & (hi < lo - _ineq_tol(lo, hi)))
@@ -500,6 +501,7 @@ def check_threshold_structure(
     d_name, h_name, ix = ("i~_D", "i~_H", "l") if spec.independent else ("i_D", "i_H", "k")
     finite = Classification.FINITE_EXPECTED
     issues = []
+    verdicts = {}  # condition1 per index, each worked out once
     indices = act.indices()
     for a, b in zip(indices, indices[1:]):
         if act[a] > act[b]:
@@ -528,7 +530,7 @@ def check_threshold_structure(
                 issues.append(f"h0=h2 but i_H({k}) != i_D({k})")
         clean_k = not _band_integer(cst.r2[k])
         neighbour_strict = k >= 2 and spec[k - 1].classification is finite
-        verdict = condition1(params, k)
+        verdict = verdicts[k] = condition1(params, k)
         holds = verdict in (
             Condition1Verdict.HOLDS_QUEUE_SIDE,
             Condition1Verdict.HOLDS_COLLAB_SIDE,
@@ -536,7 +538,8 @@ def check_threshold_structure(
         if holds and clean_k:
             if i_h != i_d:
                 issues.append(f"condition holds at k={k} but thresholds differ")
-            prev_holds = k >= 2 and condition1(params, k - 1) == verdict
+            # k - 1 has a longer Station 2 queue, so its verdict is already known.
+            prev_holds = k >= 2 and verdicts[k - 1] == verdict
             if prev_holds and neighbour_strict and not _band_integer(cst.r2[k - 1]):
                 if act[k] != act[k - 1] + 1:
                     issues.append(f"condition holds at k={k} but i_D increment != 1")
@@ -579,6 +582,8 @@ POINT_CHECKS = (
 
 
 def verify_point(params: SystemParams, i_max: int) -> list[CheckResult]:
+    if i_max < 0:
+        raise ValueError("i_max must be non-negative")
     caps = search_caps(params)
     table = solve_optimal(params, max([i_max, *caps.values()]))
     dt = diff(table)
@@ -602,25 +607,12 @@ def verify_point(params: SystemParams, i_max: int) -> list[CheckResult]:
     ]
 
 
-def _verify_point_args(args) -> list[CheckResult]:
-    params_dict, i_max = args
-    return verify_point(SystemParams.from_json_dict(params_dict), i_max)
-
-
 def verify(
     params_list: Sequence[SystemParams], i_max: int, jobs: int | None = None
 ) -> VerificationReport:
     """Run the full invariant suite over the supplied parameter points."""
-    report = VerificationReport()
-    if jobs is not None and jobs > 1:
-        args = [(p.to_json_dict(), i_max) for p in params_list]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for results in pool.map(_verify_point_args, args, chunksize=4):
-                report.results.extend(results)
-    else:
-        for params in params_list:
-            report.results.extend(verify_point(params, i_max))
-    return report
+    per_point = _map(verify_point, jobs, 4, params_list, [i_max] * len(params_list))
+    return VerificationReport([r for results in per_point for r in results])
 
 
 # ---------------------------------------------------------------------------

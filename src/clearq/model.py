@@ -24,6 +24,11 @@ ZERO_BAND = 1e-9
 # Root snapping for the closed-form threshold formulas, same rationale.
 INT_SNAP = 1e-9
 
+# Bounds of the caches of derived data: entries per parameter set (boundary
+# triangle, constants, threshold spec) and per index grid shape.
+PARAMS_CACHE_SIZE = 32
+GRID_CACHE_SIZE = 32
+
 
 class ParameterError(ValueError):
     """Invalid system parameterization."""
@@ -75,11 +80,7 @@ class SystemParams:
         return self.mu2 / self.mu1
 
     def to_json_dict(self) -> dict:
-        return {
-            "C1": self.C1, "C2": self.C2,
-            "mu1": self.mu1, "mu2": self.mu2,
-            "h0": self.h0, "h1": self.h1, "h2": self.h2,
-        }
+        return {field: getattr(self, field) for field in PARAM_FIELDS}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SystemParams":
@@ -165,21 +166,8 @@ def service_rate(params: SystemParams, k: int, l: int) -> float:
     return k * params.mu1 + min(l, params.C2) * params.mu2
 
 
-def enumerate_states(params: SystemParams, i_max: int) -> list[State]:
-    """All states with queue up to i_max, in a fixed deterministic order.
-
-    Boundary states (i = 0) come first ordered by total jobs in service then
-    by k; queue levels follow ordered by i then k.  Value tables and CSV
-    dumps inherit this order.
-    """
-    if i_max < 0:
-        raise ValueError("i_max must be non-negative")
-    states = []
-    for total in range(0, params.C1 + 1):
-        for k in range(0, total + 1):
-            states.append(State(0, k, total - k))
-    for i in range(1, i_max + 1):
-        for k in range(0, params.C1 + 1):
-            states.append(State(i, k, params.C1 - k))
-    return states
-
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, marked read-only: cached data that every caller shares."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays

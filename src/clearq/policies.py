@@ -10,17 +10,19 @@ covers both completion types.
 
 Rules accept scalars or numpy arrays and must act elementwise: the solver and
 the simulator both evaluate them once per completing station, on the whole
-(queue, k_busy) grid (``decision_grid``).
+(queue, k_busy) grid (``decision_grid``), whose shared index arrays are
+read-only.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .model import SystemParams, ZERO_BAND
+from .model import GRID_CACHE_SIZE, SystemParams, ZERO_BAND, read_only
 from .thresholds import heuristic_profile, threshold_spec
 
 STATION1 = 1
@@ -45,18 +47,25 @@ class Policy:
         return self.rule(q, k_busy, l_busy, station)
 
 
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _decision_contexts(c1: int, q_max: int) -> tuple[np.ndarray, ...]:
+    """Read-only (q, k_busy, l_busy) over queue 1..q_max and k_busy 0..C1-1."""
+    q, k_busy = np.meshgrid(np.arange(1, q_max + 1), np.arange(c1), indexing="ij")
+    return read_only(q, k_busy, c1 - 1 - k_busy)
+
+
 def decision_grid(rule, c1: int, q_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The rule's action at every decision with queue 1..q_max, one call per station.
 
     A decision with jobs in queue always finds all C1 flexible servers busy,
     so the contexts form a (q, k_busy) grid with l_busy = C1 - 1 - k_busy.
+    The rule gets them as shared read-only arrays and must not write into them.
     Returns boolean arrays ``after1[q - 1, k]`` and ``after2[q - 1, k]``: the
     action after a Station 1 and after a Station 2 completion leaves state
     (q, k, C1 - k).  Cells with no such completion, k = 0 for Station 1 and
     k = C1 for Station 2, are False.
     """
-    q, k_busy = np.meshgrid(np.arange(1, q_max + 1), np.arange(c1), indexing="ij")
-    l_busy = c1 - 1 - k_busy
+    q, k_busy, l_busy = _decision_contexts(c1, q_max)
     after1 = np.zeros((q_max, c1 + 1), dtype=bool)
     after2 = np.zeros((q_max, c1 + 1), dtype=bool)
     after1[:, 1:] = np.asarray(rule(q, k_busy, l_busy, STATION1), dtype=bool)

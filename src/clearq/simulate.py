@@ -121,16 +121,6 @@ def _batch_costs(tables, k0: int, n: int, rng: np.random.Generator) -> np.ndarra
     return cost
 
 
-def run_episode(
-    params: SystemParams, policy, initial_state: State, rng: np.random.Generator
-) -> float:
-    """Total holding cost of one simulated clearing episode."""
-    state = State(*initial_state)
-    if not in_state_space(params, state):
-        raise ValueError(f"initial state {state} is outside the state space")
-    return float(_batch_costs(_event_tables(params, policy, state), state.k, 1, rng)[0])
-
-
 def estimate(params: SystemParams, policy, config: SimConfig) -> SimEstimate:
     """Mean and standard error over independent replications.
 

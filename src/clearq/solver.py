@@ -10,21 +10,44 @@ Tables are two float64 arrays.  ``boundary[n, k]`` holds the entry at
 (0, k, n - k), the i = 0 triangle by total jobs in service n.  ``levels[i, k]``
 holds the entry at (i, k, C1 - k) for the fully-busy levels i = 0..i_max, so
 row 0 is the full boundary row ``boundary[C1]``.  Cells outside a table's
-index set are NaN.
+index set are NaN.  The value tables of one parameter set share one
+read-only boundary triangle.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .model import State, SystemParams, band_signs, enumerate_states, service_rate
+from .model import (
+    GRID_CACHE_SIZE,
+    PARAMS_CACHE_SIZE,
+    State,
+    SystemParams,
+    band_signs,
+    read_only,
+    service_rate,
+)
 from .policies import decision_grid
 from .thresholds import affine_pieces, probs
 
 class IndexOutOfSpace(KeyError):
     """Difference requested at an index outside the admissible set."""
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _column_index(c1: int, depth: int, k_min: int) -> tuple[np.ndarray, ...]:
+    """Read-only (i, k, l) of the states with k >= k_min to queue depth, and (n, k) of i = 0."""
+    n, tri_k = np.tril_indices(c1 + 1)
+    keep = tri_k >= k_min
+    n, tri_k = n[keep], tri_k[keep]
+    ks = np.arange(k_min, c1 + 1)
+    i = np.concatenate([np.zeros_like(n), np.repeat(np.arange(1, depth + 1), len(ks))])
+    k = np.concatenate([tri_k, np.tile(ks, depth)])
+    l = np.concatenate([n, np.full(depth * len(ks), c1)]) - k
+    return read_only(i, k, l, n, tri_k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,24 +68,17 @@ class _Table:
                 return float(self.levels[i, k])
         raise KeyError(State(i, k, l))
 
-    def states(self) -> list[State]:
-        return [s for s in enumerate_states(self.params, self.i_max) if s.k >= self.K_MIN]
-
     def columns(self, i_max: int | None = None):
-        """Arrays (i, k, l, entry) over the states up to queue i_max, in states() order."""
+        """Arrays (i, k, l, entry) over the states up to queue i_max; i, k, l are read-only.
+
+        Order: the i = 0 states by total jobs in service, then k; then the levels by i, then k.
+        """
         depth = self.i_max if i_max is None else min(i_max, self.i_max)
-        c1 = self.params.C1
-        n, tri_k = np.tril_indices(c1 + 1)
-        keep = tri_k >= self.K_MIN
-        n, tri_k = n[keep], tri_k[keep]
-        ks = np.arange(self.K_MIN, c1 + 1)
-        i = np.concatenate([np.zeros_like(n), np.repeat(np.arange(1, depth + 1), len(ks))])
-        k = np.concatenate([tri_k, np.tile(ks, depth)])
-        total = np.concatenate([n, np.full(depth * len(ks), c1)])
+        i, k, l, n, tri_k = _column_index(self.params.C1, depth, self.K_MIN)
         entry = np.concatenate(
             [self.boundary[n, tri_k], self.levels[1:depth + 1, self.K_MIN:].ravel()]
         )
-        return i, k, total - k, entry
+        return i, k, l, entry
 
     def _write_csv(self, path, column: str) -> None:
         i, k, l, entry = self.columns()
@@ -134,20 +150,29 @@ def boundary_diff_formula(params: SystemParams, k: int, l: int) -> float:
     )
 
 
-def _solve(params: SystemParams, i_max: int, rule: Callable | None, kind: str) -> ValueTable:
-    if i_max < 0:
-        raise ValueError("i_max must be non-negative")
+@functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)
+def _fixed_parts(params: SystemParams) -> tuple[np.ndarray, tuple]:
+    """The read-only boundary triangle and the per-k level coefficients of a parameter set."""
     c1, c2 = params.C1, params.C2
     boundary = np.full((c1 + 1, c1 + 1), np.nan)
     for (_, k, l), value in solve_boundary(params).items():
         boundary[k + l, k] = value
     # Per-k coefficients: each is the same float product the scalar recursion
-    # forms, and the sums below keep its order, so values match it bit for bit.
-    coefficients = [
+    # forms, and the sums in _solve keep its order, so values match it bit for bit.
+    coefficients = tuple(
         (k, k * params.h1, (c1 - k) * params.h2, k * params.mu1,
          min(c1 - k, c2) * params.mu2, service_rate(params, k, c1 - k))
         for k in range(c1 + 1)
-    ]
+    )
+    read_only(boundary)
+    return boundary, coefficients
+
+
+def _solve(params: SystemParams, i_max: int, rule: Callable | None, kind: str) -> ValueTable:
+    if i_max < 0:
+        raise ValueError("i_max must be non-negative")
+    c1 = params.C1
+    boundary, coefficients = _fixed_parts(params)
     choices = None
     if rule is not None and i_max:
         after1, after2 = decision_grid(rule, c1, i_max)

@@ -24,10 +24,12 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 from .model import (
     INT_SNAP,
+    PARAMS_CACHE_SIZE,
     SystemParams,
     band_sign,
     band_signs,
@@ -59,7 +61,7 @@ class CapExceeded(RuntimeError):
 class HeuristicConstants:
     """Constants of the affine surrogate, all derived from one instance.
 
-    y and R2 are indexed by k = 1..C1; z by l = 0..C2-1.  r1 is None when
+    y and R2 are read-only mappings indexed by k = 1..C1.  r1 is None when
     mu1 = mu2 (slope c vanishes); use the R1 property for checked access.
     """
 
@@ -69,7 +71,6 @@ class HeuristicConstants:
     b_prime: float
     c_prime: float
     y: Mapping[int, float]
-    z: Mapping[int, float]
     r1: float | None
     r2: Mapping[int, float]
 
@@ -80,17 +81,19 @@ class HeuristicConstants:
         return self.r1
 
 
+@functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def constants(params: SystemParams) -> HeuristicConstants:
+    """The surrogate's constants, computed once per parameter set and shared."""
     m = params.m
     b = params.h1 / params.mu1 - params.h2 / params.mu2
     c = (params.h0 / params.C1) * (1.0 / params.mu1 - 1.0 / params.mu2)
     b_prime = (params.h1 - params.h2) / params.mu1 - params.C1 * params.h2 / (params.C2 * params.mu2)
     c_prime = -params.h0 / (params.C2 * params.mu2)
-    y = {k: (k - 1) + min(params.C1 - k, params.C2) * m for k in range(1, params.C1 + 1)}
-    z = {l: (params.C1 - l - 1) / m + l for l in range(0, min(params.C2, params.C1))}
+    ks = range(1, params.C1 + 1)
+    y = MappingProxyType({k: (k - 1) + min(params.C1 - k, params.C2) * m for k in ks})
     r1 = None if band_sign(params.mu1 - params.mu2) == 0 else -b / c
-    r2 = {k: -b_prime / c_prime + y[k] for k in range(1, params.C1 + 1)}
-    return HeuristicConstants(m, b, c, b_prime, c_prime, y, z, r1, r2)
+    r2 = MappingProxyType({k: -b_prime / c_prime + y[k] for k in ks})
+    return HeuristicConstants(m, b, c, b_prime, c_prime, y, r1, r2)
 
 
 def probs(params: SystemParams, k: int) -> tuple[float, float, float]:
@@ -200,7 +203,7 @@ class ThresholdSpec:
         return self.indices[index - first]
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def threshold_spec(params: SystemParams) -> ThresholdSpec:
     """Orientation and per-index facts, decided once per parameter set.
 

@@ -4,6 +4,7 @@ Each criterion reports one pass/fail line outside pytest's capture, so the
 lines show in any run; run the module alone via
 `pytest tests/test_acceptance.py`.
 """
+import hashlib
 import json
 import os
 import random
@@ -111,6 +112,21 @@ def test_criterion_2_table_reproduction(full_sweep, report):
     elapsed = time.time() - t0
     report(2, not mismatches, f"{compared} table cells within tolerance in {elapsed:.0f}s"
            if not mismatches else f"{len(mismatches)} of {compared} cells off")
+
+
+FULL_SWEEP_RAW_SHA256 = "d40caca3b9e49cb8298d800bf6492e588be649d533d94ccb67c708bdedbd75a5"
+
+
+def test_full_sweep_raw_csv_byte_identical(full_sweep, tmp_path):
+    """Every raw row of the whole-grid sweep, as ``write_raw_csv`` writes it, pinned by SHA-256.
+
+    The digest was taken from the code before the per-parameter-set caches
+    (boundary triangle, heuristic constants, decision and column index grids)
+    were added, with no source change applied.  It reuses criterion 2's sweep.
+    """
+    path = tmp_path / "sweep_raw.csv"
+    full_sweep.write_raw_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FULL_SWEEP_RAW_SHA256
 
 
 def test_criterion_3_invariant_suite(tmp_path, report):

@@ -186,6 +186,13 @@ class TestVerifyCommand:
         assert "FAIL diff_diagonal_monotone" in capsys.readouterr().out
 
 
+    def test_negative_imax_one_line_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--grid", "examples", "--imax", "-1", "--jobs", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "clearq: i_max must be non-negative\n"
+
+
 class TestSweepCommand:
     def test_table_csv_written(self, tmp_path, monkeypatch):
         # Plumbing check on a narrowed grid; full-grid accuracy is covered

@@ -169,6 +169,27 @@ class TestVerify:
         assert verify_point(params, 15) == want
         assert len(calls) == 1
 
+    def test_verify_point_works_out_condition1_once_per_index(self, monkeypatch):
+        # ex3b has the condition holding at k = 2, where the increment check
+        # also needs the verdict at k = 1.
+        params = EXAMPLE_PARAMS["ex3b"]
+        want = verify_point(params, 15)
+        calls = []
+        real = thresholds.condition1
+
+        def counting(p, k):
+            calls.append(k)
+            return real(p, k)
+
+        monkeypatch.setattr(experiments, "condition1", counting)
+        assert verify_point(params, 15) == want
+        assert len(calls) <= params.C1
+        assert len(calls) == len(set(calls)) == 2
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="^i_max must be non-negative$"):
+            verify_point(EXAMPLE_PARAMS["ex1"], -1)
+
     def test_point_check_names_stable(self):
         results = verify_point(EXAMPLE_PARAMS["ex5"], 15)
         names = {r.name for r in results}

@@ -9,11 +9,11 @@ from clearq.model import (
     State,
     SystemParams,
     ZeroServers,
-    enumerate_states,
     in_state_space,
     service_rate,
     validate,
 )
+from clearq.solver import solve_optimal
 
 
 def make(C1=2, C2=1, mu1=10, mu2=4, h0=0.01, h1=1, h2=0.1):
@@ -88,31 +88,37 @@ class TestRates:
         assert step == pytest.approx(want)
 
 
+def solved_states(params, i_max):
+    """The states of a table solved to i_max, in the order of its columns()."""
+    i, k, l, _ = solve_optimal(params, i_max).columns()
+    return [State(*s) for s in zip(i.tolist(), k.tolist(), l.tolist())]
+
+
 class TestEnumeration:
     def test_boundary_order_c1_2(self):
-        states = enumerate_states(make(C1=2), 0)
+        states = solved_states(make(C1=2), 0)
         assert states == [
             State(0, 0, 0), State(0, 0, 1), State(0, 1, 0),
             State(0, 0, 2), State(0, 1, 1), State(0, 2, 0),
         ]
 
     def test_level_states_c1_1(self):
-        states = enumerate_states(make(C1=1), 1)
+        states = solved_states(make(C1=1), 1)
         assert states[-2:] == [State(1, 0, 1), State(1, 1, 0)]
 
     def test_boundary_count_c1_1(self):
-        assert len(enumerate_states(make(C1=1), 0)) == 3
+        assert len(solved_states(make(C1=1), 0)) == 3
 
     @given(i_max=st.integers(0, 6), c1=st.integers(1, 4), c2=st.integers(1, 4))
     def test_membership(self, i_max, c1, c2):
         params = make(C1=c1, C2=c2)
-        states = enumerate_states(params, i_max)
+        states = solved_states(params, i_max)
         assert all(in_state_space(params, s) for s in states)
         assert len(states) == len(set(states))
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_states(make(), -1)
+            solved_states(make(), -1)
 
 
 class TestJson:

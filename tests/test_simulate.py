@@ -12,7 +12,7 @@ from clearq.policies import (
     pi_prime,
     policy_by_id,
 )
-from clearq.simulate import BATCH_SIZE, SimConfig, SimEstimate, estimate, run_episode
+from clearq.simulate import BATCH_SIZE, SimConfig, SimEstimate, estimate
 from clearq.solver import solve_optimal, solve_under_policy
 
 
@@ -94,24 +94,26 @@ def make_policy(params, policy_id, i0):
     return policy_by_id(params, policy_id, value_table=table)
 
 
+def run_episode(params, policy, initial_state, seed):
+    """Total holding cost of one simulated clearing episode: a one-replication estimate."""
+    return estimate(params, policy, SimConfig(seed, 1, initial_state)).mean
+
+
 class TestRunEpisode:
     def test_empty_system_costs_nothing(self):
         params = EXAMPLE_PARAMS["ex1"]
-        rng = np.random.default_rng(0)
-        assert run_episode(params, pi_prime(params), State(0, 0, 0), rng) == 0.0
+        assert run_episode(params, pi_prime(params), State(0, 0, 0), 0) == 0.0
 
     def test_costs_positive_and_finite(self):
         params = EXAMPLE_PARAMS["ex1"]
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            cost = run_episode(params, pi_prime(params), State(5, 2, 2), rng)
+        for seed in range(50):
+            cost = run_episode(params, pi_prime(params), State(5, 2, 2), seed)
             assert 0 < cost < 1e6
 
     def test_invalid_initial_state(self):
         params = EXAMPLE_PARAMS["ex1"]  # C1 = 4
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            run_episode(params, pi_prime(params), State(3, 1, 1), rng)
+            run_episode(params, pi_prime(params), State(3, 1, 1), 0)
 
 
 class TestEstimate:
@@ -198,8 +200,9 @@ class TestAgainstReference:
     def test_run_episode_equals_reference(self, data, params, policy_id, seed):
         state = data.draw(initial_states(params.C1))
         policy = make_policy(params, policy_id, state.i)
-        got = run_episode(params, policy, state, np.random.default_rng(seed))
-        want = reference_batch_costs(params, policy, state, 1, np.random.default_rng(seed))
+        got = run_episode(params, policy, state, seed)
+        stream = np.random.SeedSequence(seed).spawn(1)[0]  # estimate's stream of its one batch
+        want = reference_batch_costs(params, policy, state, 1, np.random.default_rng(stream))
         assert got == float(want[0])
 
     @pytest.mark.parametrize("policy_id", POLICY_IDS)
@@ -229,4 +232,4 @@ class TestAgainstReference:
         with pytest.raises(DepthExceeded):
             estimate(params, policy, config)
         with pytest.raises(DepthExceeded):
-            run_episode(params, policy, State(10, 2, params.C1 - 2), np.random.default_rng(0))
+            run_episode(params, policy, State(10, 2, params.C1 - 2), 0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clearq.experiments import EXAMPLE_PARAMS
-from clearq.model import State, SystemParams, enumerate_states, service_rate
+from clearq.model import State, SystemParams, service_rate
 from clearq.policies import POLICY_IDS, benchmark, decision_grid, optimal_greedy, policy_by_id
 from clearq.solver import (
     IndexOutOfSpace,
@@ -16,9 +16,31 @@ from clearq.solver import (
     solve_optimal,
     solve_under_policy,
 )
-from clearq.thresholds import probs
+from clearq.thresholds import constants, probs
 
 EX1 = SystemParams(4, 2, 3.0, 0.96, 0.1, 1.0, 0.16)
+
+
+def enumerate_states(params, i_max):
+    """The oracle of a table's state set and order, by a plain loop.
+
+    Boundary states (i = 0) come first, ordered by total jobs in service and
+    then by k; queue levels follow, ordered by i and then by k.
+    """
+    states = []
+    for total in range(0, params.C1 + 1):
+        for k in range(0, total + 1):
+            states.append(State(0, k, total - k))
+    for i in range(1, i_max + 1):
+        for k in range(0, params.C1 + 1):
+            states.append(State(i, k, params.C1 - k))
+    return states
+
+
+def table_states(table):
+    """The states of a table's columns(), in their order."""
+    i, k, l, _ = table.columns()
+    return [State(*s) for s in zip(i.tolist(), k.tolist(), l.tolist())]
 
 param_strategy = st.builds(
     SystemParams,
@@ -102,7 +124,7 @@ class TestOptimal:
                         continue
                     domain.append(State(i, k, l))
         assert set(domain) == set(enumerate_states(EX1, 7))
-        assert table.states() == enumerate_states(EX1, 7)
+        assert table_states(table) == enumerate_states(EX1, 7)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -113,7 +135,7 @@ class TestUnderPolicy:
     def test_greedy_reproduces_optimal(self):
         table = solve_optimal(EX1, 15)
         v_g = solve_under_policy(EX1, optimal_greedy(table), 15)
-        for s in table.states():
+        for s in table_states(table):
             assert v_g[s] == pytest.approx(table[s], rel=1e-9, abs=1e-12)
 
     def test_always_collaborative_can_be_terrible(self):
@@ -137,7 +159,7 @@ class TestUnderPolicy:
     def test_policy_value_dominates_optimal(self, params, which):
         v_opt = solve_optimal(params, 8)
         v_pi = solve_under_policy(params, benchmark(params, which), 8)
-        for s in v_opt.states():
+        for s in table_states(v_opt):
             opt = v_opt[s]
             assert v_pi[s] >= opt - 1e-9 * (1 + abs(opt))
 
@@ -256,7 +278,7 @@ class TestScalarOracle:
         params = SystemParams(4, 3, 10.0, 10.0, 0.01, 1.0, 0.5)
         table = solve_optimal(params, 400)
         want = scalar_solve(params, 400)
-        assert {s: table[s] for s in table.states()} == want
+        assert {s: table[s] for s in table_states(table)} == want
 
     @pytest.mark.parametrize("policy_id", POLICY_IDS)
     def test_grid_decisions_match_scalar_calls(self, policy_id):
@@ -279,7 +301,7 @@ class TestScalarOracle:
     def test_scalar_only_rule_result_broadcasts(self):
         table = solve_under_policy(EX1, lambda q, kb, lb, n: 1, 6)
         want = scalar_solve(EX1, 6, lambda q, kb, lb, n: 1)
-        assert {s: table[s] for s in table.states()} == want
+        assert {s: table[s] for s in table_states(table)} == want
 
     def test_lookups_return_python_floats(self, tmp_path):
         table = solve_optimal(EX1, 3)
@@ -301,3 +323,50 @@ class TestScalarOracle:
         broken = type(dt)(EX1, 6, dt.boundary, levels)
         report = recursion_check(EX1, table, broken)
         assert report.max_scaled_residual > 1e-9
+
+
+class TestSharedData:
+    """Tables, rules and checks of one parameter set share read-only derived data."""
+
+    def test_cached_arrays_are_read_only(self):
+        table = solve_optimal(EX1, 6)
+        with pytest.raises(ValueError, match="read-only"):
+            table.boundary[1, 0] = 0.0
+        for index in table.columns(4)[:3] + diff(table).columns()[:3]:
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 7
+        seen = []
+        decision_grid(lambda q, kb, lb, n: seen.extend((q, kb, lb)) or q > 0, EX1.C1, 5)
+        for grid in seen:
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0, 0] = 7
+        cst = constants(EX1)
+        with pytest.raises(TypeError):
+            cst.y[1] = 0.0
+        with pytest.raises(TypeError):
+            cst.r2[1] = 0.0
+
+    def test_rule_writing_into_its_queue_argument_raises(self):
+        def writer(q, kb, lb, n):
+            q -= 1
+            return q <= 3
+
+        want = scalar_solve(EX1, 9, lambda q, kb, lb, n: q <= 3)
+        with pytest.raises(ValueError, match="read-only"):
+            solve_under_policy(EX1, writer, 9)
+        table = solve_under_policy(EX1, lambda q, kb, lb, n: np.asarray(q) <= 3, 9)
+        assert {s: table[s] for s in table_states(table)} == want
+
+    def test_equal_params_with_int_rates_share_one_entry(self):
+        ints = SystemParams(4, 2, 3, 1, 1, 2, 1)
+        floats = SystemParams(4, 2, 3.0, 1.0, 1.0, 2.0, 1.0)
+        assert ints == floats and hash(ints) == hash(floats)
+        first, second = solve_optimal(ints, 12), solve_optimal(floats, 12)
+        assert first.boundary is second.boundary
+        assert constants(ints) is constants(floats)
+        for params, table in ((ints, first), (floats, second)):
+            assert {s: table[s] for s in table_states(table)} == scalar_solve(params, 12)
+        rule = benchmark(ints, "pi4").rule
+        for params in (ints, floats):
+            table = solve_under_policy(params, rule, 12)
+            assert {s: table[s] for s in table_states(table)} == scalar_solve(params, 12, rule)

@@ -77,7 +77,8 @@ class TestConstants:
         if params.mu1 >= params.mu2:
             assert all(y <= params.C1 - 1 + 1e-12 for y in cst.y.values())
         if params.mu2 >= params.mu1:
-            assert all(z <= params.C1 - 1 + 1e-12 for z in cst.z.values())
+            z = [(params.C1 - l - 1) / cst.m + l for l in range(0, min(params.C2, params.C1))]
+            assert all(z_l <= params.C1 - 1 + 1e-12 for z_l in z)
 
 
 class TestProbs:
