@@ -57,6 +57,11 @@ def params_from_args(args: argparse.Namespace) -> SystemParams:
     if args.params_json:
         with open(args.params_json, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            got = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+            raise ParameterError(
+                f"{args.params_json} must hold a JSON object, got {got.get(type(data), 'a number')}"
+            )
         unknown = set(data) - set(PARAM_FIELDS)
         if unknown:
             raise ParameterError(f"unknown keys in {args.params_json}: {sorted(unknown)}")

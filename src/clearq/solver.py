@@ -12,10 +12,16 @@ holds the entry at (i, k, C1 - k) for the fully-busy levels i = 0..i_max, so
 row 0 is the full boundary row ``boundary[C1]``.  Cells outside a table's
 index set are NaN.  The value tables of one parameter set share one
 read-only boundary triangle.
+
+The levels come from a kernel generated once per C1 and variant (optimal, or
+under a policy's decisions) and unrolled over k.  It keeps the previous row
+in local variables and appends each row to one ``array('d')`` buffer, so a
+value table's ``levels`` is a float64 view of that buffer.
 """
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -158,9 +164,9 @@ def _fixed_parts(params: SystemParams) -> tuple[np.ndarray, tuple]:
     for (_, k, l), value in solve_boundary(params).items():
         boundary[k + l, k] = value
     # Per-k coefficients: each is the same float product the scalar recursion
-    # forms, and the sums in _solve keep its order, so values match it bit for bit.
+    # forms, and the kernels keep its order of sums, so values match it bit for bit.
     coefficients = tuple(
-        (k, k * params.h1, (c1 - k) * params.h2, k * params.mu1,
+        (k * params.h1, (c1 - k) * params.h2, k * params.mu1,
          min(c1 - k, c2) * params.mu2, service_rate(params, k, c1 - k))
         for k in range(c1 + 1)
     )
@@ -168,40 +174,82 @@ def _fixed_parts(params: SystemParams) -> tuple[np.ndarray, tuple]:
     return boundary, coefficients
 
 
+# The level loop, unrolled over k = 0..C1.  Python sums left to right, so entry
+# k of row i is ((((i*h0 + hold1) + hold2) + up*pick1) + down*pick2) / rate, the
+# order of the scalar recursion; k = 0 has no up term and k = C1 no down term.
+# The previous row lives in locals p0..pC1, and each new row is appended to the
+# caller's buffer.
+_KERNEL_TEMPLATE = """\
+def kernel(extend, row, coefficients, h0, i_max, *decisions):
+    {prev} = row
+    {coefficients} = coefficients
+    for {loop}:
+        q = i * h0
+{picks}        row = ({entries})
+        extend(row)
+        {prev} = row
+"""
+
+
+def _entry(k: int, c1: int, pick1: str, pick2: str) -> str:
+    up = f" + u{k} * {pick1}" if k > 0 else ""
+    down = f" + d{k} * {pick2}" if k < c1 else ""
+    return f"((q + a{k}) + b{k}{up}{down}) / r{k}"
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _kernel(c1: int, variant: str) -> Callable:
+    """The level kernel for C1 = c1, built once per variant.
+
+    The "optimal" kernel picks the cheaper successor; the "policy" kernel takes
+    the rows of the decision grids ``after1`` and ``after2`` as two more
+    arguments.  The generated source interpolates nothing but the column
+    numbers 0..c1.
+    """
+    ks = range(c1 + 1)
+    if variant == "optimal":
+        # The up pick of entry k and the down pick of entry k - 1 choose between
+        # the same stay = p{k} and move = p{k-1}, so one m{k} serves both.
+        # "move if move < stay else stay" keeps stay on a tie.
+        loop = "i in range(1, i_max + 1)"
+        picks = "".join(f"        m{k} = p{k - 1} if p{k - 1} < p{k} else p{k}\n" for k in ks[1:])
+        entries = [_entry(k, c1, f"m{k}", f"m{k + 1}") for k in ks]
+    else:
+        go1 = ", ".join(["_"] + [f"s{k}" for k in ks[1:]])
+        go2 = ", ".join([f"t{k}" for k in ks[:-1]] + ["_"])
+        loop = f"i, ({go1}), ({go2}) in zip(range(1, i_max + 1), *decisions)"
+        picks = ""
+        entries = [
+            _entry(k, c1, f"(p{k - 1} if s{k} else p{k})", f"(p{k} if t{k} else p{k + 1})")
+            for k in ks
+        ]
+    source = _KERNEL_TEMPLATE.format(
+        prev=", ".join(f"p{k}" for k in ks),
+        coefficients=", ".join(f"(a{k}, b{k}, u{k}, d{k}, r{k})" for k in ks),
+        loop=loop,
+        picks=picks,
+        entries=", ".join(entries),
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<clearq level kernel C1={c1} {variant}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _solve(params: SystemParams, i_max: int, rule: Callable | None, kind: str) -> ValueTable:
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
     c1 = params.C1
     boundary, coefficients = _fixed_parts(params)
-    choices = None
-    if rule is not None and i_max:
-        after1, after2 = decision_grid(rule, c1, i_max)
-        choices = list(zip(after1.tolist(), after2.tolist()))
-    prev = boundary[c1].tolist()
-    rows = [prev]
-    for i in range(1, i_max + 1):
-        queue_cost = i * params.h0
-        go1, go2 = choices[i - 1] if choices else (None, None)
-        row = []
-        # "move if move < stay else stay" is min(stay, move) without the call.
-        for k, hold1, hold2, up, down, rate in coefficients:
-            acc = queue_cost + hold1 + hold2
-            if k > 0:
-                stay, move = prev[k], prev[k - 1]
-                if go1 is None:
-                    acc += up * (move if move < stay else stay)
-                else:
-                    acc += up * (move if go1[k] else stay)
-            if k < c1:
-                stay, move = prev[k + 1], prev[k]
-                if go2 is None:
-                    acc += down * (move if move < stay else stay)
-                else:
-                    acc += down * (move if go2[k] else stay)
-            row.append(acc / rate)
-        rows.append(row)
-        prev = row
-    return ValueTable(params, i_max, boundary, np.array(rows), kind)
+    buffer = array("d", boundary[c1].tolist())
+    if i_max:
+        if rule is None:
+            kernel, decisions = _kernel(c1, "optimal"), ()
+        else:
+            after1, after2 = decision_grid(rule, c1, i_max)
+            kernel, decisions = _kernel(c1, "policy"), (after1.tolist(), after2.tolist())
+        kernel(buffer.extend, buffer.tolist(), coefficients, params.h0, i_max, *decisions)
+    levels = np.frombuffer(buffer).reshape(i_max + 1, c1 + 1)
+    return ValueTable(params, i_max, boundary, levels, kind)
 
 
 def solve_optimal(params: SystemParams, i_max: int) -> ValueTable:

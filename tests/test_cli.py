@@ -59,6 +59,21 @@ class TestSolveCommand:
                  "--outdir", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text, got", [
+        ("5", "a number"), ("2.5", "a number"), ("null", "null"), ("true", "a boolean"),
+        ("[1, 2]", "an array"), ('"C1"', "a string"),
+    ])
+    def test_params_json_not_an_object_one_line_error(self, tmp_path, capsys, text, got):
+        params_file = tmp_path / "p.json"
+        params_file.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--preset", "ex1", "--params-json", str(params_file), "--imax", "0",
+                 "--outdir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"clearq: parameter error: {params_file} must hold a JSON object, got {got}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_params_json_one_line_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["solve", "--params-json", str(tmp_path / "absent.json"), "--imax", "0",

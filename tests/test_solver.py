@@ -280,6 +280,28 @@ class TestScalarOracle:
         want = scalar_solve(params, 400)
         assert {s: table[s] for s in table_states(table)} == want
 
+    @pytest.mark.parametrize("c1", range(1, 7))
+    def test_every_kernel_shape_equals_scalar_recursion(self, c1):
+        """Each C1 has its own kernels; C1 = 1 has no interior column."""
+        decided = set()
+        for c2, mu2, h2 in ((1, 1.5, 0.4), (c1 + 1, 4.0, 2.0)):
+            params = SystemParams(c1, c2, 3.0, mu2, 0.2, 1.0, h2)
+            for i_max in (0, 1, 2, 9):
+                table = solve_optimal(params, i_max)
+                assert table.levels.shape == (i_max + 1, c1 + 1)
+                assert {s: table[s] for s in table_states(table)} == scalar_solve(params, i_max)
+                for policy_id in POLICY_IDS:
+                    policy = policy_by_id(params, policy_id, value_table=table)
+                    v_pi = solve_under_policy(params, policy, i_max)
+                    want = scalar_solve(params, i_max, policy.rule)
+                    assert {s: v_pi[s] for s in table_states(v_pi)} == want, (params, i_max, policy_id)
+                    if i_max:
+                        after1, after2 = decision_grid(policy.rule, c1, i_max)
+                        decided.update((1, bool(x)) for x in after1[:, 1:].flat)
+                        decided.update((2, bool(x)) for x in after2[:, :-1].flat)
+        # Both actions after both completion types, so every pick of the policy kernel is read.
+        assert decided == {(1, False), (1, True), (2, False), (2, True)}
+
     @pytest.mark.parametrize("policy_id", POLICY_IDS)
     def test_grid_decisions_match_scalar_calls(self, policy_id):
         points = [EX1, EXAMPLE_PARAMS["ex3"], EXAMPLE_PARAMS["ex8"],
