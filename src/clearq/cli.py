@@ -25,9 +25,9 @@ from .experiments import (
     write_dh_csv,
     write_table_csv,
 )
-from .model import PARAM_FIELDS, ParameterError, State, SystemParams
+from .model import PARAM_FIELDS, ParameterError, SystemParams
 from .policies import POLICY_IDS, policy_by_id
-from .simulate import SimConfig, estimate
+from .simulate import SimConfig, estimate, initial_state
 from .solver import diff, solve_optimal
 from .thresholds import (
     Orientation,
@@ -134,7 +134,7 @@ def cmd_simulate(args) -> int:
     params = params_from_args(args)
     k0 = args.k0 if args.k0 is not None else params.C1
     l0 = args.l0 if args.l0 is not None else params.C1 - k0
-    initial = State(args.i0, k0, l0)
+    initial = initial_state(params, (args.i0, k0, l0))  # before the optimal policy's solve
     value_table = solve_optimal(params, args.i0) if args.policy == "optimal" else None
     policy = policy_by_id(params, args.policy, value_table=value_table)
     result = estimate(params, policy, SimConfig(args.seed, args.reps, initial))

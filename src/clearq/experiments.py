@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,17 +80,11 @@ def table4_params(server_configs: Sequence[tuple[int, int]] = TABLE4_SERVERS) ->
     return list(_grid(server_configs, TABLE4_H0, TABLE4_H2, TABLE4_MU2, TABLE4_MU1, TABLE4_H1))
 
 
+_COST_REGIMES = {1: "lowcost", -1: "highcost", 0: "equal"}  # by the sign of h1/mu1 - h2/mu2
+
+
 def cost_regime_label(params: SystemParams) -> str:
-    gap = cost_gap_sign(params)
-    if gap > 0:
-        return "lowcost"
-    if gap < 0:
-        return "highcost"
-    return "equal"
-
-
-def rate_regime_label(params: SystemParams) -> str:
-    return "mu1_ge" if params.mu1 >= params.mu2 else "mu1_lt"
+    return _COST_REGIMES[cost_gap_sign(params)]
 
 
 def policy_family(cost_regime: str) -> tuple[str, ...]:
@@ -111,9 +106,18 @@ class SweepSpec:
     policies: Sequence[str] | None = None  # None: regime-appropriate family
     include_equal_cost: bool = False
 
+    def __post_init__(self):
+        if not self.i0_values:
+            raise ValueError("i0_values must name at least one initial queue length")
+        for i0 in self.i0_values:
+            # bool is an Integral subtype, and 20.0 or "20" would only be coerced.
+            if isinstance(i0, bool) or not isinstance(i0, numbers.Integral) or i0 < 0:
+                raise ValueError(f"i0_values must be non-negative integers, got {i0!r}")
 
-@dataclass(frozen=True)
-class ErrorStats:
+
+class ErrorStats(NamedTuple):
+    """One cell of the relative-error tables: the errors of a policy in percent."""
+
     policy: str
     c1: int
     c2: int
@@ -142,7 +146,9 @@ class SweepResult:
 
 def _map(fn, jobs: int | None, chunksize: int, *args) -> list:
     """fn over the argument lists, in order, on ``jobs`` worker processes when jobs > 1."""
-    if jobs is None or jobs <= 1:
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs is None or jobs == 1:
         return list(map(fn, *args))
     from concurrent.futures import ProcessPoolExecutor  # so serial runs never load multiprocessing
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -158,22 +164,22 @@ def _sweep_combo(args) -> list[tuple]:
     optimal = solve_optimal(params, depth)
     if policies is None:
         policies = policy_family(cost_regime_label(params))
+    # The start states (i0, k0, C1 - k0) of one i0 are row i0 of the levels.
     # Rows live as long as the sweep result, so they share floats: each
     # optimal value is read once for every policy, and a policy value that
     # ties it (about a quarter of the study grid's rows) reuses it.
-    starts = [(i0, k0, c1 - k0, optimal.value(i0, k0, c1 - k0))
-              for i0 in i0_values for k0 in range(0, c1 + 1)]
+    starts = [(i0, optimal.levels[i0].tolist()) for i0 in i0_values]
     rows = []
     for policy_id in policies:
         policy = policy_by_id(params, policy_id, value_table=optimal)
         v_pi = solve_under_policy(params, policy, depth) if policy_id != "optimal" else optimal
-        for i0, k0, l0, v_opt_val in starts:
-            v_pi_val = v_pi.value(i0, k0, l0)
-            if v_pi_val == v_opt_val:
-                v_pi_val, err_pct = v_opt_val, 0.0
-            else:
-                err_pct = (v_pi_val - v_opt_val) / v_opt_val * 100.0
-            rows.append((*point, i0, k0, l0, policy_id, v_opt_val, v_pi_val, err_pct))
+        for i0, v_opts in starts:
+            for k0, (v_opt_val, v_pi_val) in enumerate(zip(v_opts, v_pi.levels[i0].tolist())):
+                if v_pi_val == v_opt_val:
+                    v_pi_val, err_pct = v_opt_val, 0.0
+                else:
+                    err_pct = (v_pi_val - v_opt_val) / v_opt_val * 100.0
+                rows.append((*point, i0, k0, c1 - k0, policy_id, v_opt_val, v_pi_val, err_pct))
     return rows
 
 
@@ -205,17 +211,23 @@ def aggregate_stats(raw_rows: Iterable[tuple]) -> list[ErrorStats]:
     tables report.
     """
     cells: dict[tuple, list[float]] = {}
-    labels: dict[tuple, tuple[str, str]] = {}  # regime labels per distinct grid point
+    groups: dict[tuple, tuple] = {}  # (C1, C2, cost regime, rate regime) per distinct grid point
     for row in raw_rows:
-        c1, c2, h0, h1, h2, mu1, mu2, i0, k0, l0, policy_id, _, _, err = row
         point = row[:7]
-        if point not in labels:
-            params = SystemParams(c1, c2, mu1, mu2, h0, h1, h2)
-            labels[point] = (cost_regime_label(params), rate_regime_label(params))
-        key = (policy_id, c1, c2, *labels[point], i0)
-        cells.setdefault(key, []).append(err)
+        group = groups.get(point)
+        if group is None:
+            c1, c2, _, h1, h2, mu1, mu2 = point
+            cost = _COST_REGIMES[band_sign(h1 * mu2 - h2 * mu1)]  # cost_gap_sign's expression
+            group = groups[point] = (c1, c2, cost, "mu1_ge" if mu1 >= mu2 else "mu1_lt")
+        key = (row[10], group, row[7])  # (policy, group, i0): sorts as the flat stats key
+        cell = cells.get(key)
+        if cell is None:
+            cells[key] = [row[13]]
+        else:
+            cell.append(row[13])
     stats = []
     for key in sorted(cells):
+        policy_id, group, i0 = key
         errs = cells[key]
         n = len(errs)
         mean = sum(errs) / n
@@ -223,7 +235,7 @@ def aggregate_stats(raw_rows: Iterable[tuple]) -> list[ErrorStats]:
             std = math.sqrt(sum((e - mean) ** 2 for e in errs) / (n - 1))
         else:
             std = 0.0
-        stats.append(ErrorStats(*key, max_err=max(errs), avg_err=mean, std_err=std, count=n))
+        stats.append(ErrorStats(policy_id, *group, i0, max(errs), mean, std, n))
     return stats
 
 

@@ -116,6 +116,16 @@ def pi_prime(params: SystemParams) -> Policy:
     return Policy("heuristic", rule)
 
 
+# The benchmark rules that read no parameter; pi4 and tpi4 read C2.
+_FIXED_RULES = {
+    "pi1": lambda q, kb, lb, n: np.zeros_like(np.asarray(q), dtype=bool),
+    "pi2": lambda q, kb, lb, n: np.asarray(q) <= 10,
+    "pi3": lambda q, kb, lb, n: np.ones_like(np.asarray(q), dtype=bool),
+    "tpi2": lambda q, kb, lb, n: np.asarray(q) > 10,
+}
+_FIXED_RULES.update(tpi1=_FIXED_RULES["pi1"], tpi3=_FIXED_RULES["pi3"])
+
+
 def benchmark(params: SystemParams, which: str) -> Policy:
     """Fixed benchmark rules from the numerical study.
 
@@ -124,18 +134,12 @@ def benchmark(params: SystemParams, which: str) -> Policy:
     the benchmark definition); pi4/tpi4 collaborate iff no Station 2 wait,
     which reads l_busy < C2 for either completion type.
     """
-    c2 = params.C2
-    rules = {
-        "pi1": lambda q, kb, lb, n: np.zeros_like(np.asarray(q), dtype=bool),
-        "pi2": lambda q, kb, lb, n: np.asarray(q) <= 10,
-        "pi3": lambda q, kb, lb, n: np.ones_like(np.asarray(q), dtype=bool),
-        "pi4": lambda q, kb, lb, n: np.asarray(lb) < c2,
-        "tpi2": lambda q, kb, lb, n: np.asarray(q) > 10,
-    }
-    rules.update(tpi1=rules["pi1"], tpi3=rules["pi3"], tpi4=rules["pi4"])
-    if which not in rules:
+    if which in ("pi4", "tpi4"):
+        c2 = params.C2
+        return Policy(which, lambda q, kb, lb, n: np.asarray(lb) < c2)
+    if which not in _FIXED_RULES:
         raise ValueError(f"unknown benchmark {which!r}; expected one of {BENCHMARK_IDS}")
-    return Policy(which, rules[which])
+    return Policy(which, _FIXED_RULES[which])
 
 
 def policy_by_id(

@@ -121,6 +121,14 @@ def _batch_costs(tables, k0: int, n: int, rng: np.random.Generator) -> np.ndarra
     return cost
 
 
+def initial_state(params: SystemParams, state) -> State:
+    """The state as a State; ValueError if it is outside the state space."""
+    state = State(*state)
+    if not in_state_space(params, state):
+        raise ValueError(f"initial state {state} is outside the state space")
+    return state
+
+
 def estimate(params: SystemParams, policy, config: SimConfig) -> SimEstimate:
     """Mean and standard error over independent replications.
 
@@ -128,9 +136,7 @@ def estimate(params: SystemParams, policy, config: SimConfig) -> SimEstimate:
     from the seed, so results are reproducible and batches could be farmed
     out to workers without changing the estimate.
     """
-    state = State(*config.initial_state)
-    if not in_state_space(params, state):
-        raise ValueError(f"initial state {state} is outside the state space")
+    state = initial_state(params, config.initial_state)
     n = config.replications
     sizes = [BATCH_SIZE] * (n // BATCH_SIZE)
     if n % BATCH_SIZE:

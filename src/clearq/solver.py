@@ -11,7 +11,8 @@ Tables are two float64 arrays.  ``boundary[n, k]`` holds the entry at
 holds the entry at (i, k, C1 - k) for the fully-busy levels i = 0..i_max, so
 row 0 is the full boundary row ``boundary[C1]``.  Cells outside a table's
 index set are NaN.  The value tables of one parameter set share one
-read-only boundary triangle.
+read-only boundary triangle, built once row by row, each row from the one
+before; ``solve_boundary`` is its dict view.
 
 The levels come from a kernel generated once per C1 and variant (optimal, or
 under a policy's decisions) and unrolled over k.  It keeps the previous row
@@ -129,24 +130,16 @@ class DiffTable(_Table):
 
 
 def solve_boundary(params: SystemParams) -> dict[State, float]:
-    """Values of the no-decision layer i = 0, by total jobs in service.
+    """Values of the no-decision layer i = 0, by total jobs in service, then k.
 
-    Terms with a zero rate coefficient are skipped, so successor states
-    outside the state space are never touched.
+    The dict view of the parameter set's cached boundary triangle.
     """
-    v: dict[State, float] = {State(0, 0, 0): 0.0}
-    for total in range(1, params.C1 + 1):
-        for k in range(0, total + 1):
-            l = total - k
-            d = service_rate(params, k, l)
-            acc = k * params.h1 + l * params.h2
-            if k > 0:
-                acc += k * params.mu1 * v[State(0, k - 1, l)]
-            served = min(l, params.C2)
-            if served > 0:
-                acc += served * params.mu2 * v[State(0, k, l - 1)]
-            v[State(0, k, l)] = acc / d
-    return v
+    boundary = _fixed_parts(params)[0]
+    return {
+        State(0, k, n - k): value
+        for n, row in enumerate(boundary.tolist())
+        for k, value in enumerate(row[:n + 1])
+    }
 
 
 def boundary_diff_formula(params: SystemParams, k: int, l: int) -> float:
@@ -157,21 +150,40 @@ def boundary_diff_formula(params: SystemParams, k: int, l: int) -> float:
 
 
 @functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def _fixed_parts(params: SystemParams) -> tuple[np.ndarray, tuple]:
-    """The read-only boundary triangle and the per-k level coefficients of a parameter set."""
+def _fixed_parts(params: SystemParams) -> tuple[np.ndarray, tuple, tuple]:
+    """A parameter set's read-only boundary triangle, its full row C1, and the level coefficients.
+
+    Row n of the triangle holds the i = 0 values with n jobs in service, by k,
+    each from row n - 1.  Terms with a zero rate coefficient are skipped, so
+    successor states outside the state space are never read.
+    """
     c1, c2 = params.C1, params.C2
+    h1, h2, mu1, mu2 = params.h1, params.h2, params.mu1, params.mu2
+    rows = [(0.0,)]
+    for total in range(1, c1 + 1):
+        prev = rows[-1]
+        row = []
+        for k in range(0, total + 1):
+            l = total - k
+            acc = k * h1 + l * h2
+            if k > 0:
+                acc += k * mu1 * prev[k - 1]
+            served = min(l, c2)
+            if served > 0:
+                acc += served * mu2 * prev[k]
+            row.append(acc / service_rate(params, k, l))
+        rows.append(tuple(row))
     boundary = np.full((c1 + 1, c1 + 1), np.nan)
-    for (_, k, l), value in solve_boundary(params).items():
-        boundary[k + l, k] = value
+    for n, row in enumerate(rows):
+        boundary[n, :n + 1] = row
     # Per-k coefficients: each is the same float product the scalar recursion
     # forms, and the kernels keep its order of sums, so values match it bit for bit.
     coefficients = tuple(
-        (k * params.h1, (c1 - k) * params.h2, k * params.mu1,
-         min(c1 - k, c2) * params.mu2, service_rate(params, k, c1 - k))
+        (k * h1, (c1 - k) * h2, k * mu1, min(c1 - k, c2) * mu2, service_rate(params, k, c1 - k))
         for k in range(c1 + 1)
     )
     read_only(boundary)
-    return boundary, coefficients
+    return boundary, rows[c1], coefficients
 
 
 # The level loop, unrolled over k = 0..C1.  Python sums left to right, so entry
@@ -239,15 +251,15 @@ def _solve(params: SystemParams, i_max: int, rule: Callable | None, kind: str) -
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
     c1 = params.C1
-    boundary, coefficients = _fixed_parts(params)
-    buffer = array("d", boundary[c1].tolist())
+    boundary, full_row, coefficients = _fixed_parts(params)
+    buffer = array("d", full_row)
     if i_max:
         if rule is None:
             kernel, decisions = _kernel(c1, "optimal"), ()
         else:
             after1, after2 = decision_grid(rule, c1, i_max)
             kernel, decisions = _kernel(c1, "policy"), (after1.tolist(), after2.tolist())
-        kernel(buffer.extend, buffer.tolist(), coefficients, params.h0, i_max, *decisions)
+        kernel(buffer.extend, full_row, coefficients, params.h0, i_max, *decisions)
     levels = np.frombuffer(buffer).reshape(i_max + 1, c1 + 1)
     return ValueTable(params, i_max, boundary, levels, kind)
 

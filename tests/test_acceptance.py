@@ -129,6 +129,23 @@ def test_full_sweep_raw_csv_byte_identical(full_sweep, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FULL_SWEEP_RAW_SHA256
 
 
+FULL_SWEEP_STATS_SHA256 = "3ade94aea75fc0fc339e018366954686bb4aa44978105de79588e408c9e29284"
+
+
+def test_full_sweep_stats_exact(full_sweep):
+    """Every ``ErrorStats`` of the whole-grid sweep, one ``repr`` a line, pinned by SHA-256.
+
+    The tables round the stats to two decimals and the raw CSV holds only the
+    rows, so this pins the exact floats of every max, mean and sample std.
+    The digest was taken from the code that built a ``SystemParams`` per point
+    to label its rows, with no source change applied.  It reuses criterion 2's
+    sweep.
+    """
+    text = "".join(f"{stats!r}\n" for stats in full_sweep.stats)
+    assert len(full_sweep.stats) == 240
+    assert hashlib.sha256(text.encode()).hexdigest() == FULL_SWEEP_STATS_SHA256
+
+
 def test_criterion_3_invariant_suite(tmp_path, report):
     import clearq.cli as cli
 

@@ -174,6 +174,29 @@ class TestSimulateCommand:
                  "--i0", "5", "--k0", "1", "--l0", "1", "--reps", "10", "--seed", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("policy", ["optimal", "heuristic", "pi1"])
+    def test_negative_initial_queue_one_line_error(self, policy, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--preset", "ex1", "--policy", policy,
+                 "--i0", "-1", "--reps", "10", "--seed", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "clearq: initial state State(i=-1, k=4, l=0) is outside the state space\n")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--grid", "examples", "--imax", "5"],
+    ["sweep", "--table", "5"],
+])
+def test_jobs_below_one_one_line_error(command, jobs, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--jobs", jobs])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"clearq: jobs must be at least 1, got {jobs}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
 
 class TestVerifyCommand:
     def test_examples_grid_passes(self, tmp_path, capsys):

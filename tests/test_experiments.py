@@ -6,9 +6,11 @@ import clearq.experiments as experiments
 import clearq.thresholds as thresholds
 from clearq.experiments import (
     EXAMPLE_PARAMS,
+    ErrorStats,
     SweepSpec,
     aggregate_stats,
     check_diagonal_monotone,
+    cost_regime_label,
     dh_curve,
     round_half_up,
     sweep,
@@ -107,6 +109,31 @@ class TestSweep:
         assert lines[0].startswith("policy,stat,C1=2 C2=1,")
         assert lines[1].split(",")[:2] == ["heuristic", "max"]
         assert len(lines) == 1 + 5 * 3
+
+    @pytest.mark.parametrize("i0_values, shown", [
+        ((), "at least one"),
+        ([], "at least one"),
+        ((-1, 20), "-1"),
+        ((20, True), "True"),
+        ((20.0,), "20.0"),
+        (("20",), "'20'"),
+    ])
+    def test_bad_initial_queues_rejected(self, i0_values, shown):
+        with pytest.raises(ValueError) as exc:
+            SweepSpec(i0_values=i0_values)
+        message = str(exc.value)
+        assert message.startswith("i0_values must ") and shown in message
+        assert "\n" not in message
+
+    def test_initial_queue_zero_reads_the_boundary_row(self):
+        params = SystemParams(2, 1, 10.0, 4.0, 0.1, 1.0, 0.1)
+        spec = SweepSpec(server_configs=((2, 1),), h0_values=(0.1,), h2_values=(0.1,),
+                         mu2_values=(4.0,), i0_values=(0, 3))
+        rows = sweep(spec).raw_rows
+        optimal = solve_optimal(params, 3)
+        assert [row[7:10] for row in rows[:6]] == [
+            (i0, k0, 2 - k0) for i0 in (0, 3) for k0 in range(3)]
+        assert all(row[11] == optimal.value(*row[7:10]) for row in rows)
 
     def test_table_cells_filter(self, small_result):
         cells = table_cells(small_result.stats, 5)
@@ -230,6 +257,36 @@ class TestDhCurve:
             dh_curve(EXAMPLE_PARAMS["ex7"], i_max=5)
 
 
+def aggregate_stats_oracle(raw_rows):
+    """``aggregate_stats`` as it was before it worked the regime labels out from the row's floats.
+
+    Kept as the oracle the current one must equal: it builds and validates
+    a ``SystemParams`` per distinct point and a flat key per row.
+    """
+    cells = {}
+    labels = {}
+    for row in raw_rows:
+        c1, c2, h0, h1, h2, mu1, mu2, i0, k0, l0, policy_id, _, _, err = row
+        point = row[:7]
+        if point not in labels:
+            params = SystemParams(c1, c2, mu1, mu2, h0, h1, h2)
+            labels[point] = (cost_regime_label(params),
+                             "mu1_ge" if params.mu1 >= params.mu2 else "mu1_lt")
+        key = (policy_id, c1, c2, *labels[point], i0)
+        cells.setdefault(key, []).append(err)
+    stats = []
+    for key in sorted(cells):
+        errs = cells[key]
+        n = len(errs)
+        mean = sum(errs) / n
+        if n > 1:
+            std = math.sqrt(sum((e - mean) ** 2 for e in errs) / (n - 1))
+        else:
+            std = 0.0
+        stats.append(ErrorStats(*key, max_err=max(errs), avg_err=mean, std_err=std, count=n))
+    return stats
+
+
 class TestGrid:
     def test_table4_size(self):
         pts = table4_params()
@@ -245,3 +302,24 @@ class TestGrid:
         assert len(stats) == 1
         assert stats[0].avg_err == pytest.approx(2.0)
         assert stats[0].std_err == pytest.approx(1.0)  # sample, not population
+
+    def test_aggregate_stats_equals_oracle_on_interleaved_points(self):
+        # Points of every cost and rate regime, equal-cost ties included, with
+        # their rows dealt out one at a time so no point's rows form a block.
+        spec = SweepSpec(server_configs=((2, 1), (3, 2)), h0_values=(0.1,),
+                         h2_values=(0.1, 1.0, 2.0), mu2_values=(4.0, 10.0, 25.0),
+                         i0_values=(20, 5), include_equal_cost=True)
+        rows = sweep(spec).raw_rows
+        blocks = {}
+        for row in rows:
+            blocks.setdefault(row[:7], []).append(row)
+        assert len(blocks) == 18
+        assert {cost_regime_label(SystemParams(*p[:2], p[5], p[6], p[2], p[3], p[4]))
+                for p in blocks} == {"lowcost", "highcost", "equal"}
+        dealt = [block[n] for n in range(max(map(len, blocks.values())))
+                 for block in blocks.values() if n < len(block)]
+        assert sorted(dealt) == sorted(rows)
+        for sample in (dealt, dealt[::-1], rows):
+            got = aggregate_stats(sample)
+            assert got == aggregate_stats_oracle(sample)
+            assert [repr(s) for s in got] == [repr(s) for s in aggregate_stats_oracle(sample)]

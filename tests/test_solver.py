@@ -37,6 +37,26 @@ def enumerate_states(params, i_max):
     return states
 
 
+def dict_boundary(params):
+    """The i = 0 recursion over dict[State, float] that preceded the cached triangle.
+
+    Kept here as the oracle of ``solve_boundary`` and of every table's boundary.
+    """
+    v = {State(0, 0, 0): 0.0}
+    for total in range(1, params.C1 + 1):
+        for k in range(0, total + 1):
+            l = total - k
+            d = service_rate(params, k, l)
+            acc = k * params.h1 + l * params.h2
+            if k > 0:
+                acc += k * params.mu1 * v[State(0, k - 1, l)]
+            served = min(l, params.C2)
+            if served > 0:
+                acc += served * params.mu2 * v[State(0, k, l - 1)]
+            v[State(0, k, l)] = acc / d
+    return v
+
+
 def table_states(table):
     """The states of a table's columns(), in their order."""
     i, k, l, _ = table.columns()
@@ -68,6 +88,22 @@ class TestBoundary:
         params = SystemParams(2, 2, 10.0, 4.0, 0.01, 1.0, 0.1)
         v = solve_boundary(params)
         assert v[State(0, 0, 1)] == pytest.approx(0.1 / 4.0)
+
+    @pytest.mark.parametrize("c1", range(1, 7))
+    def test_dict_view_of_the_cached_triangle(self, c1):
+        for c2 in (1, c1 + 1):
+            params = SystemParams(c1, c2, 3.0, 1.5 * c2, 0.2, 1.0, 0.4)
+            v = solve_boundary(params)
+            assert list(v) == enumerate_states(params, 0)
+            assert all(type(x) is float for x in v.values())
+            assert v == dict_boundary(params)
+            table = solve_optimal(params, 3)
+            triangle = {State(0, k, n - k): float(table.boundary[n, k])
+                        for n in range(c1 + 1) for k in range(n + 1)}
+            assert v == triangle
+            assert np.isnan(table.boundary[np.triu_indices(c1 + 1, 1)]).all()
+            assert table.levels[0].tolist() == table.boundary[c1].tolist()
+            assert table.levels[0].tolist() == [v[State(0, k, c1 - k)] for k in range(c1 + 1)]
 
     @given(param_strategy)
     @settings(max_examples=40, deadline=None)
@@ -233,7 +269,7 @@ def scalar_solve(params, i_max, rule=None):
 
     Kept here as the oracle the array solver must equal bit for bit.
     """
-    v = solve_boundary(params)
+    v = dict_boundary(params)
     for i in range(1, i_max + 1):
         for k in range(0, params.C1 + 1):
             l = params.C1 - k
