@@ -13,7 +13,7 @@ import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .thresholds import (
     condition1,
     constants,
     heuristic_profile,
-    search_caps,
+    required_depth,
     surrogate,
     threshold_spec,
 )
@@ -377,14 +377,14 @@ def check_diagonal_monotone(params: SystemParams, dt: DiffTable, i_max: int):
 
 def check_single_sign_change(params: SystemParams, dt: DiffTable, i_max: int):
     # Band-zeros commit to neither side; only a strict sign reversal counts.
-    lowcost = cost_gap_sign(params) >= 0
+    independent = threshold_spec(params).independent
     signs = band_signs(_by_k(dt, i_max))
-    crossing, back = (signs < 0, signs > 0) if lowcost else (signs > 0, signs < 0)
+    crossing, back = (signs > 0, signs < 0) if independent else (signs < 0, signs > 0)
     at = _first(back & np.logical_or.accumulate(crossing, axis=1))
     if at is None:
         return None
     k, i = at[0] + 1, at[1]
-    side = "positive" if lowcost else "negative"
+    side = "negative" if independent else "positive"
     return f"D returned {side} at ({i},{k},{params.C1 - k}) after crossing"
 
 
@@ -494,20 +494,18 @@ def _band_integer(r: float) -> bool:
     return abs(r - round(r)) <= 1e-9 * max(1.0, abs(r))
 
 
-def check_threshold_structure(
-    params: SystemParams, dt: DiffTable, *, caps: Mapping[int, int] | None = None
-):
+def check_threshold_structure(params: SystemParams, dt: DiffTable):
     """Threshold-level structural guarantees.
 
     Exactness and increment assertions are scoped to non-degenerate points:
     where a surrogate root sits exactly on an integer, or a neighbouring
     index sits exactly on the blocked-cost equality, the published
     guarantees are boundary-tight and the collaborative-side tie rule can
-    shift one side by one.  ``caps`` is passed on to ``actual_profile``.
+    shift one side by one.
     """
     spec = threshold_spec(params)
     heur = heuristic_profile(params)
-    act = actual_profile(params, dt, caps=caps)
+    act = actual_profile(params, dt)
     cst = constants(params)
     # Independent-orientation thresholds carry a tilde and are indexed by l.
     d_name, h_name, ix = ("i~_D", "i~_H", "l") if spec.independent else ("i_D", "i_H", "k")
@@ -596,8 +594,7 @@ POINT_CHECKS = (
 def verify_point(params: SystemParams, i_max: int) -> list[CheckResult]:
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
-    caps = search_caps(params)
-    table = solve_optimal(params, max([i_max, *caps.values()]))
+    table = solve_optimal(params, max(i_max, required_depth(params)))
     dt = diff(table)
     outcomes = {
         "value_monotone_in_queue": check_value_monotone(params, table, i_max),
@@ -611,7 +608,7 @@ def verify_point(params: SystemParams, i_max: int) -> list[CheckResult]:
         "boundary_formula": check_boundary_formula(params, dt),
         "policy_dominance": check_policy_dominance(params, table, i_max),
         "greedy_reproduces_optimal": check_greedy_reproduces_optimal(params, table, i_max),
-        "threshold_structure": check_threshold_structure(params, dt, caps=caps),
+        "threshold_structure": check_threshold_structure(params, dt),
     }
     return [
         CheckResult(name, params, passed=(detail is None), detail=detail or "")
@@ -642,6 +639,8 @@ def dh_curve(
     if (k is None) == (l is None):
         raise ValueError("give exactly one of k or l")
     if k is None:
+        if not 0 <= l < params.C1:
+            raise ValueError(f"l must be in 0..{params.C1 - 1}, got {l}")
         k = params.C1 - l
     if not 1 <= k <= params.C1:
         raise ValueError(f"k must be in 1..{params.C1}, got {k}")

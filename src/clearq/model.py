@@ -25,7 +25,8 @@ ZERO_BAND = 1e-9
 INT_SNAP = 1e-9
 
 # Bounds of the caches of derived data: entries per parameter set (boundary
-# triangle, constants, threshold spec) and per index grid shape or level kernel.
+# triangle, constants, threshold spec, heuristic profile, search caps) and per
+# index grid shape or level kernel.
 PARAMS_CACHE_SIZE = 32
 GRID_CACHE_SIZE = 32
 

@@ -7,12 +7,14 @@ recurses on the total number of jobs in service.  One sweep is exact; there
 is no iteration or truncation error beyond float arithmetic.
 
 Tables are two float64 arrays.  ``boundary[n, k]`` holds the entry at
-(0, k, n - k), the i = 0 triangle by total jobs in service n.  ``levels[i, k]``
-holds the entry at (i, k, C1 - k) for the fully-busy levels i = 0..i_max, so
-row 0 is the full boundary row ``boundary[C1]``.  Cells outside a table's
-index set are NaN.  The value tables of one parameter set share one
-read-only boundary triangle, built once row by row, each row from the one
-before; ``solve_boundary`` is its dict view.
+(0, k, n - k) for the partial rows n = 0..C1-1 of the i = 0 triangle, by total
+jobs in service n.  ``levels[i, k]`` holds the entry at (i, k, C1 - k) for the
+fully-busy levels i = 0..i_max, so the full row n = C1 of the triangle is
+``levels[0]`` and is held nowhere else.  Cells outside a table's index set
+are NaN.  The value tables of one parameter set share one read-only partial
+triangle, built once row by row, each row from the one before; the full row
+seeds each solve.  ``solve_boundary`` is the dict view of the triangle rows
+and the full row.
 
 The levels come from a kernel generated once per C1 and variant (optimal, or
 under a policy's decisions) and unrolled over k.  It keeps the previous row
@@ -46,14 +48,14 @@ class IndexOutOfSpace(KeyError):
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _column_index(c1: int, depth: int, k_min: int) -> tuple[np.ndarray, ...]:
-    """Read-only (i, k, l) of the states with k >= k_min to queue depth, and (n, k) of i = 0."""
-    n, tri_k = np.tril_indices(c1 + 1)
+    """Read-only (i, k, l) of the states with k >= k_min to queue depth, and (n, k) of n < C1."""
+    n, tri_k = np.tril_indices(c1)
     keep = tri_k >= k_min
     n, tri_k = n[keep], tri_k[keep]
     ks = np.arange(k_min, c1 + 1)
-    i = np.concatenate([np.zeros_like(n), np.repeat(np.arange(1, depth + 1), len(ks))])
-    k = np.concatenate([tri_k, np.tile(ks, depth)])
-    l = np.concatenate([n, np.full(depth * len(ks), c1)]) - k
+    i = np.concatenate([np.zeros_like(n), np.repeat(np.arange(depth + 1), len(ks))])
+    k = np.concatenate([tri_k, np.tile(ks, depth + 1)])
+    l = np.concatenate([n, np.full((depth + 1) * len(ks), c1)]) - k
     return read_only(i, k, l, n, tri_k)
 
 
@@ -69,9 +71,9 @@ class _Table:
     def _get(self, i: int, k: int, l: int) -> float:
         c1 = self.params.C1
         if k >= self.K_MIN and l >= 0:
-            if i == 0 and k + l <= c1:
+            if i == 0 and k + l < c1:
                 return float(self.boundary[k + l, k])
-            if 0 < i <= self.i_max and k + l == c1:
+            if 0 <= i <= self.i_max and k + l == c1:
                 return float(self.levels[i, k])
         raise KeyError(State(i, k, l))
 
@@ -83,7 +85,7 @@ class _Table:
         depth = self.i_max if i_max is None else min(i_max, self.i_max)
         i, k, l, n, tri_k = _column_index(self.params.C1, depth, self.K_MIN)
         entry = np.concatenate(
-            [self.boundary[n, tri_k], self.levels[1:depth + 1, self.K_MIN:].ravel()]
+            [self.boundary[n, tri_k], self.levels[:depth + 1, self.K_MIN:].ravel()]
         )
         return i, k, l, entry
 
@@ -132,12 +134,12 @@ class DiffTable(_Table):
 def solve_boundary(params: SystemParams) -> dict[State, float]:
     """Values of the no-decision layer i = 0, by total jobs in service, then k.
 
-    The dict view of the parameter set's cached boundary triangle.
+    The dict view of the parameter set's cached triangle rows and full row.
     """
-    boundary = _fixed_parts(params)[0]
+    boundary, full_row, _ = _fixed_parts(params)
     return {
         State(0, k, n - k): value
-        for n, row in enumerate(boundary.tolist())
+        for n, row in enumerate([*boundary.tolist(), full_row])
         for k, value in enumerate(row[:n + 1])
     }
 
@@ -151,11 +153,12 @@ def boundary_diff_formula(params: SystemParams, k: int, l: int) -> float:
 
 @functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _fixed_parts(params: SystemParams) -> tuple[np.ndarray, tuple, tuple]:
-    """A parameter set's read-only boundary triangle, its full row C1, and the level coefficients.
+    """A parameter set's read-only partial triangle, its full row C1, and the level coefficients.
 
     Row n of the triangle holds the i = 0 values with n jobs in service, by k,
-    each from row n - 1.  Terms with a zero rate coefficient are skipped, so
-    successor states outside the state space are never read.
+    each from row n - 1; the array keeps rows n < C1, the tuple row C1.  Terms
+    with a zero rate coefficient are skipped, so successor states outside the
+    state space are never read.
     """
     c1, c2 = params.C1, params.C2
     h1, h2, mu1, mu2 = params.h1, params.h2, params.mu1, params.mu2
@@ -173,8 +176,8 @@ def _fixed_parts(params: SystemParams) -> tuple[np.ndarray, tuple, tuple]:
                 acc += served * mu2 * prev[k]
             row.append(acc / service_rate(params, k, l))
         rows.append(tuple(row))
-    boundary = np.full((c1 + 1, c1 + 1), np.nan)
-    for n, row in enumerate(rows):
+    boundary = np.full((c1, c1), np.nan)
+    for n, row in enumerate(rows[:c1]):
         boundary[n, :n + 1] = row
     # Per-k coefficients: each is the same float product the scalar recursion
     # forms, and the kernels keep its order of sums, so values match it bit for bit.

@@ -303,11 +303,12 @@ def _profile(
     for s in spec:
         fixed = FIXED_THRESHOLDS.get(s.classification)
         entries[s.index] = finite(s) if fixed is None else fixed
-    return ThresholdProfile(spec.orientation, kind, entries, i_max_used)
+    return ThresholdProfile(spec.orientation, kind, MappingProxyType(entries), i_max_used)
 
 
+@functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def heuristic_profile(params: SystemParams) -> ThresholdProfile:
-    """Closed-form thresholds of the affine surrogate.
+    """Closed-form thresholds of the affine surrogate, built once per parameter set.
 
     Provably infinite indices are inf and always-zero ones 0.  At a
     finite-expected index the threshold is, in the collaborative orientation,
@@ -328,19 +329,17 @@ def heuristic_profile(params: SystemParams) -> ThresholdProfile:
     return _profile(spec, ProfileKind.HEURISTIC, finite)
 
 
-def search_caps(params: SystemParams) -> dict[int, int]:
+@functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)
+def search_caps(params: SystemParams) -> Mapping[int, int]:
     """Analytic upper bound on the first sign change at every finite-expected index.
 
     Each is the maximum of the applicable linear crossing bounds (sandwich
     around the surrogate threshold plus the explicit appendix bounds), padded
-    by C1.
+    by C1.  Built once per parameter set; the mapping is read-only.
     """
-    spec = threshold_spec(params)
+    spec, heur = threshold_spec(params), heuristic_profile(params)
     finite = [s for s in spec if s.classification is Classification.FINITE_EXPECTED]
-    if not finite:
-        return {}
-    heur = heuristic_profile(params)
-    return {s.index: _search_cap(params, spec, s, heur[s.index]) for s in finite}
+    return MappingProxyType({s.index: _search_cap(params, spec, s, heur[s.index]) for s in finite})
 
 
 def _search_cap(params: SystemParams, spec: ThresholdSpec, s: IndexSpec, heur: float) -> int:
@@ -376,20 +375,16 @@ def required_depth(params: SystemParams) -> int:
     return max(search_caps(params).values(), default=0)
 
 
-def actual_profile(
-    params: SystemParams, diff_table, *, caps: Mapping[int, int] | None = None
-) -> ThresholdProfile:
+def actual_profile(params: SystemParams, diff_table) -> ThresholdProfile:
     """First sign change of the solved difference, per index.
 
     Indices classified provably infinite are emitted as inf without search;
     always-zero indices as 0.  A finite-expected index whose sign change is
     missing below the analytic cap raises CapExceeded (bug trap); a diff
-    table shallower than the cap is a precondition error.  ``caps`` is
-    ``search_caps(params)``, computed here when not given.
+    table shallower than the cap is a precondition error.
     """
     spec = threshold_spec(params)
-    if caps is None:
-        caps = search_caps(params)
+    caps = search_caps(params)
 
     def first_sign_change(s: IndexSpec) -> int:
         cap = caps[s.index]
@@ -412,9 +407,7 @@ def compute_actual_profile(params: SystemParams) -> ThresholdProfile:
     """Solve to the required depth and extract the actual profile."""
     from .solver import diff, solve_optimal  # deferred: solver imports this module
 
-    caps = search_caps(params)
-    table = solve_optimal(params, max(caps.values(), default=0))
-    return actual_profile(params, diff(table), caps=caps)
+    return actual_profile(params, diff(solve_optimal(params, required_depth(params))))
 
 
 class Condition1Verdict(Enum):

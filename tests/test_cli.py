@@ -22,7 +22,7 @@ class TestSolveCommand:
         diffs = (tmp_path / "diff.csv").read_text().splitlines()
         assert values[0] == "i,k,l,value"
         assert diffs[0] == "i,k,l,D"
-        assert len(values) == 1 + 15 + 20 * 5  # header + boundary triangle + 20 levels
+        assert len(values) == 1 + 10 + 21 * 5  # header + partial triangle + levels 0..20
 
     def test_missing_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -32,7 +32,7 @@ class TestSolveCommand:
     def test_imax_zero_boundary_only(self, tmp_path):
         code = run(["solve", "--preset", "ex1", "--imax", "0", "--outdir", str(tmp_path)])
         assert code == 0
-        assert len((tmp_path / "values.csv").read_text().splitlines()) == 1 + 15
+        assert len((tmp_path / "values.csv").read_text().splitlines()) == 1 + 10 + 5
 
     def test_byte_identical_rerun(self, tmp_path):
         args = ["solve", "--preset", "ex5", "--imax", "14", "--outdir"]
@@ -267,3 +267,16 @@ class TestCurveCommand:
             run(["curve", "--preset", "ex5", "--k", "2", "--l", "1",
                  "--imax", "5", "--out", str(tmp_path / "c.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--l", "5", "l must be in 0..3, got 5"),
+        ("--l", "-1", "l must be in 0..3, got -1"),
+        ("--k", "0", "k must be in 1..4, got 0"),
+    ])
+    def test_index_out_of_range_one_line_error(self, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["curve", "--preset", "ex1", flag, value, "--imax", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"clearq: {message}\n"
+        assert not out.exists()

@@ -9,7 +9,9 @@ from clearq.experiments import (
     ErrorStats,
     SweepSpec,
     aggregate_stats,
+    check_boundary_formula,
     check_diagonal_monotone,
+    check_single_sign_change,
     cost_regime_label,
     dh_curve,
     round_half_up,
@@ -173,6 +175,31 @@ class TestVerify:
         detail = check_diagonal_monotone(params, bad, 10)
         assert detail is not None and "D(4,3,1)" in detail
 
+    @pytest.mark.parametrize("params, k, corrupt, side", [
+        # Collaborative orientation: D at k = 2 turns negative at i = 2 and must stay so.
+        (EXAMPLE_PARAMS["ex1"], 2, 1.0, "positive"),
+        # Independent orientation: D at k = 3 (l = 1) turns positive at i = 8 and must stay so.
+        (EXAMPLE_PARAMS["ex8"], 3, -1.0, "negative"),
+    ])
+    def test_fault_injection_flags_sign_change(self, params, k, corrupt, side):
+        dt = diff(solve_optimal(params, 12))
+        assert check_single_sign_change(params, dt, 12) is None
+        corrupted = dt.levels.copy()
+        corrupted[10, k] = corrupt
+        bad = DiffTable(params, 12, dt.boundary, corrupted)
+        detail = check_single_sign_change(params, bad, 12)
+        assert detail == f"D returned {side} at (10,{k},{params.C1 - k}) after crossing"
+
+    def test_fault_injection_flags_boundary_row(self):
+        # Row n = C1 of the i = 0 triangle is levels[0], held nowhere else.
+        params = EXAMPLE_PARAMS["ex1"]
+        dt = diff(solve_optimal(params, 5))
+        assert check_boundary_formula(params, dt) is None
+        corrupted = dt.levels.copy()
+        corrupted[0, 2] += 1e-6
+        bad = DiffTable(params, 5, dt.boundary, corrupted)
+        assert check_boundary_formula(params, bad) == "D(0,2,2) != boundary formula"
+
     def test_report_json(self, tmp_path):
         report = verify([EXAMPLE_PARAMS["ex1"]], 15)
         report.write_json(tmp_path / "report.json")
@@ -181,20 +208,21 @@ class TestVerify:
 
     def test_verify_point_computes_search_caps_once(self, monkeypatch):
         # The caps set the solve depth and bound the threshold search; the
-        # threshold-structure check must reuse them, not compute them again.
+        # threshold-structure check must reuse them, not build them again.
         params = EXAMPLE_PARAMS["ex3b"]
         want = verify_point(params, 15)
-        calls = []
-        real = thresholds.search_caps
+        thresholds.search_caps.cache_clear()
+        built = []
+        real = thresholds._search_cap
 
-        def counting(p):
-            calls.append(p)
-            return real(p)
+        def counting(p, spec, s, heur):
+            built.append(s.index)
+            return real(p, spec, s, heur)
 
-        monkeypatch.setattr(thresholds, "search_caps", counting)
-        monkeypatch.setattr(experiments, "search_caps", counting)
+        monkeypatch.setattr(thresholds, "_search_cap", counting)
         assert verify_point(params, 15) == want
-        assert len(calls) == 1
+        assert thresholds.search_caps.cache_info().misses == 1
+        assert built == list(thresholds.search_caps(params)) == [1, 2]
 
     def test_verify_point_works_out_condition1_once_per_index(self, monkeypatch):
         # ex3b has the condition holding at k = 2, where the increment check

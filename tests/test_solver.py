@@ -16,7 +16,7 @@ from clearq.solver import (
     solve_optimal,
     solve_under_policy,
 )
-from clearq.thresholds import constants, probs
+from clearq.thresholds import constants, heuristic_profile, probs, search_caps
 
 EX1 = SystemParams(4, 2, 3.0, 0.96, 0.1, 1.0, 0.16)
 
@@ -97,13 +97,14 @@ class TestBoundary:
             assert list(v) == enumerate_states(params, 0)
             assert all(type(x) is float for x in v.values())
             assert v == dict_boundary(params)
+            # The table holds rows n < C1 of the triangle; row C1 is levels[0] alone.
             table = solve_optimal(params, 3)
+            assert table.boundary.shape == (c1, c1)
             triangle = {State(0, k, n - k): float(table.boundary[n, k])
-                        for n in range(c1 + 1) for k in range(n + 1)}
-            assert v == triangle
-            assert np.isnan(table.boundary[np.triu_indices(c1 + 1, 1)]).all()
-            assert table.levels[0].tolist() == table.boundary[c1].tolist()
-            assert table.levels[0].tolist() == [v[State(0, k, c1 - k)] for k in range(c1 + 1)]
+                        for n in range(c1) for k in range(n + 1)}
+            full_row = {State(0, k, c1 - k): x for k, x in enumerate(table.levels[0].tolist())}
+            assert v == {**triangle, **full_row}
+            assert np.isnan(table.boundary[np.triu_indices(c1, 1)]).all()
 
     @given(param_strategy)
     @settings(max_examples=40, deadline=None)
@@ -403,6 +404,10 @@ class TestSharedData:
             cst.y[1] = 0.0
         with pytest.raises(TypeError):
             cst.r2[1] = 0.0
+        with pytest.raises(TypeError):
+            heuristic_profile(EX1).entries[1] = 0
+        with pytest.raises(TypeError):
+            search_caps(EX1)[4] = 0
 
     def test_rule_writing_into_its_queue_argument_raises(self):
         def writer(q, kb, lb, n):
@@ -422,6 +427,8 @@ class TestSharedData:
         first, second = solve_optimal(ints, 12), solve_optimal(floats, 12)
         assert first.boundary is second.boundary
         assert constants(ints) is constants(floats)
+        assert heuristic_profile(ints) is heuristic_profile(floats)
+        assert search_caps(ints) is search_caps(floats)
         for params, table in ((ints, first), (floats, second)):
             assert {s: table[s] for s in table_states(table)} == scalar_solve(params, 12)
         rule = benchmark(ints, "pi4").rule

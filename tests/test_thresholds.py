@@ -209,7 +209,7 @@ class TestActualProfile:
         params = SystemParams(1, 1, 10.0, 4.0, 0.1, 1.0, 0.1)
         cap = search_caps(params)[1]
         # D(i, 1, 0) = 1.0 for i = 0..cap+1; NaN marks cells outside the index set.
-        boundary = np.array([[np.nan, np.nan], [np.nan, 1.0]])
+        boundary = np.full((1, 1), np.nan)
         levels = np.array([[np.nan, 1.0]] * (cap + 2))
         fake = DiffTable(params, cap + 1, boundary, levels)
         with pytest.raises(CapExceeded):
@@ -270,11 +270,14 @@ class TestDepthMachinery:
     def test_actual_profile_builds_one_heuristic_profile(self, monkeypatch):
         params = EXAMPLE_PARAMS["ex3b"]
         want = compute_actual_profile(params)
+        thresholds.heuristic_profile.cache_clear()
+        thresholds.search_caps.cache_clear()
         calls = []
         real = thresholds.constants
         monkeypatch.setattr(thresholds, "constants", lambda p: calls.append(p) or real(p))
         assert compute_actual_profile(params) == want
         assert len(calls) == 1
+        assert thresholds.heuristic_profile.cache_info().misses == 1
 
     def test_no_bound_for_provably_infinite(self):
         params = SystemParams(2, 1, 10.0, 12.0, 0.1, 1.0, 0.1)
