@@ -120,7 +120,7 @@ def cmd_thresholds(args) -> int:
 def cmd_sweep(args) -> int:
     outdir = args.outdir
     outdir.mkdir(parents=True, exist_ok=True)
-    tables = args.table if args.table else sorted(TABLE_DEFS)
+    tables = sorted(set(args.table or TABLE_DEFS))
     i0_values = sorted({TABLE_DEFS[t][2] for t in tables})
     result = sweep(SweepSpec(i0_values=tuple(i0_values)), jobs=args.jobs)
     result.write_raw_csv(outdir / "sweep_raw.csv")

@@ -17,12 +17,11 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import SystemParams, band_sign, band_signs, cost_gap_sign
+from .model import SystemParams, band_sign, band_signs, cost_gap_sign, snaps_to_integer
 from .policies import optimal_greedy, pi_prime, policy_by_id
 from .solver import (
     DiffTable,
     ValueTable,
-    boundary_diff_formula,
     diff,
     recursion_check,
     solve_optimal,
@@ -32,6 +31,7 @@ from .thresholds import (
     Classification,
     Condition1Verdict,
     actual_profile,
+    boundary_diff_formula,
     condition1,
     constants,
     heuristic_profile,
@@ -75,9 +75,9 @@ def _grid(server_configs, h0_values, h2_values, mu2_values, mu1, h1) -> Iterator
                     yield SystemParams(c1, c2, mu1, mu2, h0, h1, h2)
 
 
-def table4_params(server_configs: Sequence[tuple[int, int]] = TABLE4_SERVERS) -> list[SystemParams]:
+def table4_params() -> list[SystemParams]:
     """Every parameter combination of the study grid."""
-    return list(_grid(server_configs, TABLE4_H0, TABLE4_H2, TABLE4_MU2, TABLE4_MU1, TABLE4_H1))
+    return list(_grid(TABLE4_SERVERS, TABLE4_H0, TABLE4_H2, TABLE4_MU2, TABLE4_MU1, TABLE4_H1))
 
 
 _COST_REGIMES = {1: "lowcost", -1: "highcost", 0: "equal"}  # by the sign of h1/mu1 - h2/mu2
@@ -94,7 +94,12 @@ def policy_family(cost_regime: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep; defaults reproduce the study grid."""
+    """What to sweep; defaults reproduce the study grid.
+
+    Each point compares the policy family of its cost regime with the
+    optimal; points where h1/mu1 = h2/mu2 are left out.  A repeated value in
+    a sequence field would repeat raw rows, so it is rejected.
+    """
 
     server_configs: Sequence[tuple[int, int]] = TABLE4_SERVERS
     h0_values: Sequence[float] = TABLE4_H0
@@ -103,8 +108,6 @@ class SweepSpec:
     h1: float = TABLE4_H1
     mu1: float = TABLE4_MU1
     i0_values: Sequence[int] = (20, 30)
-    policies: Sequence[str] | None = None  # None: regime-appropriate family
-    include_equal_cost: bool = False
 
     def __post_init__(self):
         if not self.i0_values:
@@ -113,6 +116,11 @@ class SweepSpec:
             # bool is an Integral subtype, and 20.0 or "20" would only be coerced.
             if isinstance(i0, bool) or not isinstance(i0, numbers.Integral) or i0 < 0:
                 raise ValueError(f"i0_values must be non-negative integers, got {i0!r}")
+        for name in ("server_configs", "h0_values", "h2_values", "mu2_values", "i0_values"):
+            values = getattr(self, name)
+            for n, value in enumerate(values):
+                if value in values[:n]:
+                    raise ValueError(f"{name} must not repeat a value, got {value!r} twice")
 
 
 class ErrorStats(NamedTuple):
@@ -157,22 +165,19 @@ def _map(fn, jobs: int | None, chunksize: int, *args) -> list:
 
 def _sweep_combo(args) -> list[tuple]:
     """Raw error rows for one parameter combination (worker function)."""
-    params, i0_values, policies = args
+    params, i0_values = args
     c1 = params.C1
     point = (c1, params.C2, params.h0, params.h1, params.h2, params.mu1, params.mu2)
     depth = max(i0_values)
     optimal = solve_optimal(params, depth)
-    if policies is None:
-        policies = policy_family(cost_regime_label(params))
     # The start states (i0, k0, C1 - k0) of one i0 are row i0 of the levels.
     # Rows live as long as the sweep result, so they share floats: each
     # optimal value is read once for every policy, and a policy value that
     # ties it (about a quarter of the study grid's rows) reuses it.
     starts = [(i0, optimal.levels[i0].tolist()) for i0 in i0_values]
     rows = []
-    for policy_id in policies:
-        policy = policy_by_id(params, policy_id, value_table=optimal)
-        v_pi = solve_under_policy(params, policy, depth) if policy_id != "optimal" else optimal
+    for policy_id in policy_family(cost_regime_label(params)):
+        v_pi = solve_under_policy(params, policy_by_id(params, policy_id), depth)
         for i0, v_opts in starts:
             for k0, (v_opt_val, v_pi_val) in enumerate(zip(v_opts, v_pi.levels[i0].tolist())):
                 if v_pi_val == v_opt_val:
@@ -184,22 +189,16 @@ def _sweep_combo(args) -> list[tuple]:
 
 
 def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
-    """Relative errors of every requested policy over the grid.
+    """Relative errors of each point's policy family over the grid.
 
-    Strict-inequality regime captions exclude cost-order ties unless
-    include_equal_cost is set.  Aggregation is an associative merge over a
-    deterministically ordered combination list, so the worker count cannot
-    change the result.
+    The regime captions are strict inequalities, so cost-order ties are left
+    out.  Aggregation is an associative merge over a deterministically
+    ordered combination list, so the worker count cannot change the result.
     """
     grid = _grid(spec.server_configs, spec.h0_values, spec.h2_values, spec.mu2_values,
                  spec.mu1, spec.h1)
     i0_values = tuple(spec.i0_values)
-    policies = tuple(spec.policies) if spec.policies else None
-    combos = [
-        (params, i0_values, policies)
-        for params in grid
-        if spec.include_equal_cost or cost_gap_sign(params) != 0
-    ]
+    combos = [(params, i0_values) for params in grid if cost_gap_sign(params) != 0]
     raw_rows = [row for rows in _map(_sweep_combo, jobs, 8, combos) for row in rows]
     return SweepResult(stats=aggregate_stats(raw_rows), raw_rows=raw_rows)
 
@@ -239,9 +238,9 @@ def aggregate_stats(raw_rows: Iterable[tuple]) -> list[ErrorStats]:
     return stats
 
 
-def round_half_up(x: float, places: int = 2) -> float:
-    q = Decimal(10) ** -places
-    return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
+def round_half_up(x: float) -> float:
+    """x to 2 decimal places, ties away from zero, read from its shortest repr."""
+    return float(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 # Published table layout: (cost regime, rate split, initial queue).
@@ -469,7 +468,7 @@ def check_boundary_formula(params: SystemParams, dt: DiffTable):
 def check_policy_dominance(params: SystemParams, table: ValueTable, i_max: int):
     opt = table.levels[i_max]
     for policy_id in policy_family(cost_regime_label(params)):
-        policy = policy_by_id(params, policy_id, value_table=table)
+        policy = policy_by_id(params, policy_id)
         got = solve_under_policy(params, policy, i_max).levels[i_max]
         at = _first(got < opt - _ineq_tol(opt, got))
         if at is not None:
@@ -488,10 +487,6 @@ def check_greedy_reproduces_optimal(params: SystemParams, table: ValueTable, i_m
         return None
     (n,) = at
     return f"greedy value differs at {(int(i[n]), int(k[n]), int(l[n]))}"
-
-
-def _band_integer(r: float) -> bool:
-    return abs(r - round(r)) <= 1e-9 * max(1.0, abs(r))
 
 
 def check_threshold_structure(params: SystemParams, dt: DiffTable):
@@ -538,7 +533,7 @@ def check_threshold_structure(params: SystemParams, dt: DiffTable):
                 issues.append(f"h0<h2 but i_H({k}) > i_D({k})")
             if h_gap == 0 and i_h != i_d:
                 issues.append(f"h0=h2 but i_H({k}) != i_D({k})")
-        clean_k = not _band_integer(cst.r2[k])
+        clean_k = not snaps_to_integer(cst.r2[k])
         neighbour_strict = k >= 2 and spec[k - 1].classification is finite
         verdict = verdicts[k] = condition1(params, k)
         holds = verdict in (
@@ -550,7 +545,7 @@ def check_threshold_structure(params: SystemParams, dt: DiffTable):
                 issues.append(f"condition holds at k={k} but thresholds differ")
             # k - 1 has a longer Station 2 queue, so its verdict is already known.
             prev_holds = k >= 2 and verdicts[k - 1] == verdict
-            if prev_holds and neighbour_strict and not _band_integer(cst.r2[k - 1]):
+            if prev_holds and neighbour_strict and not snaps_to_integer(cst.r2[k - 1]):
                 if act[k] != act[k - 1] + 1:
                     issues.append(f"condition holds at k={k} but i_D increment != 1")
         if (

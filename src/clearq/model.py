@@ -24,6 +24,12 @@ ZERO_BAND = 1e-9
 # Root snapping for the closed-form threshold formulas, same rationale.
 INT_SNAP = 1e-9
 
+
+def snaps_to_integer(r: float) -> bool:
+    """Whether r lies within the INT_SNAP band of its nearest integer."""
+    return abs(r - round(r)) <= INT_SNAP * max(1.0, abs(r))
+
+
 # Bounds of the caches of derived data: entries per parameter set (boundary
 # triangle, constants, threshold spec, heuristic profile, search caps) and per
 # index grid shape or level kernel.

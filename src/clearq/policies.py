@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import GRID_CACHE_SIZE, SystemParams, ZERO_BAND, read_only
+from .model import GRID_CACHE_SIZE, SystemParams, band_signs, read_only
 from .thresholds import heuristic_profile, threshold_spec
 
 STATION1 = 1
@@ -90,7 +90,7 @@ def optimal_greedy(value_table) -> Policy:
         if np.any(level < 0):
             raise ValueError(f"queue {np.min(np.asarray(q))} < 1: no job is waiting to assign")
         d = d_arr[level, np.asarray(k_busy)]
-        return d > ZERO_BAND * (1.0 + np.abs(d))
+        return band_signs(d) > 0
 
     return Policy("optimal", rule)
 

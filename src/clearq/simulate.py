@@ -46,7 +46,7 @@ class SimEstimate:
     replications: int
     degenerate: bool = False  # single replication: no spread estimate
 
-    def to_json_dict(self, seed: int | None = None) -> dict:
+    def to_json_dict(self, seed: int) -> dict:
         data = {
             "mean": self.mean,
             "std_error": self.std_error,
@@ -54,8 +54,7 @@ class SimEstimate:
         }
         if self.degenerate:
             data["degenerate"] = True
-        if seed is not None:
-            data["seed"] = seed
+        data["seed"] = seed
         return data
 
 

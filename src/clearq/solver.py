@@ -13,8 +13,7 @@ fully-busy levels i = 0..i_max, so the full row n = C1 of the triangle is
 ``levels[0]`` and is held nowhere else.  Cells outside a table's index set
 are NaN.  The value tables of one parameter set share one read-only partial
 triangle, built once row by row, each row from the one before; the full row
-seeds each solve.  ``solve_boundary`` is the dict view of the triangle rows
-and the full row.
+seeds each solve.
 
 The levels come from a kernel generated once per C1 and variant (optimal, or
 under a policy's decisions) and unrolled over k.  It keeps the previous row
@@ -129,26 +128,6 @@ class DiffTable(_Table):
 
     def to_csv(self, path) -> None:
         self._write_csv(path, "D")
-
-
-def solve_boundary(params: SystemParams) -> dict[State, float]:
-    """Values of the no-decision layer i = 0, by total jobs in service, then k.
-
-    The dict view of the parameter set's cached triangle rows and full row.
-    """
-    boundary, full_row, _ = _fixed_parts(params)
-    return {
-        State(0, k, n - k): value
-        for n, row in enumerate([*boundary.tolist(), full_row])
-        for k, value in enumerate(row[:n + 1])
-    }
-
-
-def boundary_diff_formula(params: SystemParams, k: int, l: int) -> float:
-    """Closed form for D(0, k, l): h1/mu1 - max(l+1, C2)/C2 * h2/mu2."""
-    return params.h1 / params.mu1 - (max(l + 1, params.C2) / params.C2) * (
-        params.h2 / params.mu2
-    )
 
 
 @functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)
@@ -302,7 +281,6 @@ def diff(table: ValueTable) -> DiffTable:
 class RecursionReport:
     max_scaled_residual: float
     worst_state: State | None
-    checked: int
 
 
 def recursion_check(
@@ -320,7 +298,6 @@ def recursion_check(
     # scaled[i-1, k-1, form]: form 0 holds where D one level down is >= 0,
     # form 1 where it is <= 0; zero where the form does not apply.
     scaled = np.zeros((len(i), c1, 2))
-    checked = 0
     for k in range(1, c1 + 1):
         l = c1 - k
         here, prev = d[1:, k], d[:-1, k]
@@ -338,7 +315,6 @@ def recursion_check(
             scaled[:, k - 1, form] = np.where(
                 applies, np.abs(here - pred) / (1.0 + np.abs(here)), 0.0
             )
-            checked += int(np.count_nonzero(applies))
     scaled[np.isnan(scaled)] = np.inf  # a NaN difference fails, it is never skipped
     worst, worst_state = 0.0, None
     if scaled.size:
@@ -348,4 +324,4 @@ def recursion_check(
             worst = float(scaled.flat[at])
             level, k_index, _ = np.unravel_index(at, scaled.shape)
             worst_state = State(int(level) + 1, int(k_index) + 1, c1 - int(k_index) - 1)
-    return RecursionReport(worst, worst_state, checked)
+    return RecursionReport(worst, worst_state)

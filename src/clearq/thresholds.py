@@ -28,7 +28,6 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 from .model import (
-    INT_SNAP,
     PARAMS_CACHE_SIZE,
     SystemParams,
     band_sign,
@@ -36,6 +35,7 @@ from .model import (
     blocked_cost_gap_sign,
     cost_gap_sign,
     service_rate,
+    snaps_to_integer,
 )
 
 INF = math.inf
@@ -133,11 +133,15 @@ def surrogate(params: SystemParams, i: int, k: int) -> float:
     return i * cst.c + cst.b
 
 
+def boundary_diff_formula(params: SystemParams, k: int, l: int) -> float:
+    """Closed form for D(0, k, l): h1/mu1 - max(l+1, C2)/C2 * h2/mu2."""
+    return params.h1 / params.mu1 - (max(l + 1, params.C2) / params.C2) * (
+        params.h2 / params.mu2
+    )
+
+
 def _snap(r: float) -> float:
-    n = round(r)
-    if abs(r - n) <= INT_SNAP * max(1.0, abs(r)):
-        return float(n)
-    return r
+    return float(round(r)) if snaps_to_integer(r) else r
 
 
 def first_int_after_root(r: float) -> int:
@@ -354,9 +358,7 @@ def _search_cap(params: SystemParams, spec: ThresholdSpec, s: IndexSpec, heur: f
         c6_bound = -(params.h1 / params.mu1 - params.h2 / params.mu2)
         bounds.append(math.ceil(c6_bound / c5_coef) + 1)
     else:
-        c2_bound = params.h1 / params.mu1 - (max(l + 1, params.C2) / params.C2) * (
-            params.h2 / params.mu2
-        )
+        c2_bound = boundary_diff_formula(params, k, l)
         if rate >= 0:
             # mu1 >= mu2: crossing bound from the monotone-decrease argument.
             c1_coef = (params.mu1 - (params.mu2 if l < params.C2 else 0.0)) * params.h0 / d_prod

@@ -23,15 +23,8 @@ from clearq.experiments import (
 from clearq.model import State, SystemParams
 from clearq.policies import optimal_greedy, pi_prime
 from clearq.simulate import SimConfig, estimate
-from clearq.solver import (
-    boundary_diff_formula,
-    diff,
-    recursion_check,
-    solve_boundary,
-    solve_optimal,
-    solve_under_policy,
-)
-from clearq.thresholds import compute_actual_profile, heuristic_profile
+from clearq.solver import diff, recursion_check, solve_optimal, solve_under_policy
+from clearq.thresholds import boundary_diff_formula, compute_actual_profile, heuristic_profile
 
 from golden_tables import GOLDEN_TABLES, SERVER_COLUMNS
 
@@ -212,7 +205,7 @@ def test_criterion_6_boundary_formula(report):
     t0 = time.time()
     worst = 0.0
     for params in table4_params():
-        v = solve_boundary(params)
+        v = solve_optimal(params, 0)
         for total in range(1, params.C1 + 1):
             for k in range(1, total + 1):
                 l = total - k

@@ -232,16 +232,17 @@ class TestVerifyCommand:
 
 
 class TestSweepCommand:
-    def test_table_csv_written(self, tmp_path, monkeypatch):
-        # Plumbing check on a narrowed grid; full-grid accuracy is covered
-        # by the acceptance suite.
-        def small_sweep(spec, jobs=None):
-            return sweep(SweepSpec(
-                server_configs=((2, 1),), h0_values=(0.1,),
-                h2_values=(0.1, 2.0), mu2_values=(4.0, 12.0),
-                i0_values=spec.i0_values), jobs=1)
+    # Plumbing checks on a narrowed grid; full-grid accuracy is covered by
+    # the acceptance suite.
+    @staticmethod
+    def small_sweep(spec, jobs=None):
+        return sweep(SweepSpec(
+            server_configs=((2, 1),), h0_values=(0.1,),
+            h2_values=(0.1, 2.0), mu2_values=(4.0, 12.0),
+            i0_values=spec.i0_values), jobs=1)
 
-        monkeypatch.setattr(cli, "sweep", small_sweep)
+    def test_table_csv_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "sweep", self.small_sweep)
         code = run(["sweep", "--table", "5", "--table", "9",
                     "--outdir", str(tmp_path), "--jobs", "1"])
         assert code == 0
@@ -250,6 +251,23 @@ class TestSweepCommand:
         t9 = (tmp_path / "table9.csv").read_text().splitlines()
         assert t5[0].startswith("policy,stat,")
         assert t9[1].split(",")[0] == "heuristic"
+
+    def test_repeated_table_written_once(self, tmp_path, monkeypatch, capsys):
+        written = []
+
+        def write_table_csv(stats, table, path):
+            written.append(table)
+            real_write_table_csv(stats, table, path)
+
+        real_write_table_csv = cli.write_table_csv
+        monkeypatch.setattr(cli, "sweep", self.small_sweep)
+        monkeypatch.setattr(cli, "write_table_csv", write_table_csv)
+        code = run(["sweep", "--table", "5", "--table", "5",
+                    "--outdir", str(tmp_path), "--jobs", "1"])
+        assert code == 0
+        assert written == [5]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep_raw.csv", "table5.csv"]
+        assert capsys.readouterr().out.endswith(" and 1 aggregated table(s)\n")
 
 
 class TestCurveCommand:

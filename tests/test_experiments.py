@@ -43,16 +43,6 @@ class TestSweep:
     def test_errors_nonnegative(self, small_result):
         assert all(row[-1] >= -1e-9 for row in small_result.raw_rows)
 
-    def test_optimal_policy_errors_zero(self):
-        spec = SweepSpec(
-            server_configs=((2, 1),),
-            h0_values=(0.1,), h2_values=(0.1,), mu2_values=(4.0,),
-            i0_values=(20,), policies=("optimal",),
-        )
-        result = sweep(spec)
-        assert result.raw_rows
-        assert all(row[-1] == 0.0 for row in result.raw_rows)
-
     def test_heuristic_dominates_benchmarks_per_cell(self, small_result):
         by_cell = {}
         for s in small_result.stats:
@@ -81,17 +71,14 @@ class TestSweep:
         assert checked
 
     def test_equal_cost_excluded_by_default(self, small_result):
-        # (h2=0.1, mu2=... ) none equal here; verify via a spec that contains one
+        # h1/mu1 = h2/mu2 at the one point of this spec: the point has rows, the sweep none.
         spec = SweepSpec(
             server_configs=((2, 1),), h0_values=(0.1,), h2_values=(1.0,),
             mu2_values=(10.0,), i0_values=(20,),
         )
         assert not sweep(spec).raw_rows
-        spec_inc = SweepSpec(
-            server_configs=((2, 1),), h0_values=(0.1,), h2_values=(1.0,),
-            mu2_values=(10.0,), i0_values=(20,), include_equal_cost=True,
-        )
-        assert sweep(spec_inc).raw_rows
+        tie = SystemParams(2, 1, 10.0, 10.0, 0.1, 1.0, 1.0)
+        assert experiments._sweep_combo((tie, (20,)))
 
     def test_parallel_equals_serial(self):
         spec = SweepSpec(
@@ -112,19 +99,28 @@ class TestSweep:
         assert lines[1].split(",")[:2] == ["heuristic", "max"]
         assert len(lines) == 1 + 5 * 3
 
-    @pytest.mark.parametrize("i0_values, shown", [
-        ((), "at least one"),
-        ([], "at least one"),
-        ((-1, 20), "-1"),
-        ((20, True), "True"),
-        ((20.0,), "20.0"),
-        (("20",), "'20'"),
-    ])
-    def test_bad_initial_queues_rejected(self, i0_values, shown):
+    BAD_FIELDS = [
+        ("i0_values", (), "at least one"),
+        ("i0_values", [], "at least one"),
+        ("i0_values", (-1, 20), "-1"),
+        ("i0_values", (20, True), "True"),
+        ("i0_values", (20.0,), "20.0"),
+        ("i0_values", ("20",), "'20'"),
+        ("i0_values", (20, 30, 20), "20 twice"),
+        ("server_configs", ((2, 1), (3, 1), (2, 1)), "(2, 1) twice"),
+        ("h0_values", (0.1, 0.1), "0.1 twice"),
+        ("h2_values", [0.5, 1.0, 1.0], "1.0 twice"),
+        ("mu2_values", (4.0, 4), "4 twice"),
+    ]
+
+    # Ids as pytest makes them for a first argument named after the field.
+    @pytest.mark.parametrize("field, values, shown", BAD_FIELDS, ids=[
+        f"{field}{n}-{shown}" for n, (field, _, shown) in enumerate(BAD_FIELDS)])
+    def test_bad_initial_queues_rejected(self, field, values, shown):
         with pytest.raises(ValueError) as exc:
-            SweepSpec(i0_values=i0_values)
+            SweepSpec(**{field: values})
         message = str(exc.value)
-        assert message.startswith("i0_values must ") and shown in message
+        assert message.startswith(f"{field} must ") and shown in message
         assert "\n" not in message
 
     def test_initial_queue_zero_reads_the_boundary_row(self):
@@ -334,10 +330,10 @@ class TestGrid:
     def test_aggregate_stats_equals_oracle_on_interleaved_points(self):
         # Points of every cost and rate regime, equal-cost ties included, with
         # their rows dealt out one at a time so no point's rows form a block.
-        spec = SweepSpec(server_configs=((2, 1), (3, 2)), h0_values=(0.1,),
-                         h2_values=(0.1, 1.0, 2.0), mu2_values=(4.0, 10.0, 25.0),
-                         i0_values=(20, 5), include_equal_cost=True)
-        rows = sweep(spec).raw_rows
+        # The sweep leaves ties out, so the rows come from its per-point worker.
+        grid = experiments._grid(((2, 1), (3, 2)), (0.1,), (0.1, 1.0, 2.0),
+                                 (4.0, 10.0, 25.0), 10.0, 1.0)
+        rows = [row for params in grid for row in experiments._sweep_combo((params, (20, 5)))]
         blocks = {}
         for row in rows:
             blocks.setdefault(row[:7], []).append(row)

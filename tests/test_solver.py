@@ -7,16 +7,14 @@ from hypothesis import given, settings, strategies as st
 from clearq.experiments import EXAMPLE_PARAMS
 from clearq.model import State, SystemParams, service_rate
 from clearq.policies import POLICY_IDS, benchmark, decision_grid, optimal_greedy, policy_by_id
-from clearq.solver import (
-    IndexOutOfSpace,
+from clearq.solver import IndexOutOfSpace, diff, recursion_check, solve_optimal, solve_under_policy
+from clearq.thresholds import (
     boundary_diff_formula,
-    diff,
-    recursion_check,
-    solve_boundary,
-    solve_optimal,
-    solve_under_policy,
+    constants,
+    heuristic_profile,
+    probs,
+    search_caps,
 )
-from clearq.thresholds import constants, heuristic_profile, probs, search_caps
 
 EX1 = SystemParams(4, 2, 3.0, 0.96, 0.1, 1.0, 0.16)
 
@@ -40,7 +38,7 @@ def enumerate_states(params, i_max):
 def dict_boundary(params):
     """The i = 0 recursion over dict[State, float] that preceded the cached triangle.
 
-    Kept here as the oracle of ``solve_boundary`` and of every table's boundary.
+    Kept here as the oracle of every table's boundary.
     """
     v = {State(0, 0, 0): 0.0}
     for total in range(1, params.C1 + 1):
@@ -75,26 +73,30 @@ param_strategy = st.builds(
 
 
 class TestBoundary:
+    """The i = 0 layer, read from a depth-0 optimal table."""
+
     def test_empty_state_is_free(self):
-        v = solve_boundary(EX1)
+        v = solve_optimal(EX1, 0)
         assert v[State(0, 0, 0)] == 0.0
 
     def test_single_station1_job(self):
         params = SystemParams(2, 2, 10.0, 4.0, 0.01, 1.0, 0.1)
-        v = solve_boundary(params)
+        v = solve_optimal(params, 0)
         assert v[State(0, 1, 0)] == pytest.approx(0.1)
 
     def test_single_station2_job(self):
         params = SystemParams(2, 2, 10.0, 4.0, 0.01, 1.0, 0.1)
-        v = solve_boundary(params)
+        v = solve_optimal(params, 0)
         assert v[State(0, 0, 1)] == pytest.approx(0.1 / 4.0)
 
     @pytest.mark.parametrize("c1", range(1, 7))
     def test_dict_view_of_the_cached_triangle(self, c1):
         for c2 in (1, c1 + 1):
             params = SystemParams(c1, c2, 3.0, 1.5 * c2, 0.2, 1.0, 0.4)
-            v = solve_boundary(params)
-            assert list(v) == enumerate_states(params, 0)
+            layer = solve_optimal(params, 0)
+            states = enumerate_states(params, 0)
+            assert table_states(layer) == states
+            v = {s: layer[s] for s in states}
             assert all(type(x) is float for x in v.values())
             assert v == dict_boundary(params)
             # The table holds rows n < C1 of the triangle; row C1 is levels[0] alone.
@@ -109,7 +111,7 @@ class TestBoundary:
     @given(param_strategy)
     @settings(max_examples=40, deadline=None)
     def test_boundary_difference_matches_closed_form(self, params):
-        v = solve_boundary(params)
+        v = solve_optimal(params, 0)
         for total in range(1, params.C1 + 1):
             for k in range(1, total + 1):
                 l = total - k
