@@ -254,12 +254,12 @@ class TestSweepCommand:
 
     def test_repeated_table_written_once(self, tmp_path, monkeypatch, capsys):
         written = []
+        real_write_table_csv = cli.write_table_csv
 
         def write_table_csv(stats, table, path):
             written.append(table)
             real_write_table_csv(stats, table, path)
 
-        real_write_table_csv = cli.write_table_csv
         monkeypatch.setattr(cli, "sweep", self.small_sweep)
         monkeypatch.setattr(cli, "write_table_csv", write_table_csv)
         code = run(["sweep", "--table", "5", "--table", "5",
