@@ -110,17 +110,26 @@ class SweepSpec:
     i0_values: Sequence[int] = (20, 30)
 
     def __post_init__(self):
-        if not self.i0_values:
-            raise ValueError("i0_values must name at least one initial queue length")
+        for pair in self.server_configs:
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and _is_integer(pair[0]) and _is_integer(pair[1]) and min(pair) > 0):
+                raise ValueError(
+                    f"server_configs must hold pairs of positive integers (C1, C2), got {pair!r}")
         for i0 in self.i0_values:
-            # bool is an Integral subtype, and 20.0 or "20" would only be coerced.
-            if isinstance(i0, bool) or not isinstance(i0, numbers.Integral) or i0 < 0:
+            if not _is_integer(i0) or i0 < 0:
                 raise ValueError(f"i0_values must be non-negative integers, got {i0!r}")
         for name in ("server_configs", "h0_values", "h2_values", "mu2_values", "i0_values"):
             values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must name at least one value")
             for n, value in enumerate(values):
                 if value in values[:n]:
                     raise ValueError(f"{name} must not repeat a value, got {value!r} twice")
+
+
+def _is_integer(x) -> bool:
+    # bool is an Integral subtype, and 20.0 or "20" would only be coerced.
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 class ErrorStats(NamedTuple):

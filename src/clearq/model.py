@@ -31,8 +31,9 @@ def snaps_to_integer(r: float) -> bool:
 
 
 # Bounds of the caches of derived data: entries per parameter set (boundary
-# triangle, constants, threshold spec, heuristic profile, search caps) and per
-# index grid shape or level kernel.
+# triangle, constants, threshold spec, heuristic profile, search caps), and
+# per index grid shape, level kernel, benchmark policy or depth of one rule's
+# decision rows.
 PARAMS_CACHE_SIZE = 32
 GRID_CACHE_SIZE = 32
 
@@ -80,6 +81,13 @@ class SystemParams:
 
     def __post_init__(self):
         validate(self)
+        # Every cache of derived data looks a parameter set up by its hash.
+        # The field tuple's hash, so equal int and float sets hash equal.
+        object.__setattr__(self, "_hash", hash(
+            (self.C1, self.C2, self.mu1, self.mu2, self.h0, self.h1, self.h2)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def m(self) -> float:

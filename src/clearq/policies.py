@@ -11,7 +11,8 @@ covers both completion types.
 Rules accept scalars or numpy arrays and must act elementwise: the solver and
 the simulator both evaluate them once per completing station, on the whole
 (queue, k_busy) grid (``decision_grid``), whose shared index arrays are
-read-only.
+read-only.  The solver reuses a rule's decisions at each (C1, depth) while
+the rule object lives, so a rule must be a pure function of its arguments.
 """
 from __future__ import annotations
 
@@ -132,10 +133,16 @@ def benchmark(params: SystemParams, which: str) -> Policy:
     pi1/tpi1 always independent; pi3/tpi3 always collaborative; pi2
     collaborates iff q <= 10 and tpi2 iff q > 10 (the constant 10 is part of
     the benchmark definition); pi4/tpi4 collaborate iff no Station 2 wait,
-    which reads l_busy < C2 for either completion type.
+    which reads l_busy < C2 for either completion type.  The rules read
+    nothing but C2, so the policy is one shared object per (which, C2), and
+    the solver derives its decisions once per depth.
     """
+    return _benchmark(which, params.C2)
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _benchmark(which: str, c2: int) -> Policy:
     if which in ("pi4", "tpi4"):
-        c2 = params.C2
         return Policy(which, lambda q, kb, lb, n: np.asarray(lb) < c2)
     if which not in _FIXED_RULES:
         raise ValueError(f"unknown benchmark {which!r}; expected one of {BENCHMARK_IDS}")

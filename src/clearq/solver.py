@@ -23,6 +23,7 @@ value table's ``levels`` is a float64 view of that buffer.
 from __future__ import annotations
 
 import functools
+import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Callable
@@ -229,6 +230,37 @@ def _kernel(c1: int, variant: str) -> Callable:
     return namespace["kernel"]
 
 
+# Each rule's decision rows by (C1, depth), kept while the rule object lives.
+# Rules are held weakly: a greedy rule holds its value table's differences.
+_DECISION_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _evaluate(rule: Callable, c1: int, i_max: int) -> tuple[list, list]:
+    after1, after2 = decision_grid(rule, c1, i_max)
+    return after1.tolist(), after2.tolist()
+
+
+def _decision_rows(rule: Callable, c1: int, i_max: int) -> tuple[list, list]:
+    """The policy kernel's decision rows, evaluated once per rule, C1 and depth.
+
+    A rule keeps its GRID_CACHE_SIZE latest depths.  A rule that cannot be
+    weakly referenced, or hashed, is evaluated on every call.
+    """
+    try:
+        memo = _DECISION_ROWS.get(rule)
+    except TypeError:
+        return _evaluate(rule, c1, i_max)
+    rows = None if memo is None else memo.get((c1, i_max))
+    if rows is None:
+        rows = _evaluate(rule, c1, i_max)
+        if memo is None:
+            memo = _DECISION_ROWS[rule] = {}
+        elif len(memo) >= GRID_CACHE_SIZE:
+            del memo[next(iter(memo))]
+        memo[c1, i_max] = rows
+    return rows
+
+
 def _solve(params: SystemParams, i_max: int, rule: Callable | None, kind: str) -> ValueTable:
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
@@ -239,8 +271,7 @@ def _solve(params: SystemParams, i_max: int, rule: Callable | None, kind: str) -
         if rule is None:
             kernel, decisions = _kernel(c1, "optimal"), ()
         else:
-            after1, after2 = decision_grid(rule, c1, i_max)
-            kernel, decisions = _kernel(c1, "policy"), (after1.tolist(), after2.tolist())
+            kernel, decisions = _kernel(c1, "policy"), _decision_rows(rule, c1, i_max)
         kernel(buffer.extend, full_row, coefficients, params.h0, i_max, *decisions)
     levels = np.frombuffer(buffer).reshape(i_max + 1, c1 + 1)
     return ValueTable(params, i_max, boundary, levels, kind)
@@ -256,7 +287,9 @@ def solve_under_policy(params: SystemParams, policy, i_max: int) -> ValueTable:
 
     The policy is called as policy(q, k_busy, l_busy, station), once per
     station with integer arrays over every decision of the table, so it must
-    be elementwise and total for q up to i_max.
+    be elementwise and total for q up to i_max.  Its decisions are worked out
+    once per (C1, depth) and reused for as long as the policy object lives,
+    so it must be a pure function of its arguments.
     """
     policy_id = getattr(policy, "id", getattr(policy, "__name__", "anonymous"))
     return _solve(params, i_max, policy, f"policy:{policy_id}")

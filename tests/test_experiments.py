@@ -11,6 +11,8 @@ from clearq.experiments import (
     aggregate_stats,
     check_boundary_formula,
     check_diagonal_monotone,
+    check_greedy_reproduces_optimal,
+    check_policy_dominance,
     check_single_sign_change,
     cost_regime_label,
     dh_curve,
@@ -23,7 +25,8 @@ from clearq.experiments import (
     write_table_csv,
 )
 from clearq.model import SystemParams
-from clearq.solver import DiffTable, diff, solve_optimal
+from clearq.policies import pi_prime
+from clearq.solver import DiffTable, ValueTable, diff, solve_optimal, solve_under_policy
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +114,16 @@ class TestSweep:
         ("h0_values", (0.1, 0.1), "0.1 twice"),
         ("h2_values", [0.5, 1.0, 1.0], "1.0 twice"),
         ("mu2_values", (4.0, 4), "4 twice"),
+        ("server_configs", (), "at least one"),
+        ("h0_values", (), "at least one"),
+        ("h2_values", [], "at least one"),
+        ("mu2_values", (), "at least one"),
+        ("server_configs", ((2,),), "(2,)"),
+        ("server_configs", ((2, 1), (2, 0)), "(2, 0)"),
+        ("server_configs", ((2.0, 1),), "(2.0, 1)"),
+        ("server_configs", ((True, 1),), "(True, 1)"),
+        ("server_configs", ((2, 1, 1),), "(2, 1, 1)"),
+        ("server_configs", (2,), "got 2"),
     ]
 
     # Ids as pytest makes them for a first argument named after the field.
@@ -195,6 +208,31 @@ class TestVerify:
         corrupted[0, 2] += 1e-6
         bad = DiffTable(params, 5, dt.boundary, corrupted)
         assert check_boundary_formula(params, bad) == "D(0,2,2) != boundary formula"
+
+    def test_fault_injection_flags_policy_dominance(self):
+        # At ex6, depth 10, k = 1, pi2 does better than the heuristic.  An
+        # optimal value raised to the heuristic's passes the heuristic and
+        # flags pi2, the first family member below it.
+        params = EXAMPLE_PARAMS["ex6"]
+        table = solve_optimal(params, 10)
+        assert check_policy_dominance(params, table, 10) is None
+        heuristic = solve_under_policy(params, pi_prime(params), 10).levels[10]
+        raised = table.levels.copy()
+        raised[10, 1] = heuristic[1]
+        bad = ValueTable(params, 10, table.boundary, raised, "optimal")
+        assert check_policy_dominance(params, bad, 10) == "v^pi2(10,1,3) < optimal"
+
+    def test_fault_injection_flags_greedy_value(self):
+        # Decisions at queue q > 4 move only the levels above 4, so the
+        # corrupted entry is the first that differs.
+        params = EXAMPLE_PARAMS["ex1"]
+        table = solve_optimal(params, 10)
+        assert check_greedy_reproduces_optimal(params, table, 10) is None
+        corrupted = table.levels.copy()
+        corrupted[4, 2] += 1.0
+        bad = ValueTable(params, 10, table.boundary, corrupted, "optimal")
+        assert check_greedy_reproduces_optimal(params, bad, 10) == (
+            "greedy value differs at (4, 2, 2)")
 
     def test_report_json(self, tmp_path):
         report = verify([EXAMPLE_PARAMS["ex1"]], 15)

@@ -56,6 +56,12 @@ class TestValidate:
         with pytest.raises(ParameterError, match=f"{field} must be a number"):
             SystemParams(**kwargs)
 
+    def test_hash_is_the_field_tuple_hash(self):
+        ints, floats = make(), make(mu1=10.0, mu2=4.0, h0=0.01, h1=1.0, h2=0.1)
+        fields = (2, 1, 10, 4, 0.01, 1, 0.1)
+        assert hash(ints) == hash(fields) == hash(floats) and ints == floats
+        assert hash(make(C1=3)) == hash((3,) + fields[1:])
+
     def test_ratio_m(self):
         assert make(mu1=10, mu2=4).m == pytest.approx(0.4)
 

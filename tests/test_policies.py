@@ -174,6 +174,15 @@ class TestBenchmarks:
         with pytest.raises(ValueError):
             benchmark(EXAMPLE_PARAMS["ex1"], "pi9")
 
+    def test_one_shared_policy_per_id_and_c2(self):
+        # ex1 and ex2 differ in rates and costs only; ex6 has C2 = 3.
+        ex1, ex2, ex6 = (EXAMPLE_PARAMS[name] for name in ("ex1", "ex2", "ex6"))
+        for which in ("pi4", "tpi4", "pi1"):
+            assert benchmark(ex1, which) is benchmark(ex2, which)
+            assert benchmark(ex1, which) is not benchmark(ex6, which)
+        assert benchmark(ex1, "pi4") is not benchmark(ex1, "tpi4")
+        assert decide(benchmark(ex6, "pi4"), 7, 1, 2, STATION1) == 1  # l_busy < C2 = 3
+
 
 class TestPolicyById:
     def test_ids(self):

@@ -1,12 +1,16 @@
+import gc
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clearq.experiments import EXAMPLE_PARAMS
-from clearq.model import State, SystemParams, service_rate
+from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep
+from clearq.model import GRID_CACHE_SIZE, State, SystemParams, service_rate
 from clearq.policies import POLICY_IDS, benchmark, decision_grid, optimal_greedy, policy_by_id
+import clearq.solver as solver
 from clearq.solver import IndexOutOfSpace, diff, recursion_check, solve_optimal, solve_under_policy
 from clearq.thresholds import (
     boundary_diff_formula,
@@ -417,8 +421,10 @@ class TestSharedData:
             return q <= 3
 
         want = scalar_solve(EX1, 9, lambda q, kb, lb, n: q <= 3)
-        with pytest.raises(ValueError, match="read-only"):
-            solve_under_policy(EX1, writer, 9)
+        for _ in range(2):  # a failed evaluation leaves nothing to reuse
+            with pytest.raises(ValueError, match="read-only"):
+                solve_under_policy(EX1, writer, 9)
+            assert writer not in solver._DECISION_ROWS
         table = solve_under_policy(EX1, lambda q, kb, lb, n: np.asarray(q) <= 3, 9)
         assert {s: table[s] for s in table_states(table)} == want
 
@@ -437,3 +443,71 @@ class TestSharedData:
         for params in (ints, floats):
             table = solve_under_policy(params, rule, 12)
             assert {s: table[s] for s in table_states(table)} == scalar_solve(params, 12, rule)
+
+
+class TestDecisionRows:
+    """Each rule's decision rows are derived once per (C1, depth) while the rule lives."""
+
+    def test_benchmark_rules_evaluated_once_per_depth_across_a_sweep(self, monkeypatch):
+        # Eight points of one (C1, C2) block, in both cost regimes.
+        spec = dict(server_configs=((3, 2),), h0_values=(0.1, 1.0), h2_values=(0.1, 2.0),
+                    mu2_values=(4.0, 12.0))
+        evaluated = Counter()
+        real = solver.decision_grid
+
+        def counting(rule, c1, q_max):
+            evaluated[rule.id, q_max] += 1
+            return real(rule, c1, q_max)
+
+        monkeypatch.setattr(solver, "decision_grid", counting)
+        solver._DECISION_ROWS.clear()
+        first = sweep(SweepSpec(**spec, i0_values=(20,)))
+        assert sweep(SweepSpec(**spec, i0_values=(20,))) == first
+        sweep(SweepSpec(**spec, i0_values=(25,)))
+        ids = {row[10] for row in first.raw_rows}
+        assert ids == {"heuristic", "pi1", "pi2", "pi3", "pi4", "tpi1", "tpi2", "tpi3", "tpi4"}
+        assert evaluated == Counter(
+            {(which, depth): 1 for which in ids - {"heuristic"} for depth in (20, 25)}
+            | {("heuristic", 20): 16, ("heuristic", 25): 8})
+
+    def test_greedy_entry_dies_with_its_policy(self):
+        table = solve_optimal(EX1, 400)
+        greedy = optimal_greedy(table)
+        want = solve_under_policy(EX1, greedy, 400).levels
+        assert (solve_under_policy(EX1, greedy, 400).levels == want).all()
+        assert list(solver._DECISION_ROWS[greedy]) == [(EX1.C1, 400)]
+        gone = weakref.ref(greedy)
+        del greedy, table
+        gc.collect()
+        assert gone() is None
+        assert not [policy for policy in solver._DECISION_ROWS if policy.id == "optimal"]
+
+    def test_depths_per_rule_are_bounded(self):
+        def rule(q, kb, lb, n):
+            return np.asarray(q) <= 3
+
+        depths = range(1, GRID_CACHE_SIZE + 6)
+        for depth in depths:
+            solve_under_policy(EX1, rule, depth)
+        assert list(solver._DECISION_ROWS[rule]) == [
+            (EX1.C1, depth) for depth in depths[-GRID_CACHE_SIZE:]]
+
+    def test_rule_without_weak_references_is_evaluated_every_solve(self):
+        class Counted:
+            __slots__ = ("calls",)
+
+            def __init__(self):
+                self.calls = 0
+
+            def __call__(self, q, kb, lb, n):
+                self.calls += 1
+                return np.asarray(q) <= 3
+
+        rule = Counted()
+        with pytest.raises(TypeError):
+            weakref.ref(rule)
+        first = solve_under_policy(EX1, rule, 9)
+        second = solve_under_policy(EX1, rule, 9)
+        assert rule.calls == 4  # two stations per solve
+        assert (first.levels == second.levels).all()
+        assert {s: first[s] for s in table_states(first)} == scalar_solve(EX1, 9, rule)
