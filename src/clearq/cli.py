@@ -3,8 +3,9 @@
 Subcommands: solve, thresholds, sweep, simulate, verify, curve.  System
 parameters come from flags, a JSON file, or a named example preset; flags
 override file values.  Exit codes: 0 success, 1 verification failure,
-2 usage error, including bad parameters and files that cannot be read or
-written; every exit-2 error is one `clearq: ...` line on standard error.
+2 usage error, including bad parameters, files that cannot be read or
+written, and a depth too large to allocate; every exit-2 error is one
+`clearq: ...` line on standard error.
 """
 from __future__ import annotations
 
@@ -232,6 +233,8 @@ def main(argv=None) -> int:
         parser.exit(2, f"clearq: parameter error: {exc}\n")
     except (ValueError, OSError) as exc:
         parser.exit(2, f"clearq: {exc}\n")
+    except MemoryError as exc:  # a table too large to allocate reserves nothing
+        parser.exit(2, f"clearq: out of memory: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -249,6 +248,7 @@ def aggregate_stats(raw_rows: Iterable[tuple]) -> list[ErrorStats]:
 
 def round_half_up(x: float) -> float:
     """x to 2 decimal places, ties away from zero, read from its shortest repr."""
+    from decimal import ROUND_HALF_UP, Decimal  # only the table writers round
     return float(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 

@@ -15,16 +15,16 @@ are NaN.  The value tables of one parameter set share one read-only partial
 triangle, built once row by row, each row from the one before; the full row
 seeds each solve.
 
-The levels come from a kernel generated once per C1 and variant (optimal, or
-under a policy's decisions) and unrolled over k.  It keeps the previous row
-in local variables and appends each row to one ``array('d')`` buffer, so a
-value table's ``levels`` is a float64 view of that buffer.
+``levels`` is one float64 array, allocated at its final size and filled a
+chunk of CHUNK levels at a time.  The levels come from a kernel generated
+once per C1 and variant (optimal, or under a policy's decisions) and
+unrolled over k.  It keeps the previous row in local variables, resumes from
+a given row, and returns its last row to seed the next chunk.
 """
 from __future__ import annotations
 
 import functools
 import weakref
-from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -169,20 +169,24 @@ def _fixed_parts(params: SystemParams) -> tuple[np.ndarray, tuple, tuple]:
     return boundary, rows[c1], coefficients
 
 
-# The level loop, unrolled over k = 0..C1.  Python sums left to right, so entry
-# k of row i is ((((i*h0 + hold1) + hold2) + up*pick1) + down*pick2) / rate, the
-# order of the scalar recursion; k = 0 has no up term and k = C1 no down term.
-# The previous row lives in locals p0..pC1, and each new row is appended to the
-# caller's buffer.
+# The level loop over levels start..stop-1, unrolled over k = 0..C1.  Python
+# sums left to right, so entry k of row i is
+# ((((i*h0 + hold1) + hold2) + up*pick1) + down*pick2) / rate, the order of the
+# scalar recursion; k = 0 has no up term and k = C1 no down term.  An entry
+# depends only on i and the previous row, so a solve resumed from the row
+# before ``start`` gives the same bits as one run from level 1.  The previous
+# row lives in locals p0..pC1; each new row is added to the caller's list
+# ``flat``, and the last one is returned to seed the next chunk.
 _KERNEL_TEMPLATE = """\
-def kernel(extend, row, coefficients, h0, i_max, *decisions):
+def kernel(flat, row, coefficients, h0, start, stop, *decisions):
     {prev} = row
     {coefficients} = coefficients
     for {loop}:
         q = i * h0
 {picks}        row = ({entries})
-        extend(row)
+        flat += row
         {prev} = row
+    return row
 """
 
 
@@ -197,22 +201,22 @@ def _kernel(c1: int, variant: str) -> Callable:
     """The level kernel for C1 = c1, built once per variant.
 
     The "optimal" kernel picks the cheaper successor; the "policy" kernel takes
-    the rows of the decision grids ``after1`` and ``after2`` as two more
-    arguments.  The generated source interpolates nothing but the column
-    numbers 0..c1.
+    the rows of the decision grids ``after1`` and ``after2`` for levels
+    start..stop-1 as two more arguments.  The generated source interpolates
+    nothing but the column numbers 0..c1.
     """
     ks = range(c1 + 1)
     if variant == "optimal":
         # The up pick of entry k and the down pick of entry k - 1 choose between
         # the same stay = p{k} and move = p{k-1}, so one m{k} serves both.
         # "move if move < stay else stay" keeps stay on a tie.
-        loop = "i in range(1, i_max + 1)"
+        loop = "i in range(start, stop)"
         picks = "".join(f"        m{k} = p{k - 1} if p{k - 1} < p{k} else p{k}\n" for k in ks[1:])
         entries = [_entry(k, c1, f"m{k}", f"m{k + 1}") for k in ks]
     else:
         go1 = ", ".join(["_"] + [f"s{k}" for k in ks[1:]])
         go2 = ", ".join([f"t{k}" for k in ks[:-1]] + ["_"])
-        loop = f"i, ({go1}), ({go2}) in zip(range(1, i_max + 1), *decisions)"
+        loop = f"i, ({go1}), ({go2}) in zip(range(start, stop), *decisions)"
         picks = ""
         entries = [
             _entry(k, c1, f"(p{k - 1} if s{k} else p{k})", f"(p{k} if t{k} else p{k + 1})")
@@ -261,19 +265,31 @@ def _decision_rows(rule: Callable, c1: int, i_max: int) -> tuple[list, list]:
     return rows
 
 
+# Levels per kernel call: the floats of one chunk are held as Python objects
+# until they are written into ``levels`` with one slice assignment.
+CHUNK = 512
+
+
 def _solve(params: SystemParams, i_max: int, rule: Callable | None, kind: str) -> ValueTable:
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
     c1 = params.C1
     boundary, full_row, coefficients = _fixed_parts(params)
-    buffer = array("d", full_row)
+    levels = np.empty((i_max + 1, c1 + 1))
+    levels[0] = full_row
     if i_max:
         if rule is None:
             kernel, decisions = _kernel(c1, "optimal"), ()
         else:
             kernel, decisions = _kernel(c1, "policy"), _decision_rows(rule, c1, i_max)
-        kernel(buffer.extend, full_row, coefficients, params.h0, i_max, *decisions)
-    levels = np.frombuffer(buffer).reshape(i_max + 1, c1 + 1)
+        cells, row, width = levels.reshape(-1), full_row, c1 + 1
+        for start in range(1, i_max + 1, CHUNK):
+            stop = min(start + CHUNK, i_max + 1)
+            chunk = []
+            # Decision row i - 1 belongs to level i.
+            row = kernel(chunk, row, coefficients, params.h0, start, stop,
+                         *(rows[start - 1:stop - 1] for rows in decisions))
+            cells[start * width:stop * width] = chunk
     return ValueTable(params, i_max, boundary, levels, kind)
 
 

@@ -106,6 +106,16 @@ class TestSolveCommand:
         assert err.startswith("clearq: ") and err.count("\n") == 1
         assert "plain-file" in err
 
+    def test_depth_too_large_to_allocate_one_line_error(self, tmp_path, capsys):
+        # The table's allocation fails at once, far beyond any address space.
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--preset", "ex1", "--imax", "1000000000000000",
+                 "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("clearq: out of memory: ") and err.count("\n") == 1
+        assert not (tmp_path / "values.csv").exists()
+
 
 class TestThresholdsCommand:
     def test_condition_column_and_values(self, tmp_path):

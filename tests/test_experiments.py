@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +157,22 @@ class TestSweep:
 
 
 class TestRounding:
+    def test_only_rounding_loads_decimal(self):
+        """A sweep leaves decimal unloaded; round_half_up loads it when the tables are written."""
+        code = (
+            "import sys\n"
+            "from clearq.experiments import SweepSpec, round_half_up, sweep\n"
+            "sweep(SweepSpec(server_configs=((2, 1),), h0_values=(0.1,), h2_values=(0.5,),\n"
+            "                mu2_values=(4.0,), i0_values=(5,)), jobs=1)\n"
+            "print('decimal' in sys.modules)\n"
+            "round_half_up(0.005)\n"
+            "print('decimal' in sys.modules)\n"
+        )
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.split() == ["False", "True"]
+
     def test_half_up(self):
         assert round_half_up(0.005) == 0.01
         assert round_half_up(0.004999) == 0.0

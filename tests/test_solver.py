@@ -323,6 +323,53 @@ class TestScalarOracle:
         want = scalar_solve(params, 400)
         assert {s: table[s] for s in table_states(table)} == want
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_any_chunk_size_equals_scalar_recursion(self, chunk, monkeypatch):
+        """A solve resumed at every chunk boundary gives the one-shot bits."""
+        monkeypatch.setattr(solver, "CHUNK", chunk)
+        for params, i_max in ((EX1, 23), (EXAMPLE_PARAMS["ex3"], 15), (EXAMPLE_PARAMS["ex8"], 14)):
+            table = solve_optimal(params, i_max)
+            assert table.levels.shape == (i_max + 1, params.C1 + 1)
+            assert {s: table[s] for s in table_states(table)} == scalar_solve(params, i_max)
+            for policy_id in POLICY_IDS:
+                policy = policy_by_id(params, policy_id, value_table=table)
+                v_pi = solve_under_policy(params, policy, i_max)
+                want = scalar_solve(params, i_max, policy.rule)
+                assert {s: v_pi[s] for s in table_states(v_pi)} == want, (params, policy_id)
+
+    def test_depths_around_chunk_boundaries_equal_scalar_recursion(self):
+        chunk = solver.CHUNK
+        deepest = 2 * chunk + 1
+        want = scalar_solve(EX1, deepest)
+        for i_max in (chunk - 1, chunk, chunk + 1, deepest):
+            table = solve_optimal(EX1, i_max)
+            assert {s: table[s] for s in table_states(table)} == {
+                s: v for s, v in want.items() if s.i <= i_max}, i_max
+        greedy = optimal_greedy(solve_optimal(EX1, deepest))
+        want = scalar_solve(EX1, deepest, greedy.rule)
+        for i_max in (chunk, chunk + 1, deepest):
+            table = solve_under_policy(EX1, greedy, i_max)
+            assert {s: table[s] for s in table_states(table)} == {
+                s: v for s, v in want.items() if s.i <= i_max}, i_max
+
+    @pytest.mark.parametrize("chunk", [3, None])
+    def test_rule_flipping_at_a_chunk_boundary(self, chunk, monkeypatch):
+        """Each level takes its own decision row, not a neighbour's, across a boundary."""
+        if chunk is not None:
+            monkeypatch.setattr(solver, "CHUNK", chunk)
+        depth = 2 * solver.CHUNK + 1
+
+        def flipping_at(level):
+            return lambda q, kb, lb, n: np.asarray(q) <= level
+
+        rule = flipping_at(solver.CHUNK)
+        want = scalar_solve(EX1, depth, rule)
+        # Rows shifted by one level give other values, so an off-by-one shows.
+        for shifted in (solver.CHUNK - 1, solver.CHUNK + 1):
+            assert scalar_solve(EX1, depth, flipping_at(shifted)) != want
+        table = solve_under_policy(EX1, rule, depth)
+        assert {s: table[s] for s in table_states(table)} == want
+
     @pytest.mark.parametrize("c1", range(1, 7))
     def test_every_kernel_shape_equals_scalar_recursion(self, c1):
         """Each C1 has its own kernels; C1 = 1 has no interior column."""
