@@ -23,6 +23,7 @@ from .solver import (
     ValueTable,
     diff,
     recursion_check,
+    solve_family,
     solve_optimal,
     solve_under_policy,
 )
@@ -171,67 +172,93 @@ def _map(fn, jobs: int | None, chunksize: int, *args) -> list:
         return list(pool.map(fn, *args, chunksize=chunksize))
 
 
-def _sweep_combo(args) -> list[tuple]:
-    """Raw error rows for one parameter combination (worker function)."""
+def _sweep_combo(args) -> tuple[list[tuple], dict[tuple, list[float]]]:
+    """Raw error rows, and the errors of each (policy, group, i0) cell, for one combination.
+
+    Worker function.  A cell's errors are in row order.
+    """
     params, i0_values = args
-    c1 = params.C1
-    point = (c1, params.C2, params.h0, params.h1, params.h2, params.mu1, params.mu2)
-    depth = max(i0_values)
-    optimal = solve_optimal(params, depth)
+    c1, c2 = params.C1, params.C2
+    point = (c1, c2, params.h0, params.h1, params.h2, params.mu1, params.mu2)
+    group = _group(c1, c2, params.h1, params.h2, params.mu1, params.mu2)
+    family = policy_family(group[2])
+    optimal, *tables = solve_family(
+        params, [policy_by_id(params, policy_id) for policy_id in family], max(i0_values))
     # The start states (i0, k0, C1 - k0) of one i0 are row i0 of the levels.
     # Rows live as long as the sweep result, so they share floats: each
-    # optimal value is read once for every policy, and a policy value that
-    # ties it (about a quarter of the study grid's rows) reuses it.
-    starts = [(i0, optimal.levels[i0].tolist()) for i0 in i0_values]
-    rows = []
-    for policy_id in policy_family(cost_regime_label(params)):
-        v_pi = solve_under_policy(params, policy_by_id(params, policy_id), depth)
-        for i0, v_opts in starts:
-            for k0, (v_opt_val, v_pi_val) in enumerate(zip(v_opts, v_pi.levels[i0].tolist())):
-                if v_pi_val == v_opt_val:
-                    v_pi_val, err_pct = v_opt_val, 0.0
+    # optimal value and row head is made once for every policy, and a policy
+    # value that ties it (about a quarter of the study grid's rows) reuses it.
+    starts = [(i0, [point + (i0, k0, c1 - k0) for k0 in range(c1 + 1)],
+               optimal.levels[i0].tolist()) for i0 in i0_values]
+    rows, cells = [], {}
+    for policy_id, table in zip(family, tables):
+        for i0, heads, v_opts in starts:
+            errs = cells.setdefault((policy_id, group, i0), [])
+            for head, v_opt, v_pi in zip(heads, v_opts, table.levels[i0].tolist()):
+                if v_pi == v_opt:
+                    v_pi, err_pct = v_opt, 0.0
                 else:
-                    err_pct = (v_pi_val - v_opt_val) / v_opt_val * 100.0
-                rows.append((*point, i0, k0, c1 - k0, policy_id, v_opt_val, v_pi_val, err_pct))
-    return rows
+                    err_pct = (v_pi - v_opt) / v_opt * 100.0
+                rows.append(head + (policy_id, v_opt, v_pi, err_pct))
+                errs.append(err_pct)
+    return rows, cells
 
 
 def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
     """Relative errors of each point's policy family over the grid.
 
     The regime captions are strict inequalities, so cost-order ties are left
-    out.  Aggregation is an associative merge over a deterministically
-    ordered combination list, so the worker count cannot change the result.
+    out.  Each cell's errors are merged in the deterministic order of the
+    combination list, so the worker count cannot change the result, and the
+    stats equal ``aggregate_stats`` of the raw rows.
     """
     grid = _grid(spec.server_configs, spec.h0_values, spec.h2_values, spec.mu2_values,
                  spec.mu1, spec.h1)
     i0_values = tuple(spec.i0_values)
     combos = [(params, i0_values) for params in grid if cost_gap_sign(params) != 0]
-    raw_rows = [row for rows in _map(_sweep_combo, jobs, 8, combos) for row in rows]
-    return SweepResult(stats=aggregate_stats(raw_rows), raw_rows=raw_rows)
+    raw_rows, cells = [], {}
+    for rows, point_cells in _map(_sweep_combo, jobs, 8, combos):
+        raw_rows += rows
+        for key, errs in point_cells.items():
+            cell = cells.get(key)
+            if cell is None:
+                cells[key] = errs
+            else:
+                cell += errs
+    return SweepResult(stats=_error_stats(cells), raw_rows=raw_rows)
 
 
 def aggregate_stats(raw_rows: Iterable[tuple]) -> list[ErrorStats]:
-    """Per-cell max/avg/std of the error sample, in percent.
-
-    Spread is the sample standard deviation, which is what the published
-    tables report.
-    """
+    """Per-cell max/avg/std of the error sample, in percent."""
     cells: dict[tuple, list[float]] = {}
-    groups: dict[tuple, tuple] = {}  # (C1, C2, cost regime, rate regime) per distinct grid point
+    groups: dict[tuple, tuple] = {}  # _group per distinct grid point
     for row in raw_rows:
         point = row[:7]
         group = groups.get(point)
         if group is None:
             c1, c2, _, h1, h2, mu1, mu2 = point
-            cost = _COST_REGIMES[band_sign(h1 * mu2 - h2 * mu1)]  # cost_gap_sign's expression
-            group = groups[point] = (c1, c2, cost, "mu1_ge" if mu1 >= mu2 else "mu1_lt")
+            group = groups[point] = _group(c1, c2, h1, h2, mu1, mu2)
         key = (row[10], group, row[7])  # (policy, group, i0): sorts as the flat stats key
         cell = cells.get(key)
         if cell is None:
             cells[key] = [row[13]]
         else:
             cell.append(row[13])
+    return _error_stats(cells)
+
+
+def _group(c1: int, c2: int, h1: float, h2: float, mu1: float, mu2: float) -> tuple:
+    """A point's (C1, C2, cost regime, rate regime): the group of its stats cells."""
+    cost = _COST_REGIMES[band_sign(h1 * mu2 - h2 * mu1)]  # cost_gap_sign's expression
+    return (c1, c2, cost, "mu1_ge" if mu1 >= mu2 else "mu1_lt")
+
+
+def _error_stats(cells: dict[tuple, list[float]]) -> list[ErrorStats]:
+    """The stats of each (policy, group, i0) cell's error sample, in key order.
+
+    Spread is the sample standard deviation, which is what the published
+    tables report.
+    """
     stats = []
     for key in sorted(cells):
         policy_id, group, i0 = key

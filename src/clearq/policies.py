@@ -80,9 +80,7 @@ def optimal_greedy(value_table) -> Policy:
     Collaborative service is chosen iff it is strictly cheaper beyond the
     zero band; exact ties go independent.
     """
-    i_max = value_table.i_max
-    # d_arr[i, k_busy] = D(i, k_busy + 1, C1 - k_busy - 1)
-    d_arr = np.diff(value_table.levels, axis=1)
+    i_max, levels = value_table.i_max, value_table.levels
 
     def rule(q, k_busy, l_busy, station):
         level = np.asarray(q) - 1
@@ -90,8 +88,9 @@ def optimal_greedy(value_table) -> Policy:
             raise DepthExceeded(f"queue {np.max(np.asarray(q))} exceeds table depth {i_max}")
         if np.any(level < 0):
             raise ValueError(f"queue {np.min(np.asarray(q))} < 1: no job is waiting to assign")
-        d = d_arr[level, np.asarray(k_busy)]
-        return band_signs(d) > 0
+        k = np.asarray(k_busy)
+        # D(q - 1, k_busy + 1, C1 - k_busy - 1), read only where the rule is asked.
+        return band_signs(levels[level, k + 1] - levels[level, k]) > 0
 
     return Policy("optimal", rule)
 

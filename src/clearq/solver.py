@@ -15,11 +15,13 @@ are NaN.  The value tables of one parameter set share one read-only partial
 triangle, built once row by row, each row from the one before; the full row
 seeds each solve.
 
-``levels`` is one float64 array, allocated at its final size and filled a
-chunk of CHUNK levels at a time.  The levels come from a kernel generated
-once per C1 and variant (optimal, or under a policy's decisions) and
-unrolled over k.  It keeps the previous row in local variables, resumes from
-a given row, and returns its last row to seed the next chunk.
+A solve advances the rows of one parameter set together: an optional
+optimal row, then one row per policy.  Their ``levels`` are the slices of
+one float64 array, allocated at its final size and filled a chunk of CHUNK
+levels at a time.  The levels come from a kernel generated once per C1,
+number of policy rows and whether an optimal row leads, and unrolled over k
+and the rows.  It keeps the previous rows in local variables, resumes from
+given rows, and returns its last rows to seed the next chunk.
 """
 from __future__ import annotations
 
@@ -169,73 +171,88 @@ def _fixed_parts(params: SystemParams) -> tuple[np.ndarray, tuple, tuple]:
     return boundary, rows[c1], coefficients
 
 
-# The level loop over levels start..stop-1, unrolled over k = 0..C1.  Python
-# sums left to right, so entry k of row i is
-# ((((i*h0 + hold1) + hold2) + up*pick1) + down*pick2) / rate, the order of the
-# scalar recursion; k = 0 has no up term and k = C1 no down term.  An entry
-# depends only on i and the previous row, so a solve resumed from the row
-# before ``start`` gives the same bits as one run from level 1.  The previous
-# row lives in locals p0..pC1; each new row is added to the caller's list
-# ``flat``, and the last one is returned to seed the next chunk.
+# The level loop over levels start..stop-1, unrolled over k = 0..C1 and over
+# the rows.  Python sums left to right, so entry k of a row is
+# ((((i*h0 + hold1) + hold2) + up*pick1) + down*pick2) / rate, the order of
+# the scalar recursion; k = 0 has no up term and k = C1 no down term.  With
+# more than one row, the head (i*h0 + hold1) + hold2 of entry k is formed once
+# per level as e{k} and read by every row.  An entry depends only on i and
+# the previous row, so a solve resumed from the rows before ``start`` gives
+# the same bits as one run from level 1.  Row r's previous entries live in
+# locals p{r}_0..p{r}_C1; each new row is added to the caller's list flats[r],
+# and the last rows are returned to seed the next chunk.
 _KERNEL_TEMPLATE = """\
-def kernel(flat, row, coefficients, h0, start, stop, *decisions):
-    {prev} = row
+def kernel(flats, rows, coefficients, h0, start, stop, *decisions):
+    {prev}, = rows
     {coefficients} = coefficients
+    {flats}, = flats
     for {loop}:
         q = i * h0
-{picks}        row = ({entries})
-        flat += row
-        {prev} = row
-    return row
+{body}    return {last},
 """
 
 
-def _entry(k: int, c1: int, pick1: str, pick2: str) -> str:
+def _entry(head: str, k: int, c1: int, pick1: str, pick2: str) -> str:
     up = f" + u{k} * {pick1}" if k > 0 else ""
     down = f" + d{k} * {pick2}" if k < c1 else ""
-    return f"((q + a{k}) + b{k}{up}{down}) / r{k}"
+    return f"({head}{up}{down}) / r{k}"
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
-def _kernel(c1: int, variant: str) -> Callable:
-    """The level kernel for C1 = c1, built once per variant.
+def _kernel(c1: int, n_policies: int, optimal: bool) -> Callable:
+    """The level kernel for C1 = c1 and its rows, built once per row set.
 
-    The "optimal" kernel picks the cheaper successor; the "policy" kernel takes
-    the rows of the decision grids ``after1`` and ``after2`` for levels
-    start..stop-1 as two more arguments.  The generated source interpolates
-    nothing but the column numbers 0..c1.
+    Row 0 is the optimal row when ``optimal`` leads; it picks the cheaper
+    successor.  Each policy row takes the rows of its decision grids
+    ``after1`` and ``after2`` for levels start..stop-1 as two more arguments,
+    in row order.  The generated source interpolates nothing but the column
+    and row numbers.
     """
     ks = range(c1 + 1)
-    if variant == "optimal":
+    rows = range(optimal + n_policies)
+    prevs = [", ".join(f"p{r}_{k}" for k in ks) for r in rows]
+    heads = [f"(q + a{k}) + b{k}" for k in ks]
+    body = ""
+    if len(rows) > 1:
+        body += "".join(f"        e{k} = {head}\n" for k, head in zip(ks, heads))
+        heads = [f"e{k}" for k in ks]
+    if optimal:
         # The up pick of entry k and the down pick of entry k - 1 choose between
-        # the same stay = p{k} and move = p{k-1}, so one m{k} serves both.
+        # the same stay = p0_{k} and move = p0_{k-1}, so one m{k} serves both.
         # "move if move < stay else stay" keeps stay on a tie.
-        loop = "i in range(start, stop)"
-        picks = "".join(f"        m{k} = p{k - 1} if p{k - 1} < p{k} else p{k}\n" for k in ks[1:])
-        entries = [_entry(k, c1, f"m{k}", f"m{k + 1}") for k in ks]
-    else:
-        go1 = ", ".join(["_"] + [f"s{k}" for k in ks[1:]])
-        go2 = ", ".join([f"t{k}" for k in ks[:-1]] + ["_"])
-        loop = f"i, ({go1}), ({go2}) in zip(range(start, stop), *decisions)"
-        picks = ""
-        entries = [
-            _entry(k, c1, f"(p{k - 1} if s{k} else p{k})", f"(p{k} if t{k} else p{k + 1})")
-            for k in ks
-        ]
+        body += "".join(
+            f"        m{k} = p0_{k - 1} if p0_{k - 1} < p0_{k} else p0_{k}\n" for k in ks[1:])
+    go = ""
+    for r in rows:
+        if optimal and r == 0:
+            entries = [_entry(heads[k], k, c1, f"m{k}", f"m{k + 1}") for k in ks]
+        else:
+            go += ", ({}), ({})".format(", ".join(["_"] + [f"s{r}_{k}" for k in ks[1:]]),
+                                        ", ".join([f"t{r}_{k}" for k in ks[:-1]] + ["_"]))
+            entries = [
+                _entry(heads[k], k, c1, f"(p{r}_{k - 1} if s{r}_{k} else p{r}_{k})",
+                       f"(p{r}_{k} if t{r}_{k} else p{r}_{k + 1})")
+                for k in ks
+            ]
+        body += (f"        row{r} = ({', '.join(entries)})\n"
+                 f"        flat{r} += row{r}\n"
+                 f"        {prevs[r]} = row{r}\n")
     source = _KERNEL_TEMPLATE.format(
-        prev=", ".join(f"p{k}" for k in ks),
+        prev=", ".join(f"({prev})" for prev in prevs),
         coefficients=", ".join(f"(a{k}, b{k}, u{k}, d{k}, r{k})" for k in ks),
-        loop=loop,
-        picks=picks,
-        entries=", ".join(entries),
+        flats=", ".join(f"flat{r}" for r in rows),
+        loop=f"i{go} in zip(range(start, stop), *decisions)" if go else "i in range(start, stop)",
+        body=body,
+        last=", ".join(f"row{r}" for r in rows),
     )
     namespace: dict = {}
-    exec(compile(source, f"<clearq level kernel C1={c1} {variant}>", "exec"), namespace)
+    name = f"<clearq level kernel C1={c1} policies={n_policies} optimal={optimal}>"
+    exec(compile(source, name, "exec"), namespace)
     return namespace["kernel"]
 
 
 # Each rule's decision rows by (C1, depth), kept while the rule object lives.
-# Rules are held weakly: a greedy rule holds its value table's differences.
+# Rules are held weakly: a greedy rule holds its value table's levels.
 _DECISION_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -245,7 +262,7 @@ def _evaluate(rule: Callable, c1: int, i_max: int) -> tuple[list, list]:
 
 
 def _decision_rows(rule: Callable, c1: int, i_max: int) -> tuple[list, list]:
-    """The policy kernel's decision rows, evaluated once per rule, C1 and depth.
+    """A policy row's decision rows, evaluated once per rule, C1 and depth.
 
     A rule keeps its GRID_CACHE_SIZE latest depths.  A rule that cannot be
     weakly referenced, or hashed, is evaluated on every call.
@@ -266,36 +283,39 @@ def _decision_rows(rule: Callable, c1: int, i_max: int) -> tuple[list, list]:
 
 
 # Levels per kernel call: the floats of one chunk are held as Python objects
-# until they are written into ``levels`` with one slice assignment.
+# until they are written into ``levels`` with one slice assignment per row.
 CHUNK = 512
 
 
-def _solve(params: SystemParams, i_max: int, rule: Callable | None, kind: str) -> ValueTable:
+def _solve(
+    params: SystemParams, i_max: int, policies: tuple, optimal: bool
+) -> list[ValueTable]:
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
     c1 = params.C1
     boundary, full_row, coefficients = _fixed_parts(params)
-    levels = np.empty((i_max + 1, c1 + 1))
-    levels[0] = full_row
+    kinds = ["optimal"] * optimal + [
+        f"policy:{getattr(p, 'id', getattr(p, '__name__', 'anonymous'))}" for p in policies]
+    block = np.empty((len(kinds), i_max + 1, c1 + 1))
+    block[:, 0] = full_row
     if i_max:
-        if rule is None:
-            kernel, decisions = _kernel(c1, "optimal"), ()
-        else:
-            kernel, decisions = _kernel(c1, "policy"), _decision_rows(rule, c1, i_max)
-        cells, row, width = levels.reshape(-1), full_row, c1 + 1
+        kernel = _kernel(c1, len(policies), optimal)
+        decisions = [rows for p in policies for rows in _decision_rows(p, c1, i_max)]
+        cells, rows, width = block.reshape(len(kinds), -1), (full_row,) * len(kinds), c1 + 1
         for start in range(1, i_max + 1, CHUNK):
             stop = min(start + CHUNK, i_max + 1)
-            chunk = []
+            chunks = [[] for _ in kinds]
             # Decision row i - 1 belongs to level i.
-            row = kernel(chunk, row, coefficients, params.h0, start, stop,
-                         *(rows[start - 1:stop - 1] for rows in decisions))
-            cells[start * width:stop * width] = chunk
-    return ValueTable(params, i_max, boundary, levels, kind)
+            rows = kernel(chunks, rows, coefficients, params.h0, start, stop,
+                          *(after[start - 1:stop - 1] for after in decisions))
+            for row_cells, chunk in zip(cells, chunks):
+                row_cells[start * width:stop * width] = chunk
+    return [ValueTable(params, i_max, boundary, levels, kind) for levels, kind in zip(block, kinds)]
 
 
 def solve_optimal(params: SystemParams, i_max: int) -> ValueTable:
     """Optimal expected clearing costs up to queue depth i_max."""
-    return _solve(params, i_max, None, "optimal")
+    return _solve(params, i_max, (), True)[0]
 
 
 def solve_under_policy(params: SystemParams, policy, i_max: int) -> ValueTable:
@@ -307,8 +327,16 @@ def solve_under_policy(params: SystemParams, policy, i_max: int) -> ValueTable:
     once per (C1, depth) and reused for as long as the policy object lives,
     so it must be a pure function of its arguments.
     """
-    policy_id = getattr(policy, "id", getattr(policy, "__name__", "anonymous"))
-    return _solve(params, i_max, policy, f"policy:{policy_id}")
+    return _solve(params, i_max, (policy,), False)[0]
+
+
+def solve_family(params: SystemParams, policies, i_max: int) -> list[ValueTable]:
+    """The optimal table, then one table per policy in order, from one pass over the levels.
+
+    Each table holds the same values as ``solve_optimal`` or
+    ``solve_under_policy`` gives alone; the policies follow the same rules.
+    """
+    return _solve(params, i_max, tuple(policies), True)
 
 
 def _k_differences(a: np.ndarray) -> np.ndarray:

@@ -85,14 +85,24 @@ class TestSweep:
         )
         assert not sweep(spec).raw_rows
         tie = SystemParams(2, 1, 10.0, 10.0, 0.1, 1.0, 1.0)
-        assert experiments._sweep_combo((tie, (20,)))
+        rows, cells = experiments._sweep_combo((tie, (20,)))
+        assert rows and cells
 
     def test_parallel_equals_serial(self):
+        # Both cost regimes and both rate splits, in two server blocks.
         spec = SweepSpec(
-            server_configs=((2, 1),), h0_values=(0.1,), h2_values=(0.1, 2.0),
-            mu2_values=(4.0, 12.0), i0_values=(20,),
+            server_configs=((2, 1), (3, 2)), h0_values=(0.1,), h2_values=(0.1, 2.0),
+            mu2_values=(4.0, 12.0), i0_values=(20, 5),
         )
-        assert sweep(spec, jobs=2) == sweep(spec)
+        serial = sweep(spec)
+        assert {(s.cost_regime, s.rate_regime) for s in serial.stats} == {
+            (cost, rate) for cost in ("lowcost", "highcost") for rate in ("mu1_ge", "mu1_lt")}
+        for result in (serial, sweep(spec, jobs=2)):
+            assert result == serial
+            # The stats merged from the workers' cells equal a second parse of the rows.
+            want = aggregate_stats(result.raw_rows)
+            assert result.stats == want
+            assert [repr(s) for s in result.stats] == [repr(s) for s in want]
 
     def test_raw_csv_header(self, small_result, tmp_path):
         small_result.write_raw_csv(tmp_path / "raw.csv")
@@ -391,7 +401,8 @@ class TestGrid:
         # The sweep leaves ties out, so the rows come from its per-point worker.
         grid = experiments._grid(((2, 1), (3, 2)), (0.1,), (0.1, 1.0, 2.0),
                                  (4.0, 10.0, 25.0), 10.0, 1.0)
-        rows = [row for params in grid for row in experiments._sweep_combo((params, (20, 5)))]
+        combos = [experiments._sweep_combo((params, (20, 5))) for params in grid]
+        rows = [row for point_rows, _ in combos for row in point_rows]
         blocks = {}
         for row in rows:
             blocks.setdefault(row[:7], []).append(row)
@@ -405,3 +416,7 @@ class TestGrid:
             got = aggregate_stats(sample)
             assert got == aggregate_stats_oracle(sample)
             assert [repr(s) for s in got] == [repr(s) for s in aggregate_stats_oracle(sample)]
+        # Each point's cells hold its rows' errors by (policy, group, i0), in row order.
+        for point_rows, cells in combos:
+            assert experiments._error_stats(cells) == aggregate_stats(point_rows)
+            assert [e for errs in cells.values() for e in errs] == [row[13] for row in point_rows]

@@ -9,9 +9,23 @@ from hypothesis import given, settings, strategies as st
 
 from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep
 from clearq.model import GRID_CACHE_SIZE, State, SystemParams, service_rate
-from clearq.policies import POLICY_IDS, benchmark, decision_grid, optimal_greedy, policy_by_id
+from clearq.policies import (
+    POLICY_IDS,
+    Policy,
+    benchmark,
+    decision_grid,
+    optimal_greedy,
+    policy_by_id,
+)
 import clearq.solver as solver
-from clearq.solver import IndexOutOfSpace, diff, recursion_check, solve_optimal, solve_under_policy
+from clearq.solver import (
+    IndexOutOfSpace,
+    diff,
+    recursion_check,
+    solve_family,
+    solve_optimal,
+    solve_under_policy,
+)
 from clearq.thresholds import (
     boundary_diff_formula,
     constants,
@@ -301,6 +315,30 @@ def scalar_solve(params, i_max, rule=None):
     return v
 
 
+def assert_row_sets_equal_scalar(params, i_max, policies):
+    """Every row set of a kernel equals ``scalar_solve`` table by table, in order and kind.
+
+    The row sets: optimal alone, each policy alone, the policies from the
+    sixth on together, and the optimal with the first five.  Returns the
+    optimal table.
+    """
+    want_optimal = scalar_solve(params, i_max)
+    wants = [scalar_solve(params, i_max, policy.rule) for policy in policies]
+    kinds = [f"policy:{policy.id}" for policy in policies]
+    solves = [(["optimal"], [want_optimal], [solve_optimal(params, i_max)])]
+    solves += [([kind], [want], [solve_under_policy(params, policy, i_max)])
+               for kind, want, policy in zip(kinds, wants, policies)]
+    solves.append((kinds[5:], wants[5:], solver._solve(params, i_max, tuple(policies[5:]), False)))
+    solves.append((["optimal"] + kinds[:5], [want_optimal] + wants[:5],
+                   solve_family(params, policies[:5], i_max)))
+    for want_kinds, want_tables, tables in solves:
+        assert [table.kind for table in tables] == want_kinds
+        for kind, want, table in zip(want_kinds, want_tables, tables):
+            assert table.levels.shape == (i_max + 1, params.C1 + 1)
+            assert {s: table[s] for s in table_states(table)} == want, (params, i_max, kind)
+    return solves[0][2][0]
+
+
 class TestScalarOracle:
     @given(param_strategy, st.integers(0, 30), st.sampled_from(POLICY_IDS))
     @settings(max_examples=80, deadline=None)
@@ -329,13 +367,8 @@ class TestScalarOracle:
         monkeypatch.setattr(solver, "CHUNK", chunk)
         for params, i_max in ((EX1, 23), (EXAMPLE_PARAMS["ex3"], 15), (EXAMPLE_PARAMS["ex8"], 14)):
             table = solve_optimal(params, i_max)
-            assert table.levels.shape == (i_max + 1, params.C1 + 1)
-            assert {s: table[s] for s in table_states(table)} == scalar_solve(params, i_max)
-            for policy_id in POLICY_IDS:
-                policy = policy_by_id(params, policy_id, value_table=table)
-                v_pi = solve_under_policy(params, policy, i_max)
-                want = scalar_solve(params, i_max, policy.rule)
-                assert {s: v_pi[s] for s in table_states(v_pi)} == want, (params, policy_id)
+            policies = [policy_by_id(params, p, value_table=table) for p in POLICY_IDS]
+            assert_row_sets_equal_scalar(params, i_max, policies)
 
     def test_depths_around_chunk_boundaries_equal_scalar_recursion(self):
         chunk = solver.CHUNK
@@ -346,11 +379,13 @@ class TestScalarOracle:
             assert {s: table[s] for s in table_states(table)} == {
                 s: v for s, v in want.items() if s.i <= i_max}, i_max
         greedy = optimal_greedy(solve_optimal(EX1, deepest))
-        want = scalar_solve(EX1, deepest, greedy.rule)
+        policies = [greedy] + [benchmark(EX1, which) for which in ("pi2", "pi4")]
+        wants = [want] + [scalar_solve(EX1, deepest, policy.rule) for policy in policies]
         for i_max in (chunk, chunk + 1, deepest):
-            table = solve_under_policy(EX1, greedy, i_max)
-            assert {s: table[s] for s in table_states(table)} == {
-                s: v for s, v in want.items() if s.i <= i_max}, i_max
+            tables = [solve_under_policy(EX1, greedy, i_max)] + solve_family(EX1, policies, i_max)
+            for table, want_table in zip(tables, [wants[1]] + wants):
+                assert {s: table[s] for s in table_states(table)} == {
+                    s: v for s, v in want_table.items() if s.i <= i_max}, (i_max, table.kind)
 
     @pytest.mark.parametrize("chunk", [3, None])
     def test_rule_flipping_at_a_chunk_boundary(self, chunk, monkeypatch):
@@ -369,22 +404,23 @@ class TestScalarOracle:
             assert scalar_solve(EX1, depth, flipping_at(shifted)) != want
         table = solve_under_policy(EX1, rule, depth)
         assert {s: table[s] for s in table_states(table)} == want
+        # Rules flipping around the boundary, each row of a kernel on its own decisions.
+        policies = [Policy(f"flip{shift:+d}", flipping_at(solver.CHUNK + shift))
+                    for shift in (0, -1, 1, -2, 2)]
+        policies += [benchmark(EX1, which) for which in ("pi1", "pi2", "pi3", "pi4", "tpi2")]
+        assert_row_sets_equal_scalar(EX1, depth, policies)
 
     @pytest.mark.parametrize("c1", range(1, 7))
     def test_every_kernel_shape_equals_scalar_recursion(self, c1):
-        """Each C1 has its own kernels; C1 = 1 has no interior column."""
+        """Each C1 and row set has its own kernel; C1 = 1 has no interior column."""
         decided = set()
         for c2, mu2, h2 in ((1, 1.5, 0.4), (c1 + 1, 4.0, 2.0)):
             params = SystemParams(c1, c2, 3.0, mu2, 0.2, 1.0, h2)
             for i_max in (0, 1, 2, 9):
                 table = solve_optimal(params, i_max)
-                assert table.levels.shape == (i_max + 1, c1 + 1)
-                assert {s: table[s] for s in table_states(table)} == scalar_solve(params, i_max)
-                for policy_id in POLICY_IDS:
-                    policy = policy_by_id(params, policy_id, value_table=table)
-                    v_pi = solve_under_policy(params, policy, i_max)
-                    want = scalar_solve(params, i_max, policy.rule)
-                    assert {s: v_pi[s] for s in table_states(v_pi)} == want, (params, i_max, policy_id)
+                policies = [policy_by_id(params, p, value_table=table) for p in POLICY_IDS]
+                assert_row_sets_equal_scalar(params, i_max, policies)
+                for policy in policies:
                     if i_max:
                         after1, after2 = decision_grid(policy.rule, c1, i_max)
                         decided.update((1, bool(x)) for x in after1[:, 1:].flat)
