@@ -16,12 +16,12 @@ triangle, built once row by row, each row from the one before; the full row
 seeds each solve.
 
 A solve advances the rows of one parameter set together: an optional
-optimal row, then one row per policy.  Their ``levels`` are the slices of
-one float64 array, allocated at its final size and filled a chunk of CHUNK
-levels at a time.  The levels come from a kernel generated once per C1,
-number of policy rows and whether an optimal row leads, and unrolled over k
-and the rows.  It keeps the previous rows in local variables, resumes from
-given rows, and returns its last rows to seed the next chunk.
+optimal row, then one row per policy.  Row r's ``levels`` is ``block[:, r]``
+of one float64 array, allocated at its final size and filled a chunk of
+CHUNK levels at a time.  The levels come from a kernel generated once per
+C1, number of policy rows and whether an optimal row leads, and unrolled
+over k and the rows.  It keeps the previous rows in local variables, resumes
+from given rows, and returns its last rows to seed the next chunk.
 """
 from __future__ import annotations
 
@@ -179,13 +179,13 @@ def _fixed_parts(params: SystemParams) -> tuple[np.ndarray, tuple, tuple]:
 # per level as e{k} and read by every row.  An entry depends only on i and
 # the previous row, so a solve resumed from the rows before ``start`` gives
 # the same bits as one run from level 1.  Row r's previous entries live in
-# locals p{r}_0..p{r}_C1; each new row is added to the caller's list flats[r],
-# and the last rows are returned to seed the next chunk.
+# locals p{r}_0..p{r}_C1; each level's new rows are added in row order to the
+# caller's list ``flat``, and the last rows are returned to seed the next
+# chunk.
 _KERNEL_TEMPLATE = """\
-def kernel(flats, rows, coefficients, h0, start, stop, *decisions):
+def kernel(flat, rows, coefficients, h0, start, stop, *decisions):
     {prev}, = rows
     {coefficients} = coefficients
-    {flats}, = flats
     for {loop}:
         q = i * h0
 {body}    return {last},
@@ -235,12 +235,11 @@ def _kernel(c1: int, n_policies: int, optimal: bool) -> Callable:
                 for k in ks
             ]
         body += (f"        row{r} = ({', '.join(entries)})\n"
-                 f"        flat{r} += row{r}\n"
+                 f"        flat += row{r}\n"
                  f"        {prevs[r]} = row{r}\n")
     source = _KERNEL_TEMPLATE.format(
         prev=", ".join(f"({prev})" for prev in prevs),
         coefficients=", ".join(f"(a{k}, b{k}, u{k}, d{k}, r{k})" for k in ks),
-        flats=", ".join(f"flat{r}" for r in rows),
         loop=f"i{go} in zip(range(start, stop), *decisions)" if go else "i in range(start, stop)",
         body=body,
         last=", ".join(f"row{r}" for r in rows),
@@ -283,7 +282,7 @@ def _decision_rows(rule: Callable, c1: int, i_max: int) -> tuple[list, list]:
 
 
 # Levels per kernel call: the floats of one chunk are held as Python objects
-# until they are written into ``levels`` with one slice assignment per row.
+# until they are written into the table block with one slice assignment.
 CHUNK = 512
 
 
@@ -296,21 +295,21 @@ def _solve(
     boundary, full_row, coefficients = _fixed_parts(params)
     kinds = ["optimal"] * optimal + [
         f"policy:{getattr(p, 'id', getattr(p, '__name__', 'anonymous'))}" for p in policies]
-    block = np.empty((len(kinds), i_max + 1, c1 + 1))
-    block[:, 0] = full_row
+    # block[i, r] is level i of row r, the order in which the kernel makes them.
+    block = np.empty((i_max + 1, len(kinds), c1 + 1))
+    block[0] = full_row
     if i_max:
         kernel = _kernel(c1, len(policies), optimal)
         decisions = [rows for p in policies for rows in _decision_rows(p, c1, i_max)]
-        cells, rows, width = block.reshape(len(kinds), -1), (full_row,) * len(kinds), c1 + 1
+        cells, rows, width = block.reshape(-1), (full_row,) * len(kinds), len(kinds) * (c1 + 1)
         for start in range(1, i_max + 1, CHUNK):
             stop = min(start + CHUNK, i_max + 1)
-            chunks = [[] for _ in kinds]
+            chunk = []
             # Decision row i - 1 belongs to level i.
-            rows = kernel(chunks, rows, coefficients, params.h0, start, stop,
+            rows = kernel(chunk, rows, coefficients, params.h0, start, stop,
                           *(after[start - 1:stop - 1] for after in decisions))
-            for row_cells, chunk in zip(cells, chunks):
-                row_cells[start * width:stop * width] = chunk
-    return [ValueTable(params, i_max, boundary, levels, kind) for levels, kind in zip(block, kinds)]
+            cells[start * width:stop * width] = chunk
+    return [ValueTable(params, i_max, boundary, block[:, r], kind) for r, kind in enumerate(kinds)]
 
 
 def solve_optimal(params: SystemParams, i_max: int) -> ValueTable:

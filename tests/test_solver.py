@@ -319,8 +319,7 @@ def assert_row_sets_equal_scalar(params, i_max, policies):
     """Every row set of a kernel equals ``scalar_solve`` table by table, in order and kind.
 
     The row sets: optimal alone, each policy alone, the policies from the
-    sixth on together, and the optimal with the first five.  Returns the
-    optimal table.
+    sixth on together, and the optimal with the first five.
     """
     want_optimal = scalar_solve(params, i_max)
     wants = [scalar_solve(params, i_max, policy.rule) for policy in policies]
@@ -336,7 +335,6 @@ def assert_row_sets_equal_scalar(params, i_max, policies):
         for kind, want, table in zip(want_kinds, want_tables, tables):
             assert table.levels.shape == (i_max + 1, params.C1 + 1)
             assert {s: table[s] for s in table_states(table)} == want, (params, i_max, kind)
-    return solves[0][2][0]
 
 
 class TestScalarOracle:
@@ -383,7 +381,7 @@ class TestScalarOracle:
         wants = [want] + [scalar_solve(EX1, deepest, policy.rule) for policy in policies]
         for i_max in (chunk, chunk + 1, deepest):
             tables = [solve_under_policy(EX1, greedy, i_max)] + solve_family(EX1, policies, i_max)
-            for table, want_table in zip(tables, [wants[1]] + wants):
+            for table, want_table in zip(tables, [wants[1]] + wants, strict=True):
                 assert {s: table[s] for s in table_states(table)} == {
                     s: v for s, v in want_table.items() if s.i <= i_max}, (i_max, table.kind)
 
