@@ -9,24 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import SystemParams, band_sign, band_signs, cost_gap_sign, snaps_to_integer
-from .policies import optimal_greedy, pi_prime, policy_by_id
-from .solver import (
-    DiffTable,
-    ValueTable,
-    diff,
-    recursion_check,
-    solve_family,
-    solve_optimal,
-    solve_under_policy,
-)
+from .model import SystemParams, _is_integer, band_sign, band_signs, cost_gap_sign, snaps_to_integer
+from .policies import optimal_greedy, policy_by_id
+from .solver import DiffTable, ValueTable, diff, recursion_check, solve_family, solve_optimal
 from .thresholds import (
     Classification,
     Condition1Verdict,
@@ -125,11 +116,6 @@ class SweepSpec:
             for n, value in enumerate(values):
                 if value in values[:n]:
                     raise ValueError(f"{name} must not repeat a value, got {value!r} twice")
-
-
-def _is_integer(x) -> bool:
-    # bool is an Integral subtype, and 20.0 or "20" would only be coerced.
-    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 class ErrorStats(NamedTuple):
@@ -485,8 +471,8 @@ def check_affine_bounds(params: SystemParams, dt: DiffTable, i_max: int):
     return f"D({i[n]},{k[n]},{l[n]}) {bound}"
 
 
-def check_recursion_residual(params: SystemParams, table: ValueTable, dt: DiffTable):
-    report = recursion_check(params, table, dt)
+def check_recursion_residual(params: SystemParams, dt: DiffTable):
+    report = recursion_check(params, dt)
     if report.max_scaled_residual > 1e-9:
         return f"max scaled residual {report.max_scaled_residual!r} at {report.worst_state}"
     return None
@@ -501,11 +487,13 @@ def check_boundary_formula(params: SystemParams, dt: DiffTable):
     return None
 
 
-def check_policy_dominance(params: SystemParams, table: ValueTable, i_max: int):
+def check_policy_dominance(
+    params: SystemParams, table: ValueTable, family_tables: Sequence[ValueTable], i_max: int
+):
+    # family_tables: one table per policy of the point's family, in policy_family order.
     opt = table.levels[i_max]
-    for policy_id in policy_family(cost_regime_label(params)):
-        policy = policy_by_id(params, policy_id)
-        got = solve_under_policy(params, policy, i_max).levels[i_max]
+    for policy_id, v_pi in zip(policy_family(cost_regime_label(params)), family_tables):
+        got = v_pi.levels[i_max]
         at = _first(got < opt - _ineq_tol(opt, got))
         if at is not None:
             (k,) = at
@@ -513,11 +501,12 @@ def check_policy_dominance(params: SystemParams, table: ValueTable, i_max: int):
     return None
 
 
-def check_greedy_reproduces_optimal(params: SystemParams, table: ValueTable, i_max: int):
-    greedy = optimal_greedy(table)
-    v_g = solve_under_policy(params, greedy, i_max)
+def check_greedy_reproduces_optimal(
+    params: SystemParams, table: ValueTable, greedy_table: ValueTable, i_max: int
+):
+    # greedy_table: the values under the greedy rule read off ``table``.
     i, k, l, opt = table.columns(i_max)
-    got = v_g.columns(i_max)[3]
+    got = greedy_table.columns(i_max)[3]
     at = _first(np.abs(got - opt) > 1e-9 * (1.0 + np.abs(opt)))
     if at is None:
         return None
@@ -623,10 +612,19 @@ POINT_CHECKS = (
 
 
 def verify_point(params: SystemParams, i_max: int) -> list[CheckResult]:
+    """The POINT_CHECKS at one point up to queue i_max: two solves, then checks that read tables.
+
+    The optimal table goes as deep as ``required_depth`` asks.  One ``solve_family`` pass to
+    i_max evaluates the point's policy family and the greedy rule read off that table; its
+    leading optimal table equals the first levels of the deep one and goes unused.
+    """
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
     table = solve_optimal(params, max(i_max, required_depth(params)))
     dt = diff(table)
+    policies = [policy_by_id(params, p) for p in policy_family(cost_regime_label(params))]
+    _, *family_tables, greedy_table = solve_family(
+        params, [*policies, optimal_greedy(table)], i_max)
     outcomes = {
         "value_monotone_in_queue": check_value_monotone(params, table, i_max),
         "diff_diagonal_monotone": check_diagonal_monotone(params, dt, i_max),
@@ -635,10 +633,11 @@ def verify_point(params: SystemParams, i_max: int) -> list[CheckResult]:
         "nonpositive_when_blocked": check_nonpositive_blocked(params, dt, i_max),
         "diff_monotone_in_queue": check_monotone_in_queue(params, dt, i_max),
         "affine_bounds": check_affine_bounds(params, dt, i_max),
-        "recursion_residual": check_recursion_residual(params, table, dt),
+        "recursion_residual": check_recursion_residual(params, dt),
         "boundary_formula": check_boundary_formula(params, dt),
-        "policy_dominance": check_policy_dominance(params, table, i_max),
-        "greedy_reproduces_optimal": check_greedy_reproduces_optimal(params, table, i_max),
+        "policy_dominance": check_policy_dominance(params, table, family_tables, i_max),
+        "greedy_reproduces_optimal": check_greedy_reproduces_optimal(
+            params, table, greedy_table, i_max),
         "threshold_structure": check_threshold_structure(params, dt),
     }
     return [

@@ -121,12 +121,16 @@ def _check_number(field: str, value) -> None:
         raise ParameterError(f"{field} must be a number, got {value!r}")
 
 
+def _is_integer(x) -> bool:
+    # bool is an Integral subtype, and 2.0 or "2" would only be coerced.
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+
+
 def validate(params: SystemParams) -> SystemParams:
     """Return params unchanged iff every invariant holds, else raise."""
     for field in ("C1", "C2"):
         count = getattr(params, field)
-        # bool is an Integral subtype, and 2.0 or "2" would only be coerced.
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        if not _is_integer(count):
             raise ParameterError(f"{field} must be an integer, got {count!r}")
         if count <= 0:
             raise ZeroServers(field)

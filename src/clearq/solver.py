@@ -359,9 +359,7 @@ class RecursionReport:
     worst_state: State | None
 
 
-def recursion_check(
-    params: SystemParams, table: ValueTable, diff_table: DiffTable
-) -> RecursionReport:
+def recursion_check(params: SystemParams, diff_table: DiffTable) -> RecursionReport:
     """Residuals of the one-step difference recursions.
 
     At each fully-busy state the difference satisfies an exact three-term

@@ -191,7 +191,7 @@ def test_criterion_5_recursion_residuals(report):
     worst_point = None
     for params in table4_params():
         table = solve_optimal(params, 40)
-        res = recursion_check(params, table, diff(table))
+        res = recursion_check(params, diff(table))
         if res.max_scaled_residual > worst:
             worst = res.max_scaled_residual
             worst_point = (params, res.worst_state)

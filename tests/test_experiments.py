@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from clearq.experiments import (
     check_single_sign_change,
     cost_regime_label,
     dh_curve,
+    policy_family,
     round_half_up,
     sweep,
     table4_params,
@@ -29,7 +31,7 @@ from clearq.experiments import (
     write_table_csv,
 )
 from clearq.model import SystemParams
-from clearq.policies import pi_prime
+from clearq.policies import optimal_greedy, policy_by_id
 from clearq.solver import DiffTable, ValueTable, diff, solve_optimal, solve_under_policy
 
 
@@ -245,23 +247,28 @@ class TestVerify:
         # flags pi2, the first family member below it.
         params = EXAMPLE_PARAMS["ex6"]
         table = solve_optimal(params, 10)
-        assert check_policy_dominance(params, table, 10) is None
-        heuristic = solve_under_policy(params, pi_prime(params), 10).levels[10]
+        family = [solve_under_policy(params, policy_by_id(params, policy_id), 10)
+                  for policy_id in policy_family(cost_regime_label(params))]
+        assert check_policy_dominance(params, table, family, 10) is None
+        heuristic = family[0].levels[10]
         raised = table.levels.copy()
         raised[10, 1] = heuristic[1]
         bad = ValueTable(params, 10, table.boundary, raised, "optimal")
-        assert check_policy_dominance(params, bad, 10) == "v^pi2(10,1,3) < optimal"
+        assert check_policy_dominance(params, bad, family, 10) == "v^pi2(10,1,3) < optimal"
 
     def test_fault_injection_flags_greedy_value(self):
         # Decisions at queue q > 4 move only the levels above 4, so the
         # corrupted entry is the first that differs.
         params = EXAMPLE_PARAMS["ex1"]
         table = solve_optimal(params, 10)
-        assert check_greedy_reproduces_optimal(params, table, 10) is None
+        v_g = solve_under_policy(params, optimal_greedy(table), 10)
+        assert check_greedy_reproduces_optimal(params, table, v_g, 10) is None
         corrupted = table.levels.copy()
         corrupted[4, 2] += 1.0
         bad = ValueTable(params, 10, table.boundary, corrupted, "optimal")
-        assert check_greedy_reproduces_optimal(params, bad, 10) == (
+        # The greedy rule is read off the corrupted table, as verify_point reads it.
+        bad_g = solve_under_policy(params, optimal_greedy(bad), 10)
+        assert check_greedy_reproduces_optimal(params, bad, bad_g, 10) == (
             "greedy value differs at (4, 2, 2)")
 
     def test_report_json(self, tmp_path):
@@ -305,6 +312,31 @@ class TestVerify:
         assert len(calls) <= params.C1
         assert len(calls) == len(set(calls)) == 2
 
+    @pytest.mark.parametrize("name", ["ex2", "ex7"])  # lowcost below depth 40, highcost above
+    def test_verify_point_is_two_solves(self, monkeypatch, name):
+        # One deep optimal solve and one family pass; the checks only read tables.
+        params = EXAMPLE_PARAMS[name]
+        want = verify_point(params, 40)
+        calls = []
+
+        def recording(fn_name):
+            real = getattr(experiments, fn_name, None)
+
+            def record(*args):
+                calls.append((fn_name, *args))
+                return real(*args)
+            return record
+
+        for fn_name in ("solve_optimal", "solve_family", "solve_under_policy", "optimal_greedy"):
+            monkeypatch.setattr(experiments, fn_name, recording(fn_name), raising=False)
+        assert verify_point(params, 40) == want
+        assert [call[0] for call in calls] == ["solve_optimal", "optimal_greedy", "solve_family"]
+        (_, p, depth), (_, deep), (_, q, policies, i_max) = calls
+        assert (p, depth) == (params, max(40, thresholds.required_depth(params)))
+        assert (q, i_max) == (params, 40) and deep.i_max == depth
+        assert [policy.id for policy in policies] == [
+            *policy_family(cost_regime_label(params)), "optimal"]
+
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="^i_max must be non-negative$"):
             verify_point(EXAMPLE_PARAMS["ex1"], -1)
@@ -313,6 +345,48 @@ class TestVerify:
         results = verify_point(EXAMPLE_PARAMS["ex5"], 15)
         names = {r.name for r in results}
         assert "recursion_residual" in names and "threshold_structure" in names
+
+
+def _draw_points(seed, n, draw, max_depth=math.inf):
+    """n points from draw(rng), leaving out those whose required_depth exceeds max_depth."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < n:
+        params = draw(rng)
+        if thresholds.required_depth(params) <= max_depth:
+            points.append(params)
+    return points
+
+
+def _log_uniform_point(rng):
+    # Rates 10^-0.5..10^1.5, h0 10^-2..10^0.5, h1 and h2 10^-1..10^1.
+    c1 = rng.randint(1, 7)
+    mu1, mu2 = (10 ** rng.uniform(-0.5, 1.5) for _ in range(2))
+    h0 = 10 ** rng.uniform(-2, 0.5)
+    h1, h2 = (10 ** rng.uniform(-1, 1) for _ in range(2))
+    return SystemParams(c1, rng.randint(1, c1), mu1, mu2, h0, h1, h2)
+
+
+def _tie_heavy_point(rng):
+    # Few distinct values, so rate, cost and threshold ties are common.
+    c1 = rng.randint(1, 5)
+    values = (0.5, 1.0, 2.0, 3.0, 4.0)
+    return SystemParams(c1, rng.randint(1, c1), *(rng.choice(values) for _ in range(5)))
+
+
+class TestOffGrid:
+    """Every check at depth 40 off the study grid, which fixes h1 and mu1 and keeps C1 <= 4."""
+
+    def test_random_points_pass(self):
+        # Points with C1 = 5..7 run the seven-row family kernel.
+        points = _draw_points(20261019, 200, _log_uniform_point, max_depth=20_000)
+        report = verify(points, 40)
+        assert report.passed, [(f.name, f.params, f.detail) for f in report.failures()]
+
+    def test_tie_heavy_points_pass(self):
+        points = _draw_points(20261020, 300, _tie_heavy_point)
+        report = verify(points, 40)
+        assert report.passed, [(f.name, f.params, f.detail) for f in report.failures()]
 
 
 class TestDhCurve:

@@ -252,7 +252,7 @@ class TestRecursion:
     @settings(max_examples=25, deadline=None)
     def test_residual_within_band(self, params):
         table = solve_optimal(params, 12)
-        report = recursion_check(params, table, diff(table))
+        report = recursion_check(params, diff(table))
         assert report.max_scaled_residual <= 1e-9
 
     @given(param_strategy, st.integers(1, 4))
@@ -467,7 +467,7 @@ class TestScalarOracle:
         levels = dt.levels.copy()
         levels[3, 2] = np.nan
         broken = type(dt)(EX1, 6, dt.boundary, levels)
-        report = recursion_check(EX1, table, broken)
+        report = recursion_check(EX1, broken)
         assert report.max_scaled_residual > 1e-9
 
 
