@@ -359,7 +359,6 @@ def _draw_points(seed, n, draw, max_depth=math.inf):
 
 
 def _log_uniform_point(rng):
-    # Rates 10^-0.5..10^1.5, h0 10^-2..10^0.5, h1 and h2 10^-1..10^1.
     c1 = rng.randint(1, 7)
     mu1, mu2 = (10 ** rng.uniform(-0.5, 1.5) for _ in range(2))
     h0 = 10 ** rng.uniform(-2, 0.5)
