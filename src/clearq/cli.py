@@ -79,10 +79,10 @@ def params_from_args(args: argparse.Namespace) -> SystemParams:
 
 def cmd_solve(args) -> int:
     params = params_from_args(args)
-    outdir = args.outdir
-    outdir.mkdir(parents=True, exist_ok=True)
     table = solve_optimal(params, args.imax)
     dt = diff(table)
+    outdir = args.outdir
+    outdir.mkdir(parents=True, exist_ok=True)
     try:
         table.to_csv(outdir / "values.csv")
         dt.to_csv(outdir / "diff.csv")
@@ -94,10 +94,10 @@ def cmd_solve(args) -> int:
 
 def cmd_thresholds(args) -> int:
     params = params_from_args(args)
-    outdir = args.outdir
-    outdir.mkdir(parents=True, exist_ok=True)
     heur = heuristic_profile(params)
     act = compute_actual_profile(params)
+    outdir = args.outdir
+    outdir.mkdir(parents=True, exist_ok=True)
     heur.to_csv(outdir / "heuristic_profile.csv")
     heur.to_json(outdir / "heuristic_profile.json")
     act.to_csv(outdir / "actual_profile.csv")
@@ -119,11 +119,11 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    outdir = args.outdir
-    outdir.mkdir(parents=True, exist_ok=True)
     tables = sorted(set(args.table or TABLE_DEFS))
     i0_values = sorted({TABLE_DEFS[t][2] for t in tables})
     result = sweep(SweepSpec(i0_values=tuple(i0_values)), jobs=args.jobs)
+    outdir = args.outdir
+    outdir.mkdir(parents=True, exist_ok=True)
     result.write_raw_csv(outdir / "sweep_raw.csv")
     for t in tables:
         write_table_csv(result.stats, t, outdir / f"table{t}.csv")

@@ -166,7 +166,7 @@ def _sweep_combo(args) -> tuple[list[tuple], dict[tuple, list[float]]]:
     params, i0_values = args
     c1, c2 = params.C1, params.C2
     point = (c1, c2, params.h0, params.h1, params.h2, params.mu1, params.mu2)
-    group = _group(c1, c2, params.h1, params.h2, params.mu1, params.mu2)
+    group = _group(params)
     family = policy_family(group[2])
     optimal, *tables = solve_family(
         params, [policy_by_id(params, policy_id) for policy_id in family], max(i0_values))
@@ -222,8 +222,8 @@ def aggregate_stats(raw_rows: Iterable[tuple]) -> list[ErrorStats]:
         point = row[:7]
         group = groups.get(point)
         if group is None:
-            c1, c2, _, h1, h2, mu1, mu2 = point
-            group = groups[point] = _group(c1, c2, h1, h2, mu1, mu2)
+            c1, c2, h0, h1, h2, mu1, mu2 = point
+            group = groups[point] = _group(SystemParams(c1, c2, mu1, mu2, h0, h1, h2))
         key = (row[10], group, row[7])  # (policy, group, i0): sorts as the flat stats key
         cell = cells.get(key)
         if cell is None:
@@ -233,10 +233,10 @@ def aggregate_stats(raw_rows: Iterable[tuple]) -> list[ErrorStats]:
     return _error_stats(cells)
 
 
-def _group(c1: int, c2: int, h1: float, h2: float, mu1: float, mu2: float) -> tuple:
+def _group(params: SystemParams) -> tuple:
     """A point's (C1, C2, cost regime, rate regime): the group of its stats cells."""
-    cost = _COST_REGIMES[band_sign(h1 * mu2 - h2 * mu1)]  # cost_gap_sign's expression
-    return (c1, c2, cost, "mu1_ge" if mu1 >= mu2 else "mu1_lt")
+    rate = "mu1_ge" if params.mu1 >= params.mu2 else "mu1_lt"
+    return (params.C1, params.C2, cost_regime_label(params), rate)
 
 
 def _error_stats(cells: dict[tuple, list[float]]) -> list[ErrorStats]:

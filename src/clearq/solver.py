@@ -44,10 +44,6 @@ from .model import (
 from .policies import decision_grid
 from .thresholds import affine_pieces, probs
 
-class IndexOutOfSpace(KeyError):
-    """Difference requested at an index outside the admissible set."""
-
-
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _column_index(c1: int, depth: int, k_min: int) -> tuple[np.ndarray, ...]:
     """Read-only (i, k, l) of the states with k >= k_min to queue depth, and (n, k) of n < C1."""
@@ -69,6 +65,7 @@ class _Table:
     levels: np.ndarray
 
     K_MIN = 0  # smallest Station 1 count with an entry
+    COLUMN = "value"  # the entry's CSV header
 
     def _get(self, i: int, k: int, l: int) -> float:
         c1 = self.params.C1
@@ -91,10 +88,10 @@ class _Table:
         )
         return i, k, l, entry
 
-    def _write_csv(self, path, column: str) -> None:
+    def to_csv(self, path) -> None:
         i, k, l, entry = self.columns()
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"i,k,l,{column}\n")
+            fh.write(f"i,k,l,{self.COLUMN}\n")
             fh.writelines(
                 f"{a},{b},{c},{x!r}\n"
                 for a, b, c, x in zip(i.tolist(), k.tolist(), l.tolist(), entry.tolist())
@@ -108,29 +105,16 @@ class ValueTable(_Table):
     def value(self, i: int, k: int, l: int) -> float:
         return self._get(i, k, l)
 
-    def __getitem__(self, state) -> float:
-        return self._get(*state)
-
-    def to_csv(self, path) -> None:
-        self._write_csv(path, "value")
-
 
 @dataclass(frozen=True, eq=False)
 class DiffTable(_Table):
     """D(i, k, l) = v(i, k, l) - v(i, k-1, l+1) on all admissible indices."""
 
     K_MIN = 1
+    COLUMN = "D"
 
     def d(self, i: int, k: int, l: int) -> float:
-        if k < 1:
-            raise IndexOutOfSpace(f"difference undefined for k = {k} < 1")
-        try:
-            return self._get(i, k, l)
-        except KeyError:
-            raise IndexOutOfSpace(f"no difference entry at {(i, k, l)}") from None
-
-    def to_csv(self, path) -> None:
-        self._write_csv(path, "D")
+        return self._get(i, k, l)
 
 
 @functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)

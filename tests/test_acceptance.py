@@ -27,6 +27,7 @@ from clearq.solver import diff, recursion_check, solve_optimal, solve_under_poli
 from clearq.thresholds import boundary_diff_formula, compute_actual_profile, heuristic_profile
 
 from golden_tables import GOLDEN_TABLES, SERVER_COLUMNS
+from test_solver import entries
 
 JOBS = os.cpu_count() or 1
 
@@ -169,9 +170,9 @@ def test_criterion_4_oracle_equivalence(report):
         for policy_name, policy in (("optimal", optimal_greedy(table)),
                                     ("heuristic", pi_prime(params))):
             if policy_name == "optimal":
-                dp_value = table.value(*state)
+                dp_value = table.levels[20, k0]
             else:
-                dp_value = solve_under_policy(params, policy, 20).value(*state)
+                dp_value = solve_under_policy(params, policy, 20).levels[20, k0]
             sim = estimate(params, policy, SimConfig(seed=draw, replications=100000,
                                                      initial_state=state))
             checks += 1
@@ -205,7 +206,7 @@ def test_criterion_6_boundary_formula(report):
     t0 = time.time()
     worst = 0.0
     for params in table4_params():
-        v = solve_optimal(params, 0)
+        v = entries(solve_optimal(params, 0))
         for total in range(1, params.C1 + 1):
             for k in range(1, total + 1):
                 l = total - k

@@ -208,6 +208,23 @@ def test_jobs_below_one_one_line_error(command, jobs, tmp_path, monkeypatch, cap
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command, message", [
+    (["solve", "--preset", "ex1", "--imax", "-1"], "i_max must be non-negative"),
+    (["thresholds", "--preset", "ex1"], "no profile"),
+    (["sweep", "--jobs", "0"], "jobs must be at least 1, got 0"),
+], ids=["solve", "thresholds", "sweep"])
+def test_failed_command_creates_no_outdir(command, message, tmp_path, monkeypatch, capsys):
+    def failing(params):
+        raise ValueError("no profile")
+
+    monkeypatch.setattr(cli, "compute_actual_profile", failing)
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--outdir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"clearq: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestVerifyCommand:
     def test_examples_grid_passes(self, tmp_path, capsys):
         code = run(["verify", "--grid", "examples", "--imax", "25",

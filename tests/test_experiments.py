@@ -160,7 +160,7 @@ class TestSweep:
         optimal = solve_optimal(params, 3)
         assert [row[7:10] for row in rows[:6]] == [
             (i0, k0, 2 - k0) for i0 in (0, 3) for k0 in range(3)]
-        assert all(row[11] == optimal.value(*row[7:10]) for row in rows)
+        assert all(row[11] == optimal.levels[row[7], row[8]] for row in rows)
 
     def test_table_cells_filter(self, small_result):
         cells = table_cells(small_result.stats, 5)

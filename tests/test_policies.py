@@ -41,7 +41,7 @@ class TestOptimalGreedy:
             for ctx in contexts(params, q):
                 _, kb, lb, _ = ctx
                 k = kb + 1
-                d_val = dt.d(q - 1, k, lb)
+                d_val = dt.levels[q - 1, k]
                 if abs(d_val) <= 1e-9 * (1 + abs(d_val)):
                     continue  # tie: either action is optimal
                 assert decide(greedy, *ctx) == (1 if q <= act[k] else 0)

@@ -128,7 +128,7 @@ class TestEstimate:
     def test_matches_dp_under_policy(self):
         params = SystemParams(2, 1, 10.0, 4.0, 0.01, 1.0, 0.1)
         policy = pi_prime(params)
-        dp = solve_under_policy(params, policy, 20).value(20, 1, 1)
+        dp = solve_under_policy(params, policy, 20).levels[20, 1]
         est = estimate(
             params, policy, SimConfig(seed=7, replications=100000, initial_state=State(20, 1, 1))
         )

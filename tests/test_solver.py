@@ -19,7 +19,6 @@ from clearq.policies import (
 )
 import clearq.solver as solver
 from clearq.solver import (
-    IndexOutOfSpace,
     diff,
     recursion_check,
     solve_family,
@@ -73,10 +72,10 @@ def dict_boundary(params):
     return v
 
 
-def table_states(table):
-    """The states of a table's columns(), in their order."""
-    i, k, l, _ = table.columns()
-    return [State(*s) for s in zip(i.tolist(), k.tolist(), l.tolist())]
+def entries(table):
+    """A table's entries by state, read through columns(), in its order."""
+    i, k, l, entry = table.columns()
+    return dict(zip(map(State, i.tolist(), k.tolist(), l.tolist()), entry.tolist()))
 
 param_strategy = st.builds(
     SystemParams,
@@ -94,27 +93,25 @@ class TestBoundary:
     """The i = 0 layer, read from a depth-0 optimal table."""
 
     def test_empty_state_is_free(self):
-        v = solve_optimal(EX1, 0)
+        v = entries(solve_optimal(EX1, 0))
         assert v[State(0, 0, 0)] == 0.0
 
     def test_single_station1_job(self):
         params = SystemParams(2, 2, 10.0, 4.0, 0.01, 1.0, 0.1)
-        v = solve_optimal(params, 0)
+        v = entries(solve_optimal(params, 0))
         assert v[State(0, 1, 0)] == pytest.approx(0.1)
 
     def test_single_station2_job(self):
         params = SystemParams(2, 2, 10.0, 4.0, 0.01, 1.0, 0.1)
-        v = solve_optimal(params, 0)
+        v = entries(solve_optimal(params, 0))
         assert v[State(0, 0, 1)] == pytest.approx(0.1 / 4.0)
 
     @pytest.mark.parametrize("c1", range(1, 7))
     def test_dict_view_of_the_cached_triangle(self, c1):
         for c2 in (1, c1 + 1):
             params = SystemParams(c1, c2, 3.0, 1.5 * c2, 0.2, 1.0, 0.4)
-            layer = solve_optimal(params, 0)
-            states = enumerate_states(params, 0)
-            assert table_states(layer) == states
-            v = {s: layer[s] for s in states}
+            v = entries(solve_optimal(params, 0))
+            assert list(v) == enumerate_states(params, 0)
             assert all(type(x) is float for x in v.values())
             assert v == dict_boundary(params)
             # The table holds rows n < C1 of the triangle; row C1 is levels[0] alone.
@@ -129,7 +126,7 @@ class TestBoundary:
     @given(param_strategy)
     @settings(max_examples=40, deadline=None)
     def test_boundary_difference_matches_closed_form(self, params):
-        v = solve_optimal(params, 0)
+        v = entries(solve_optimal(params, 0))
         for total in range(1, params.C1 + 1):
             for k in range(1, total + 1):
                 l = total - k
@@ -147,22 +144,19 @@ class TestOptimal:
         v_opt = solve_optimal(params, 8)
         for i in range(0, 9):
             chain = sum(j * params.h0 + params.h1 for j in range(i + 1)) / params.mu1
-            assert v_pi.value(i, 1, 0) == pytest.approx(chain, rel=1e-12)
-            assert v_opt.value(i, 1, 0) <= chain + 1e-12
+            assert v_pi.levels[i, 1] == pytest.approx(chain, rel=1e-12)
+            assert v_opt.levels[i, 1] <= chain + 1e-12
 
     def test_example1_sign_change_at_ten(self):
         dt = diff(solve_optimal(EX1, 12))
-        assert dt.d(9, 3, 1) > 0
-        assert dt.d(10, 3, 1) < 0
+        assert dt.levels[9, 3] > 0
+        assert dt.levels[10, 3] < 0
 
     @given(param_strategy)
     @settings(max_examples=25, deadline=None)
     def test_value_monotone_in_queue(self, params):
-        table = solve_optimal(params, 10)
-        for i in range(0, 10):
-            for k in range(0, params.C1 + 1):
-                l = params.C1 - k
-                assert table.value(i + 1, k, l) >= table.value(i, k, l) - 1e-9
+        levels = solve_optimal(params, 10).levels
+        assert (levels[1:] >= levels[:-1] - 1e-9).all()
 
     def test_values_finite_nonnegative(self):
         table = solve_optimal(EX1, 20)
@@ -181,7 +175,7 @@ class TestOptimal:
                         continue
                     domain.append(State(i, k, l))
         assert set(domain) == set(enumerate_states(EX1, 7))
-        assert table_states(table) == enumerate_states(EX1, 7)
+        assert list(entries(table)) == enumerate_states(EX1, 7)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -192,8 +186,7 @@ class TestUnderPolicy:
     def test_greedy_reproduces_optimal(self):
         table = solve_optimal(EX1, 15)
         v_g = solve_under_policy(EX1, optimal_greedy(table), 15)
-        for s in table_states(table):
-            assert v_g[s] == pytest.approx(table[s], rel=1e-9, abs=1e-12)
+        assert entries(v_g) == pytest.approx(entries(table), rel=1e-9, abs=1e-12)
 
     def test_always_collaborative_can_be_terrible(self):
         # Worst observed excess of the always-collaborate rule exceeds 200%.
@@ -206,7 +199,7 @@ class TestUnderPolicy:
                     v_opt = solve_optimal(params, 20)
                     v_pi3 = solve_under_policy(params, benchmark(params, "pi3"), 20)
                     for k0 in range(0, 3):
-                        rel = v_pi3.value(20, k0, 2 - k0) / v_opt.value(20, k0, 2 - k0) - 1
+                        rel = v_pi3.levels[20, k0] / v_opt.levels[20, k0] - 1
                         if rel > worst:
                             worst, params_worst = rel, params
         assert worst > 2.0, (worst, params_worst)
@@ -214,10 +207,9 @@ class TestUnderPolicy:
     @given(param_strategy, st.sampled_from(["pi1", "pi3", "pi4", "tpi2"]))
     @settings(max_examples=25, deadline=None)
     def test_policy_value_dominates_optimal(self, params, which):
-        v_opt = solve_optimal(params, 8)
-        v_pi = solve_under_policy(params, benchmark(params, which), 8)
-        for s in table_states(v_opt):
-            opt = v_opt[s]
+        v_opt = entries(solve_optimal(params, 8))
+        v_pi = entries(solve_under_policy(params, benchmark(params, which), 8))
+        for s, opt in v_opt.items():
             assert v_pi[s] >= opt - 1e-9 * (1 + abs(opt))
 
 
@@ -229,7 +221,7 @@ class TestDiff:
 
     def test_k_zero_out_of_space(self):
         dt = diff(solve_optimal(EX1, 5))
-        with pytest.raises(IndexOutOfSpace):
+        with pytest.raises(KeyError):
             dt.d(3, 0, 4)
 
     def test_boundary_zero_when_costs_balance(self):
@@ -238,13 +230,13 @@ class TestDiff:
         for k in (1, 2):
             l = 3 - k  # l < C2 only for k = 2
             if l < params.C2:
-                assert dt.d(0, k, l) == pytest.approx(0.0, abs=1e-15)
+                assert dt.levels[0, k] == pytest.approx(0.0, abs=1e-15)
 
     def test_example3_sign_pattern(self):
         params = SystemParams(4, 2, 1.0, 1.5, 2.0, 2.0, 1.0)
         dt = diff(solve_optimal(params, 6))
-        assert dt.d(2, 2, 2) > 0
-        assert dt.d(3, 2, 2) < 0
+        assert dt.levels[2, 2] > 0
+        assert dt.levels[3, 2] < 0
 
 
 class TestRecursion:
@@ -334,7 +326,7 @@ def assert_row_sets_equal_scalar(params, i_max, policies):
         assert [table.kind for table in tables] == want_kinds
         for kind, want, table in zip(want_kinds, want_tables, tables):
             assert table.levels.shape == (i_max + 1, params.C1 + 1)
-            assert {s: table[s] for s in table_states(table)} == want, (params, i_max, kind)
+            assert entries(table) == want, (params, i_max, kind)
 
 
 class TestScalarOracle:
@@ -344,20 +336,19 @@ class TestScalarOracle:
         states = enumerate_states(params, i_max)
         table = solve_optimal(params, i_max)
         want = scalar_solve(params, i_max)
-        assert {s: table[s] for s in states} == want
-        dt = diff(table)
-        assert {s: dt.d(*s) for s in states if s.k >= 1} == {
+        assert entries(table) == want
+        assert entries(diff(table)) == {
             s: want[s] - want[State(s.i, s.k - 1, s.l + 1)] for s in states if s.k >= 1
         }
         policy = policy_by_id(params, policy_id, value_table=table)
         v_pi = solve_under_policy(params, policy, i_max)
-        assert {s: v_pi[s] for s in states} == scalar_solve(params, i_max, policy.rule)
+        assert entries(v_pi) == scalar_solve(params, i_max, policy.rule)
 
     def test_deep_solve_equals_scalar_recursion(self):
         params = SystemParams(4, 3, 10.0, 10.0, 0.01, 1.0, 0.5)
         table = solve_optimal(params, 400)
         want = scalar_solve(params, 400)
-        assert {s: table[s] for s in table_states(table)} == want
+        assert entries(table) == want
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_any_chunk_size_equals_scalar_recursion(self, chunk, monkeypatch):
@@ -374,7 +365,7 @@ class TestScalarOracle:
         want = scalar_solve(EX1, deepest)
         for i_max in (chunk - 1, chunk, chunk + 1, deepest):
             table = solve_optimal(EX1, i_max)
-            assert {s: table[s] for s in table_states(table)} == {
+            assert entries(table) == {
                 s: v for s, v in want.items() if s.i <= i_max}, i_max
         greedy = optimal_greedy(solve_optimal(EX1, deepest))
         policies = [greedy] + [benchmark(EX1, which) for which in ("pi2", "pi4")]
@@ -382,7 +373,7 @@ class TestScalarOracle:
         for i_max in (chunk, chunk + 1, deepest):
             tables = [solve_under_policy(EX1, greedy, i_max)] + solve_family(EX1, policies, i_max)
             for table, want_table in zip(tables, [wants[1]] + wants, strict=True):
-                assert {s: table[s] for s in table_states(table)} == {
+                assert entries(table) == {
                     s: v for s, v in want_table.items() if s.i <= i_max}, (i_max, table.kind)
 
     @pytest.mark.parametrize("chunk", [3, None])
@@ -401,7 +392,7 @@ class TestScalarOracle:
         for shifted in (solver.CHUNK - 1, solver.CHUNK + 1):
             assert scalar_solve(EX1, depth, flipping_at(shifted)) != want
         table = solve_under_policy(EX1, rule, depth)
-        assert {s: table[s] for s in table_states(table)} == want
+        assert entries(table) == want
         # Rules flipping around the boundary, each row of a kernel on its own decisions.
         policies = [Policy(f"flip{shift:+d}", flipping_at(solver.CHUNK + shift))
                     for shift in (0, -1, 1, -2, 2)]
@@ -447,18 +438,18 @@ class TestScalarOracle:
     def test_scalar_only_rule_result_broadcasts(self):
         table = solve_under_policy(EX1, lambda q, kb, lb, n: 1, 6)
         want = scalar_solve(EX1, 6, lambda q, kb, lb, n: 1)
-        assert {s: table[s] for s in table_states(table)} == want
+        assert entries(table) == want
 
     def test_lookups_return_python_floats(self, tmp_path):
         table = solve_optimal(EX1, 3)
         assert type(table.value(2, 1, 3)) is float
-        assert type(table[(0, 1, 1)]) is float
+        assert type(table.value(0, 1, 1)) is float
         assert type(diff(table).d(3, 2, 2)) is float
         with pytest.raises(KeyError):
             table.value(4, 1, 3)
         with pytest.raises(KeyError):
             table.value(1, -1, 5)
-        with pytest.raises(IndexOutOfSpace):
+        with pytest.raises(KeyError):
             diff(table).d(0, 3, 2)
 
     def test_recursion_check_flags_nan(self):
@@ -507,7 +498,7 @@ class TestSharedData:
                 solve_under_policy(EX1, writer, 9)
             assert writer not in solver._DECISION_ROWS
         table = solve_under_policy(EX1, lambda q, kb, lb, n: np.asarray(q) <= 3, 9)
-        assert {s: table[s] for s in table_states(table)} == want
+        assert entries(table) == want
 
     def test_equal_params_with_int_rates_share_one_entry(self):
         ints = SystemParams(4, 2, 3, 1, 1, 2, 1)
@@ -519,11 +510,11 @@ class TestSharedData:
         assert heuristic_profile(ints) is heuristic_profile(floats)
         assert search_caps(ints) is search_caps(floats)
         for params, table in ((ints, first), (floats, second)):
-            assert {s: table[s] for s in table_states(table)} == scalar_solve(params, 12)
+            assert entries(table) == scalar_solve(params, 12)
         rule = benchmark(ints, "pi4").rule
         for params in (ints, floats):
             table = solve_under_policy(params, rule, 12)
-            assert {s: table[s] for s in table_states(table)} == scalar_solve(params, 12, rule)
+            assert entries(table) == scalar_solve(params, 12, rule)
 
 
 class TestDecisionRows:
@@ -591,4 +582,4 @@ class TestDecisionRows:
         second = solve_under_policy(EX1, rule, 9)
         assert rule.calls == 4  # two stations per solve
         assert (first.levels == second.levels).all()
-        assert {s: first[s] for s in table_states(first)} == scalar_solve(EX1, 9, rule)
+        assert entries(first) == scalar_solve(EX1, 9, rule)
