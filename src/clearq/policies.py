@@ -1,18 +1,19 @@
 """Decision rules.
 
 Every decision happens when a flexible server frees up with jobs still in
-queue.  A rule is called as rule(q, k_busy, l_busy, station): queue length
-including the job being engaged, busy counts excluding the freed server, and
-which station completed.  Action a = 0 starts independent service, a = 1
-collaborative.  Whether the completion was at Station 1 or 2, the optimal
-comparison is the same difference D(q-1, k_busy+1, l_busy), so one rule
-covers both completion types.
+queue.  A rule is called as rule(q, k_busy, l_busy): queue length including
+the job being engaged, and busy counts excluding the freed server.  Action
+a = 0 starts independent service, a = 1 collaborative.  Whether the
+completion was at Station 1 or 2, the optimal comparison is the same
+difference D(q-1, k_busy+1, l_busy), so a decision depends on the state
+alone.
 
-Rules accept scalars or numpy arrays and must act elementwise: the solver and
-the simulator both evaluate them once per completing station, on the whole
-(queue, k_busy) grid (``decision_grid``), whose shared index arrays are
-read-only.  The solver reuses a rule's decisions at each (C1, depth) while
-the rule object lives, so a rule must be a pure function of its arguments.
+Rules accept scalars or numpy arrays and must act elementwise: the solver
+evaluates them once per (C1, depth) and the simulator once per estimate, on
+the whole (queue, k_busy) grid (``decision_grid``), whose shared index arrays
+are read-only.  The solver reuses a rule's decisions at each (C1, depth)
+while the rule object lives, so a rule must be a pure function of its
+arguments.
 """
 from __future__ import annotations
 
@@ -25,9 +26,6 @@ import numpy as np
 
 from .model import GRID_CACHE_SIZE, SystemParams, band_signs, read_only
 from .thresholds import heuristic_profile, threshold_spec
-
-STATION1 = 1
-STATION2 = 2
 
 BENCHMARK_IDS = ("pi1", "pi2", "pi3", "pi4", "tpi1", "tpi2", "tpi3", "tpi4")
 POLICY_IDS = ("optimal", "heuristic") + BENCHMARK_IDS
@@ -44,8 +42,8 @@ class Policy:
     id: str
     rule: Callable = field(repr=False)
 
-    def __call__(self, q, k_busy, l_busy, station):
-        return self.rule(q, k_busy, l_busy, station)
+    def __call__(self, q, k_busy, l_busy):
+        return self.rule(q, k_busy, l_busy)
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
@@ -55,23 +53,28 @@ def _decision_contexts(c1: int, q_max: int) -> tuple[np.ndarray, ...]:
     return read_only(q, k_busy, c1 - 1 - k_busy)
 
 
-def decision_grid(rule, c1: int, q_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rule's action at every decision with queue 1..q_max, one call per station.
+def decision_grid(rule, c1: int, q_max: int) -> np.ndarray:
+    """The rule's action at every decision with queue 1..q_max, from one call.
 
     A decision with jobs in queue always finds all C1 flexible servers busy,
     so the contexts form a (q, k_busy) grid with l_busy = C1 - 1 - k_busy.
     The rule gets them as shared read-only arrays and must not write into them.
-    Returns boolean arrays ``after1[q - 1, k]`` and ``after2[q - 1, k]``: the
-    action after a Station 1 and after a Station 2 completion leaves state
-    (q, k, C1 - k).  Cells with no such completion, k = 0 for Station 1 and
-    k = C1 for Station 2, are False.
+    Returns the boolean array ``collab[q - 1, k_busy]`` of shape (q_max, C1).
+    A Station 1 completion from (q, k, C1 - k) decides at k_busy = k - 1, a
+    Station 2 completion at k_busy = k.
     """
     q, k_busy, l_busy = _decision_contexts(c1, q_max)
-    after1 = np.zeros((q_max, c1 + 1), dtype=bool)
-    after2 = np.zeros((q_max, c1 + 1), dtype=bool)
-    after1[:, 1:] = np.asarray(rule(q, k_busy, l_busy, STATION1), dtype=bool)
-    after2[:, :-1] = np.asarray(rule(q, k_busy, l_busy, STATION2), dtype=bool)
-    return after1, after2
+    collab = np.empty((q_max, c1), dtype=bool)
+    collab[:] = np.asarray(rule(q, k_busy, l_busy), dtype=bool)
+    return collab
+
+
+def _k_busy(k_busy, c1: int) -> np.ndarray:
+    """k_busy as an array; ValueError outside 0..C1-1, where an index would wrap or overflow."""
+    k = np.asarray(k_busy)
+    if np.any((k < 0) | (k >= c1)):
+        raise ValueError(f"k_busy {np.min(k)}..{np.max(k)} outside 0..{c1 - 1}")
+    return k
 
 
 def optimal_greedy(value_table) -> Policy:
@@ -80,15 +83,15 @@ def optimal_greedy(value_table) -> Policy:
     Collaborative service is chosen iff it is strictly cheaper beyond the
     zero band; exact ties go independent.
     """
-    i_max, levels = value_table.i_max, value_table.levels
+    i_max, levels, c1 = value_table.i_max, value_table.levels, value_table.params.C1
 
-    def rule(q, k_busy, l_busy, station):
+    def rule(q, k_busy, l_busy):
         level = np.asarray(q) - 1
         if np.any(level > i_max):
             raise DepthExceeded(f"queue {np.max(np.asarray(q))} exceeds table depth {i_max}")
         if np.any(level < 0):
             raise ValueError(f"queue {np.min(np.asarray(q))} < 1: no job is waiting to assign")
-        k = np.asarray(k_busy)
+        k = _k_busy(k_busy, c1)
         # D(q - 1, k_busy + 1, C1 - k_busy - 1), read only where the rule is asked.
         return band_signs(levels[level, k + 1] - levels[level, k]) > 0
 
@@ -108,20 +111,20 @@ def pi_prime(params: SystemParams) -> Policy:
     th = np.full(params.C1 + 1, math.inf)  # by D column k; column 0 is never read
     for s in spec:
         th[s.k] = profile[s.index]
-    independent = spec.independent
+    independent, c1 = spec.independent, params.C1
 
-    def rule(q, k_busy, l_busy, station):
-        return (np.asarray(q) <= th[np.asarray(k_busy) + 1]) != independent
+    def rule(q, k_busy, l_busy):
+        return (np.asarray(q) <= th[_k_busy(k_busy, c1) + 1]) != independent
 
     return Policy("heuristic", rule)
 
 
 # The benchmark rules that read no parameter; pi4 and tpi4 read C2.
 _FIXED_RULES = {
-    "pi1": lambda q, kb, lb, n: np.zeros_like(np.asarray(q), dtype=bool),
-    "pi2": lambda q, kb, lb, n: np.asarray(q) <= 10,
-    "pi3": lambda q, kb, lb, n: np.ones_like(np.asarray(q), dtype=bool),
-    "tpi2": lambda q, kb, lb, n: np.asarray(q) > 10,
+    "pi1": lambda q, kb, lb: np.zeros_like(np.asarray(q), dtype=bool),
+    "pi2": lambda q, kb, lb: np.asarray(q) <= 10,
+    "pi3": lambda q, kb, lb: np.ones_like(np.asarray(q), dtype=bool),
+    "tpi2": lambda q, kb, lb: np.asarray(q) > 10,
 }
 _FIXED_RULES.update(tpi1=_FIXED_RULES["pi1"], tpi3=_FIXED_RULES["pi3"])
 
@@ -132,9 +135,9 @@ def benchmark(params: SystemParams, which: str) -> Policy:
     pi1/tpi1 always independent; pi3/tpi3 always collaborative; pi2
     collaborates iff q <= 10 and tpi2 iff q > 10 (the constant 10 is part of
     the benchmark definition); pi4/tpi4 collaborate iff no Station 2 wait,
-    which reads l_busy < C2 for either completion type.  The rules read
-    nothing but C2, so the policy is one shared object per (which, C2), and
-    the solver derives its decisions once per depth.
+    l_busy < C2.  The rules read nothing but C2, so the policy is one shared
+    object per (which, C2), and the solver derives its decisions once per
+    depth.
     """
     return _benchmark(which, params.C2)
 
@@ -142,7 +145,7 @@ def benchmark(params: SystemParams, which: str) -> Policy:
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _benchmark(which: str, c2: int) -> Policy:
     if which in ("pi4", "tpi4"):
-        return Policy(which, lambda q, kb, lb, n: np.asarray(lb) < c2)
+        return Policy(which, lambda q, kb, lb: np.asarray(lb) < c2)
     if which not in _FIXED_RULES:
         raise ValueError(f"unknown benchmark {which!r}; expected one of {BENCHMARK_IDS}")
     return Policy(which, _FIXED_RULES[which])

@@ -8,9 +8,9 @@ two uniform draws per event, which keeps streams reproducible and cheap.
 
 In lockstep the queue and the number of jobs in service are the same in
 every replication, so a replication's state is its Station 1 count alone.
-Once per estimate, the policy is evaluated once per completing station on
-the (q, k_busy) grid, and every event gets small lookup tables indexed by
-that count; each event step is then array arithmetic and table lookups.
+Once per estimate, the policy is evaluated once on the (q, k_busy) grid,
+and every event gets small lookup tables indexed by that count; each event
+step is then array arithmetic and table lookups.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import State, SystemParams, in_state_space
+from .model import State, SystemParams, _is_integer, in_state_space
 from .policies import decision_grid
 
 BATCH_SIZE = 16384
@@ -35,6 +35,9 @@ class SimConfig:
     initial_state: State
 
     def __post_init__(self):
+        for name in ("seed", "replications"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 
@@ -68,7 +71,9 @@ def _event_tables(params: SystemParams, policy, initial_state: State):
     at each at1 = 0..C1, formed with the simulator's float operations in its
     order.  ``rate1[at1]`` is the Station 1 rate.  ``after[t, at1]`` is the
     next at1 after a Station 2 completion, and ``after[t, C1 + 1 + at1]``
-    after a Station 1 completion.  The policy is consulted once per station.
+    after a Station 1 completion.  The policy is consulted once: a freed
+    server decides at k_busy = at1 - 1 after a Station 1 completion and at
+    k_busy = at1 after a Station 2 completion.
     """
     i0, k0, l0 = initial_state
     c1 = params.C1
@@ -86,9 +91,9 @@ def _event_tables(params: SystemParams, policy, initial_state: State):
     indep1 = np.zeros(total.shape, dtype=np.intp)
     indep2 = np.zeros(total.shape, dtype=np.intp)
     if i0:
-        after1, after2 = decision_grid(policy, c1, i0)
-        indep1[:i0] = ~after1[::-1]  # event t has queue i0 - t
-        indep2[:i0] = ~after2[::-1]
+        collab = decision_grid(policy, c1, i0)[::-1]  # event t has queue i0 - t
+        indep1[:i0, 1:] = ~collab
+        indep2[:i0, :-1] = ~collab
     after = np.concatenate([at1 + indep2, at1 - 1 + indep1], axis=1)
     np.clip(after, 0, c1, out=after)  # only unreachable cells leave 0..C1
     return hold, total, rate1, after

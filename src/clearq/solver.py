@@ -176,9 +176,9 @@ def kernel(flat, rows, coefficients, h0, start, stop, *decisions):
 """
 
 
-def _entry(head: str, k: int, c1: int, pick1: str, pick2: str) -> str:
-    up = f" + u{k} * {pick1}" if k > 0 else ""
-    down = f" + d{k} * {pick2}" if k < c1 else ""
+def _entry(head: str, k: int, c1: int, r: int) -> str:
+    up = f" + u{k} * m{r}_{k}" if k > 0 else ""
+    down = f" + d{k} * m{r}_{k + 1}" if k < c1 else ""
     return f"({head}{up}{down}) / r{k}"
 
 
@@ -186,11 +186,13 @@ def _entry(head: str, k: int, c1: int, pick1: str, pick2: str) -> str:
 def _kernel(c1: int, n_policies: int, optimal: bool) -> Callable:
     """The level kernel for C1 = c1 and its rows, built once per row set.
 
-    Row 0 is the optimal row when ``optimal`` leads; it picks the cheaper
-    successor.  Each policy row takes the rows of its decision grids
-    ``after1`` and ``after2`` for levels start..stop-1 as two more arguments,
-    in row order.  The generated source interpolates nothing but the column
-    and row numbers.
+    The up pick of entry k and the down pick of entry k - 1 choose between the
+    same stay = p{r}_{k} and move = p{r}_{k-1}, so one pick m{r}_{k} serves
+    both.  The optimal row, row 0 when ``optimal`` leads, moves iff move is
+    cheaper, so a tie stays.  Each policy row takes the rows of its decision
+    grid for levels start..stop-1 as one more argument, in row order, and
+    moves iff it collaborates at k_busy = k - 1.  The generated source
+    interpolates nothing but the column and row numbers.
     """
     ks = range(c1 + 1)
     rows = range(optimal + n_policies)
@@ -200,25 +202,16 @@ def _kernel(c1: int, n_policies: int, optimal: bool) -> Callable:
     if len(rows) > 1:
         body += "".join(f"        e{k} = {head}\n" for k, head in zip(ks, heads))
         heads = [f"e{k}" for k in ks]
-    if optimal:
-        # The up pick of entry k and the down pick of entry k - 1 choose between
-        # the same stay = p0_{k} and move = p0_{k-1}, so one m{k} serves both.
-        # "move if move < stay else stay" keeps stay on a tie.
-        body += "".join(
-            f"        m{k} = p0_{k - 1} if p0_{k - 1} < p0_{k} else p0_{k}\n" for k in ks[1:])
     go = ""
     for r in rows:
         if optimal and r == 0:
-            entries = [_entry(heads[k], k, c1, f"m{k}", f"m{k + 1}") for k in ks]
+            moves = [f"p0_{k - 1} < p0_{k}" for k in ks[1:]]
         else:
-            go += ", ({}), ({})".format(", ".join(["_"] + [f"s{r}_{k}" for k in ks[1:]]),
-                                        ", ".join([f"t{r}_{k}" for k in ks[:-1]] + ["_"]))
-            entries = [
-                _entry(heads[k], k, c1, f"(p{r}_{k - 1} if s{r}_{k} else p{r}_{k})",
-                       f"(p{r}_{k} if t{r}_{k} else p{r}_{k + 1})")
-                for k in ks
-            ]
-        body += (f"        row{r} = ({', '.join(entries)})\n"
+            moves = [f"c{r}_{k - 1}" for k in ks[1:]]
+            go += f", ({', '.join(f'c{r}_{k}' for k in ks[:-1])},)"
+        body += "".join(f"        m{r}_{k} = p{r}_{k - 1} if {move} else p{r}_{k}\n"
+                        for k, move in zip(ks[1:], moves))
+        body += (f"        row{r} = ({', '.join(_entry(heads[k], k, c1, r) for k in ks)})\n"
                  f"        flat += row{r}\n"
                  f"        {prevs[r]} = row{r}\n")
     source = _KERNEL_TEMPLATE.format(
@@ -239,12 +232,7 @@ def _kernel(c1: int, n_policies: int, optimal: bool) -> Callable:
 _DECISION_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _evaluate(rule: Callable, c1: int, i_max: int) -> tuple[list, list]:
-    after1, after2 = decision_grid(rule, c1, i_max)
-    return after1.tolist(), after2.tolist()
-
-
-def _decision_rows(rule: Callable, c1: int, i_max: int) -> tuple[list, list]:
+def _decision_rows(rule: Callable, c1: int, i_max: int) -> list:
     """A policy row's decision rows, evaluated once per rule, C1 and depth.
 
     A rule keeps its GRID_CACHE_SIZE latest depths.  A rule that cannot be
@@ -253,10 +241,10 @@ def _decision_rows(rule: Callable, c1: int, i_max: int) -> tuple[list, list]:
     try:
         memo = _DECISION_ROWS.get(rule)
     except TypeError:
-        return _evaluate(rule, c1, i_max)
+        return decision_grid(rule, c1, i_max).tolist()
     rows = None if memo is None else memo.get((c1, i_max))
     if rows is None:
-        rows = _evaluate(rule, c1, i_max)
+        rows = decision_grid(rule, c1, i_max).tolist()
         if memo is None:
             memo = _DECISION_ROWS[rule] = {}
         elif len(memo) >= GRID_CACHE_SIZE:
@@ -284,14 +272,14 @@ def _solve(
     block[0] = full_row
     if i_max:
         kernel = _kernel(c1, len(policies), optimal)
-        decisions = [rows for p in policies for rows in _decision_rows(p, c1, i_max)]
+        decisions = [_decision_rows(p, c1, i_max) for p in policies]
         cells, rows, width = block.reshape(-1), (full_row,) * len(kinds), len(kinds) * (c1 + 1)
         for start in range(1, i_max + 1, CHUNK):
             stop = min(start + CHUNK, i_max + 1)
             chunk = []
             # Decision row i - 1 belongs to level i.
             rows = kernel(chunk, rows, coefficients, params.h0, start, stop,
-                          *(after[start - 1:stop - 1] for after in decisions))
+                          *(collab[start - 1:stop - 1] for collab in decisions))
             cells[start * width:stop * width] = chunk
     return [ValueTable(params, i_max, boundary, block[:, r], kind) for r, kind in enumerate(kinds)]
 
@@ -304,11 +292,11 @@ def solve_optimal(params: SystemParams, i_max: int) -> ValueTable:
 def solve_under_policy(params: SystemParams, policy, i_max: int) -> ValueTable:
     """Expected clearing costs when every decision follows the given policy.
 
-    The policy is called as policy(q, k_busy, l_busy, station), once per
-    station with integer arrays over every decision of the table, so it must
-    be elementwise and total for q up to i_max.  Its decisions are worked out
-    once per (C1, depth) and reused for as long as the policy object lives,
-    so it must be a pure function of its arguments.
+    The policy is called as policy(q, k_busy, l_busy), once with integer
+    arrays over every decision of the table, so it must be elementwise and
+    total for q up to i_max.  Its decisions are worked out once per
+    (C1, depth) and reused for as long as the policy object lives, so it
+    must be a pure function of its arguments.
     """
     return _solve(params, i_max, (policy,), False)[0]
 

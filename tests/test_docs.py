@@ -1,6 +1,7 @@
 """The README's quick start runs as written, on exactly what the package exports,
 and every name its prose quotes exists."""
 import importlib
+import inspect
 import pkgutil
 import re
 import types
@@ -79,3 +80,9 @@ def test_unresolved_names_are_found():
 
 def test_readme_names_resolve():
     assert unresolved(README.read_text(encoding="utf-8")) == []
+
+
+def test_readme_rule_signature_matches_policy_call():
+    quoted = re.findall(r"`rule\(([^)`]*)\)`", README.read_text(encoding="utf-8"))
+    call = list(inspect.signature(clearq.policies.Policy.__call__).parameters)[1:]
+    assert quoted and all([name.strip() for name in args.split(",")] == call for args in quoted)

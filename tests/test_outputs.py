@@ -7,6 +7,8 @@ one run writes: the sorted file names and their bytes.
 """
 import hashlib
 
+import numpy as np
+
 import clearq.cli as cli
 from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep, table4_params
 from clearq.policies import decision_grid, pi_prime
@@ -127,7 +129,10 @@ def threshold_grid_lines():
         for index in heur.indices():
             yield f"index {index} {classify(params, index).value} {condition1(params, index).value}"
         yield f"caps {sorted(search_caps(params).items())!r}"
-        after1, after2 = decision_grid(pi_prime(params).rule, params.C1, 40)
+        collab = decision_grid(pi_prime(params).rule, params.C1, 40)
+        # The action after a Station 1 and after a Station 2 completion leaves
+        # (q, k, C1 - k), by k = 0..C1; a column with no such completion is False.
+        after1, after2 = (np.pad(collab, ((0, 0), pad)) for pad in ((1, 0), (0, 1)))
         yield f"pi_prime {after1.tobytes().hex()} {after2.tobytes().hex()}"
 
 

@@ -6,8 +6,6 @@ import pytest
 from clearq.experiments import EXAMPLE_PARAMS
 from clearq.model import SystemParams
 from clearq.policies import (
-    STATION1,
-    STATION2,
     DepthExceeded,
     benchmark,
     optimal_greedy,
@@ -18,16 +16,15 @@ from clearq.solver import diff, solve_optimal, solve_under_policy
 from clearq.thresholds import compute_actual_profile, heuristic_profile
 
 
-def decide(policy, q, k_busy, l_busy, station):
+def decide(policy, q, k_busy, l_busy):
     """The policy's action at one decision: 0 independent, 1 collaborative."""
-    return int(bool(policy(q, k_busy, l_busy, station)))
+    return int(bool(policy(q, k_busy, l_busy)))
 
 
 def contexts(params, q):
-    """(q, k_busy, l_busy, station) of every decision at queue q."""
+    """(q, k_busy, l_busy) of every decision at queue q."""
     for kb in range(0, params.C1):
-        for station in (STATION1, STATION2):
-            yield q, kb, params.C1 - 1 - kb, station
+        yield q, kb, params.C1 - 1 - kb
 
 
 class TestOptimalGreedy:
@@ -39,7 +36,7 @@ class TestOptimalGreedy:
         dt = diff(table)
         for q in range(1, 15):
             for ctx in contexts(params, q):
-                _, kb, lb, _ = ctx
+                _, kb, lb = ctx
                 k = kb + 1
                 d_val = dt.levels[q - 1, k]
                 if abs(d_val) <= 1e-9 * (1 + abs(d_val)):
@@ -49,29 +46,29 @@ class TestOptimalGreedy:
     def test_example5_threshold_behaviour(self):
         params = EXAMPLE_PARAMS["ex5"]
         greedy = optimal_greedy(solve_optimal(params, 16))
-        assert decide(greedy, 12, 1, 2, STATION1) == 1  # level 11: clearly positive
-        assert decide(greedy, 14, 1, 2, STATION1) == 0  # level 13: clearly negative
+        assert decide(greedy, 12, 1, 2) == 1  # level 11: clearly positive
+        assert decide(greedy, 14, 1, 2) == 0  # level 13: clearly negative
 
     def test_exact_tie_goes_independent(self):
         # D(0, 1, 1) = 0 exactly here, so the greedy rule picks Station 1.
         params = SystemParams(2, 1, 10.0, 4.0, 0.5, 1.0, 0.2)
         greedy = optimal_greedy(solve_optimal(params, 5))
-        assert decide(greedy, 1, 0, 1, STATION1) == 0
+        assert decide(greedy, 1, 0, 1) == 0
 
     def test_depth_exceeded(self):
         params = EXAMPLE_PARAMS["ex1"]
         greedy = optimal_greedy(solve_optimal(params, 5))
         with pytest.raises(DepthExceeded):
-            decide(greedy, 7, 2, 1, STATION1)
+            decide(greedy, 7, 2, 1)
 
     def test_queue_below_one_rejected(self):
         # With q = 0 there is no job to assign; the level index would wrap
         # around to the deepest level.
         greedy = optimal_greedy(solve_optimal(EXAMPLE_PARAMS["ex1"], 5))
         with pytest.raises(ValueError, match="< 1"):
-            greedy.rule(0, 0, 1, 1)
+            greedy.rule(0, 0, 1)
         with pytest.raises(ValueError, match="< 1"):
-            greedy.rule(np.array([1, 0]), np.array([0, 0]), np.array([3, 3]), STATION2)
+            greedy.rule(np.array([1, 0]), np.array([0, 0]), np.array([3, 3]))
 
     def test_diagonal_consistency(self):
         # Collaborating at (q, kb, lb) implies collaborating at (q, kb+1, lb-1).
@@ -80,8 +77,8 @@ class TestOptimalGreedy:
         for q in range(1, 12):
             for kb in range(0, params.C1 - 1):
                 lb = params.C1 - 1 - kb
-                if decide(greedy, q, kb, lb, STATION1):
-                    assert decide(greedy, q, kb + 1, lb - 1, STATION1)
+                if decide(greedy, q, kb, lb):
+                    assert decide(greedy, q, kb + 1, lb - 1)
 
     def test_vectorized_matches_scalar(self):
         params = EXAMPLE_PARAMS["ex1"]
@@ -89,9 +86,8 @@ class TestOptimalGreedy:
         q = np.array([3, 8, 11, 12])
         kb = np.array([2, 2, 2, 2])
         lb = np.array([1, 1, 1, 1])
-        st = np.array([1, 1, 2, 2])
-        vec = np.asarray(greedy(q, kb, lb, st), dtype=int)
-        scalar = [decide(greedy, *args) for args in zip(q, kb, lb, st)]
+        vec = np.asarray(greedy(q, kb, lb), dtype=int)
+        scalar = [decide(greedy, *args) for args in zip(q, kb, lb)]
         assert vec.tolist() == scalar
 
 
@@ -99,9 +95,9 @@ class TestPiPrime:
     def test_ex1_station1_thresholds(self):
         policy = pi_prime(EXAMPLE_PARAMS["ex1"])
         for q in range(1, 11):
-            assert decide(policy, q, 2, 1, STATION1) == 1
+            assert decide(policy, q, 2, 1) == 1
         for q in range(11, 20):
-            assert decide(policy, q, 2, 1, STATION1) == 0
+            assert decide(policy, q, 2, 1) == 0
 
     def test_highcost_slow_collaboration_always_independent(self):
         params = SystemParams(2, 1, 10.0, 4.0, 0.1, 1.0, 2.0)
@@ -123,7 +119,7 @@ class TestPiPrime:
         policy = pi_prime(params)
         th = heuristic_profile(params)
         for q in range(1, 25):
-            got = decide(policy, q, params.C1 - 1, 0, STATION1)
+            got = decide(policy, q, params.C1 - 1, 0)
             assert got == (1 if q - 1 >= th[0] else 0)
 
     def test_agrees_with_greedy_in_value_when_thresholds_exact(self):
@@ -139,6 +135,17 @@ class TestPiPrime:
         v_pp = solve_under_policy(params, pi_prime(params), 15)
         want = v_opt.columns()[3].tolist()
         assert v_pp.columns()[3].tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("make", [lambda p: optimal_greedy(solve_optimal(p, 5)), pi_prime],
+                         ids=["greedy", "pi_prime"])
+@pytest.mark.parametrize("k_busy", [-1, 4, np.array([0, -1]), np.array([3, 4])])
+def test_k_busy_outside_the_flexible_servers_rejected(make, k_busy):
+    # ex1 has C1 = 4, so k_busy runs 0..3; -1 would wrap around to the last column.
+    params = EXAMPLE_PARAMS["ex1"]
+    policy = make(params)
+    with pytest.raises(ValueError, match="k_busy"):
+        policy(3, k_busy, params.C1 - 1 - k_busy)
 
 
 class TestBenchmarks:
@@ -158,17 +165,17 @@ class TestBenchmarks:
         params = EXAMPLE_PARAMS["ex1"]
         pi2 = benchmark(params, "pi2")
         tpi2 = benchmark(params, "tpi2")
-        ctx10 = (10, 1, 2, STATION1)
-        ctx11 = (11, 1, 2, STATION1)
+        ctx10 = (10, 1, 2)
+        ctx11 = (11, 1, 2)
         assert decide(pi2, *ctx10) == 1 and decide(pi2, *ctx11) == 0
         assert decide(tpi2, *ctx10) == 0 and decide(tpi2, *ctx11) == 1
 
     def test_no_wait_rule_both_completion_types(self):
         params = EXAMPLE_PARAMS["ex1"]  # C2 = 2
         pi4 = benchmark(params, "pi4")
-        for station in (STATION1, STATION2):
-            assert decide(pi4, 7, 2, 1, station) == 1  # l_busy < C2
-            assert decide(pi4, 7, 1, 2, station) == 0  # l_busy >= C2
+        # Either completion type leaves the same decision state.
+        assert decide(pi4, 7, 2, 1) == 1  # l_busy < C2
+        assert decide(pi4, 7, 1, 2) == 0  # l_busy >= C2
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
@@ -181,7 +188,7 @@ class TestBenchmarks:
             assert benchmark(ex1, which) is benchmark(ex2, which)
             assert benchmark(ex1, which) is not benchmark(ex6, which)
         assert benchmark(ex1, "pi4") is not benchmark(ex1, "tpi4")
-        assert decide(benchmark(ex6, "pi4"), 7, 1, 2, STATION1) == 1  # l_busy < C2 = 3
+        assert decide(benchmark(ex6, "pi4"), 7, 1, 2) == 1  # l_busy < C2 = 3
 
 
 class TestPolicyById:

@@ -43,8 +43,7 @@ def reference_batch_costs(params, policy, initial_state, n, rng):
             q = queue[busy]
             kb = np.where(station1[busy], at1[busy] - 1, at1[busy])
             lb = np.where(station1[busy], at2[busy], at2[busy] - 1)
-            station = np.where(station1[busy], 1, 2)
-            collab[busy] = np.asarray(policy(q, kb, lb, station), dtype=bool)
+            collab[busy] = np.asarray(policy(q, kb, lb), dtype=bool)
         at1 += -station1.astype(np.int64) + (busy & ~collab)
         at2 += -(~station1).astype(np.int64) + (busy & collab)
         queue -= busy.astype(np.int64)
@@ -158,6 +157,13 @@ class TestEstimate:
         with pytest.raises(ValueError):
             SimConfig(seed=1, replications=0, initial_state=State(5, 4, 0))
 
+    @pytest.mark.parametrize("seed, replications", [
+        (1, True), (1, 2.0), (1, "2"), (True, 10), (1.0, 10), ("1", 10), (None, 10)])
+    def test_seed_and_replications_must_be_integers(self, seed, replications):
+        # Coercing would run True as one replication or as seed 1.
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimConfig(seed=seed, replications=replications, initial_state=State(5, 4, 0))
+
     def test_optimal_beats_always_collaborate(self):
         params = SystemParams(2, 1, 10.0, 4.0, 0.1, 1.0, 0.1)
         table = solve_optimal(params, 20)
@@ -213,17 +219,17 @@ class TestAgainstReference:
         config = SimConfig(seed=11, replications=2 * BATCH_SIZE + 5, initial_state=state)
         assert estimate(params, policy, config) == reference_estimate(params, policy, config)
 
-    def test_policy_consulted_once_per_station(self):
+    def test_policy_consulted_once_per_estimate(self):
         params = EXAMPLE_PARAMS["ex1"]
         calls = []
 
-        def rule(q, kb, lb, station):
-            calls.append(station)
+        def rule(q, kb, lb):
+            calls.append(q.shape)
             return np.asarray(q) <= 5
 
         estimate(params, rule, SimConfig(seed=1, replications=BATCH_SIZE + 1,
                                          initial_state=State(12, 2, params.C1 - 2)))
-        assert sorted(calls) == [1, 2]
+        assert calls == [(12, params.C1)]
 
     def test_greedy_table_shallower_than_queue_raises(self):
         params = EXAMPLE_PARAMS["ex1"]

@@ -294,7 +294,7 @@ def scalar_solve(params, i_max, rule=None):
                 if rule is None:
                     acc += k * params.mu1 * min(stay, move)
                 else:
-                    acc += k * params.mu1 * (move if rule(i, k - 1, l, 1) else stay)
+                    acc += k * params.mu1 * (move if rule(i, k - 1, l) else stay)
             served = min(l, params.C2)
             if served > 0:
                 stay = v[State(i - 1, k + 1, l - 1)]
@@ -302,7 +302,7 @@ def scalar_solve(params, i_max, rule=None):
                 if rule is None:
                     acc += served * params.mu2 * min(stay, move)
                 else:
-                    acc += served * params.mu2 * (move if rule(i, k, l - 1, 2) else stay)
+                    acc += served * params.mu2 * (move if rule(i, k, l - 1) else stay)
             v[State(i, k, l)] = acc / d
     return v
 
@@ -384,7 +384,7 @@ class TestScalarOracle:
         depth = 2 * solver.CHUNK + 1
 
         def flipping_at(level):
-            return lambda q, kb, lb, n: np.asarray(q) <= level
+            return lambda q, kb, lb: np.asarray(q) <= level
 
         rule = flipping_at(solver.CHUNK)
         want = scalar_solve(EX1, depth, rule)
@@ -411,11 +411,9 @@ class TestScalarOracle:
                 assert_row_sets_equal_scalar(params, i_max, policies)
                 for policy in policies:
                     if i_max:
-                        after1, after2 = decision_grid(policy.rule, c1, i_max)
-                        decided.update((1, bool(x)) for x in after1[:, 1:].flat)
-                        decided.update((2, bool(x)) for x in after2[:, :-1].flat)
-        # Both actions after both completion types, so every pick of the policy kernel is read.
-        assert decided == {(1, False), (1, True), (2, False), (2, True)}
+                        decided.update(decision_grid(policy.rule, c1, i_max).flat)
+        # Both actions occur, so both branches of every policy pick are read.
+        assert decided == {False, True}
 
     @pytest.mark.parametrize("policy_id", POLICY_IDS)
     def test_grid_decisions_match_scalar_calls(self, policy_id):
@@ -425,19 +423,16 @@ class TestScalarOracle:
         for params in points:
             i_max = 25
             policy = policy_by_id(params, policy_id, value_table=solve_optimal(params, i_max))
-            after1, after2 = decision_grid(policy.rule, params.C1, i_max)
-            assert after1.shape == after2.shape == (i_max, params.C1 + 1)
+            collab = decision_grid(policy.rule, params.C1, i_max)
+            assert collab.shape == (i_max, params.C1)
             for i in range(1, i_max + 1):
-                for k in range(0, params.C1 + 1):
-                    l = params.C1 - k
-                    want1 = k > 0 and bool(policy.rule(i, k - 1, l, 1))
-                    want2 = k < params.C1 and bool(policy.rule(i, k, l - 1, 2))
-                    assert after1[i - 1, k] == want1
-                    assert after2[i - 1, k] == want2
+                for k_busy in range(0, params.C1):
+                    want = bool(policy.rule(i, k_busy, params.C1 - 1 - k_busy))
+                    assert collab[i - 1, k_busy] == want
 
     def test_scalar_only_rule_result_broadcasts(self):
-        table = solve_under_policy(EX1, lambda q, kb, lb, n: 1, 6)
-        want = scalar_solve(EX1, 6, lambda q, kb, lb, n: 1)
+        table = solve_under_policy(EX1, lambda q, kb, lb: 1, 6)
+        want = scalar_solve(EX1, 6, lambda q, kb, lb: 1)
         assert entries(table) == want
 
     def test_lookups_return_python_floats(self, tmp_path):
@@ -473,7 +468,7 @@ class TestSharedData:
             with pytest.raises(ValueError, match="read-only"):
                 index[0] = 7
         seen = []
-        decision_grid(lambda q, kb, lb, n: seen.extend((q, kb, lb)) or q > 0, EX1.C1, 5)
+        decision_grid(lambda q, kb, lb: seen.extend((q, kb, lb)) or q > 0, EX1.C1, 5)
         for grid in seen:
             with pytest.raises(ValueError, match="read-only"):
                 grid[0, 0] = 7
@@ -488,16 +483,16 @@ class TestSharedData:
             search_caps(EX1)[4] = 0
 
     def test_rule_writing_into_its_queue_argument_raises(self):
-        def writer(q, kb, lb, n):
+        def writer(q, kb, lb):
             q -= 1
             return q <= 3
 
-        want = scalar_solve(EX1, 9, lambda q, kb, lb, n: q <= 3)
+        want = scalar_solve(EX1, 9, lambda q, kb, lb: q <= 3)
         for _ in range(2):  # a failed evaluation leaves nothing to reuse
             with pytest.raises(ValueError, match="read-only"):
                 solve_under_policy(EX1, writer, 9)
             assert writer not in solver._DECISION_ROWS
-        table = solve_under_policy(EX1, lambda q, kb, lb, n: np.asarray(q) <= 3, 9)
+        table = solve_under_policy(EX1, lambda q, kb, lb: np.asarray(q) <= 3, 9)
         assert entries(table) == want
 
     def test_equal_params_with_int_rates_share_one_entry(self):
@@ -555,7 +550,7 @@ class TestDecisionRows:
         assert not [policy for policy in solver._DECISION_ROWS if policy.id == "optimal"]
 
     def test_depths_per_rule_are_bounded(self):
-        def rule(q, kb, lb, n):
+        def rule(q, kb, lb):
             return np.asarray(q) <= 3
 
         depths = range(1, GRID_CACHE_SIZE + 6)
@@ -571,7 +566,7 @@ class TestDecisionRows:
             def __init__(self):
                 self.calls = 0
 
-            def __call__(self, q, kb, lb, n):
+            def __call__(self, q, kb, lb):
                 self.calls += 1
                 return np.asarray(q) <= 3
 
@@ -580,6 +575,6 @@ class TestDecisionRows:
             weakref.ref(rule)
         first = solve_under_policy(EX1, rule, 9)
         second = solve_under_policy(EX1, rule, 9)
-        assert rule.calls == 4  # two stations per solve
+        assert rule.calls == 2  # one call per solve
         assert (first.levels == second.levels).all()
         assert entries(first) == scalar_solve(EX1, 9, rule)
