@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import clearq.experiments as experiments
+import clearq.solver as solver
 import clearq.thresholds as thresholds
 from clearq.experiments import (
     EXAMPLE_PARAMS,
@@ -345,6 +347,150 @@ class TestVerify:
         results = verify_point(EXAMPLE_PARAMS["ex5"], 15)
         names = {r.name for r in results}
         assert "recursion_residual" in names and "threshold_structure" in names
+
+
+def _edited_verify(monkeypatch, params, i_max, table=None, d=None):
+    """verify_point's details by check name, with faults put into the tables it reads.
+
+    ``table(t)`` sees each value table as the solver builds it, before any check
+    or rule reads it, and returns it or a replacement.  Its ``kind`` tells the
+    tables apart: "optimal", or "policy:<id>", where the greedy rule's id is
+    "optimal".  ``d(dt)`` edits the difference table in place.
+    """
+    if table is not None:
+        build = solver.ValueTable
+        monkeypatch.setattr(solver, "ValueTable", lambda *args: table(build(*args)))
+    if d is not None:
+        real_diff = experiments.diff
+
+        def edited_diff(t):
+            dt = real_diff(t)
+            d(dt)
+            return dt
+        monkeypatch.setattr(experiments, "diff", edited_diff)
+    return {r.name: r.detail for r in verify_point(params, i_max)}
+
+
+def _set(kind, cells):
+    """A ``table`` edit of _edited_verify: levels[i, k] = x for each (i, k): x of cells."""
+    def edit(t):
+        if t.kind == kind:
+            for at, x in cells.items():
+                t.levels[at] = x
+        return t
+    return edit
+
+
+def _set_d(cells):
+    """A ``d`` edit of _edited_verify: D(i, k, C1 - k) = x for each (i, k): x of cells."""
+    def edit(dt):
+        for at, x in cells.items():
+            dt.levels[at] = x
+    return edit
+
+
+EX1_UNEDITED = solve_optimal(EXAMPLE_PARAMS["ex1"], 10)
+
+
+class TestCheckFaults:
+    """Each check's exact detail at a known fault, injected through the tables verify_point reads.
+
+    Where two faults are injected, the detail names the first offender in the
+    check's own order, which a restructured check must keep.
+    """
+
+    def test_value_drop_flagged(self, monkeypatch):
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10,
+                                 table=_set("optimal", {(5, 2): 2.0}))
+        lo = float(EX1_UNEDITED.levels[4, 2])
+        assert details["value_monotone_in_queue"] == f"v(5,2,2) < v(4,2,2): 2.0 < {lo!r}"
+
+    @pytest.mark.parametrize("at", [(3, 3), (3, 4)])  # negative, and a band zero (strict)
+    def test_not_positive_without_blocking_flagged(self, monkeypatch, at):
+        # ex3: mu1 < mu2 and h1/mu1 > h2/mu2, so D > 0 wherever l < C2 = 2.
+        params = EXAMPLE_PARAMS["ex3"]
+        x = -1.0 if at[1] == 3 else 0.0
+        details = _edited_verify(monkeypatch, params, 10, d=_set_d({at: x}))
+        i, k = at
+        assert details["positive_without_blocking"] == f"D({i},{k},{4 - k}) not positive"
+
+    def test_positive_when_blocked_flagged(self, monkeypatch):
+        # ex7: mu1 < mu2 and h1/mu1 < h2/mu2, so D <= 0 wherever l >= C2 = 2.
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex7"], 10,
+                                 d=_set_d({(3, 1): 1.0}))
+        assert details["nonpositive_when_blocked"] == "D(3,1,3) > 0"
+
+    @pytest.mark.parametrize("name, at, step, want", [
+        # ex1: mu1 > mu2, so D is non-increasing in the queue at every k.
+        ("ex1", (5, 2), 1.0, "D not non-increasing at (4,2,2)"),
+        # ex7: mu1 < mu2 and h1/mu1 < h2/mu2, so non-decreasing where l < C2.
+        ("ex7", (5, 4), -1.0, "D not non-decreasing at (4,4,0)"),
+    ])
+    def test_queue_monotonicity_flagged(self, monkeypatch, name, at, step, want):
+        params = EXAMPLE_PARAMS[name]
+        below = diff(solve_optimal(params, 10)).levels[at[0] - 1, at[1]]
+        details = _edited_verify(monkeypatch, params, 10, d=_set_d({at: below + step}))
+        assert details["diff_monotone_in_queue"] == want
+
+    @pytest.mark.parametrize("name, x, want", [
+        ("ex1", -1e6, "D(3,2,2) below affine lower bound"),
+        ("ex7", 1e6, "D(3,2,2) above affine upper bound"),  # mu2 > mu1: the upper bound holds
+    ])
+    def test_affine_bound_flagged(self, monkeypatch, name, x, want):
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS[name], 10, d=_set_d({(3, 2): x}))
+        assert details["affine_bounds"] == want
+
+    def test_recursion_residual_flagged(self, monkeypatch):
+        # No level reads the deepest one, so only its own residual moves: to exactly 1.
+        params = EXAMPLE_PARAMS["ex1"]
+        depth = thresholds.required_depth(params)
+        details = _edited_verify(monkeypatch, params, 10, d=_set_d({(depth, 2): 1e300}))
+        assert details["recursion_residual"] == (
+            f"max scaled residual 1.0 at State(i={depth}, k=2, l=2)")
+
+    def test_threshold_structure_flagged(self, monkeypatch):
+        # ex5 has h0 = h2; a negative D(5,2,2) moves i_D(2) to 5, below i_D(1).
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex5"], 10,
+                                 d=_set_d({(5, 2): -1.0}))
+        assert details["threshold_structure"] == (
+            "i_D(1) > i_D(2); h0=h2 but i_H(2) != i_D(2); h0=h2 but i_D(2) != i_D(1) + 1")
+
+    def test_diagonal_first_offender(self, monkeypatch):
+        # By level, then total jobs in service, then k: level 2 comes before level 6.
+        dt = diff(EX1_UNEDITED).levels
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10, d=_set_d({
+            (6, 2): dt[6, 1] - 5.0, (2, 4): dt[2, 3] - 5.0}))
+        assert details["diff_diagonal_monotone"] == "D(2,4,0) < D(2,3,1)"
+
+    def test_affine_first_offender(self, monkeypatch):
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex7"], 10, d=_set_d({
+            (5, 1): -1e6, (3, 3): 1e6}))
+        assert details["affine_bounds"] == "D(3,3,1) above affine upper bound"
+
+    def test_dominance_first_offender(self, monkeypatch):
+        # In policy order, then k: pi1 at k = 2 comes before pi1 at k = 3 and pi2 at k = 0.
+        pi1 = _set("policy:pi1", {(10, 3): -1.0, (10, 2): -1.0})
+        pi2 = _set("policy:pi2", {(10, 0): -1.0})
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10,
+                                 table=lambda t: pi2(pi1(t)))
+        assert details["policy_dominance"] == "v^pi1(10,2,2) < optimal"
+
+    def test_greedy_first_offender(self, monkeypatch):
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10, table=_set(
+            "policy:optimal", {(5, 1): 9.0, (3, 3): 9.0}))
+        assert details["greedy_reproduces_optimal"] == "greedy value differs at (3, 3, 1)"
+
+    def test_greedy_boundary_before_levels(self, monkeypatch):
+        # The i = 0 states with fewer than C1 jobs in service come first.
+        def edit(t):
+            if t.kind == "policy:optimal":
+                t.levels[1, 1] = 9.0
+                boundary = t.boundary.copy()
+                boundary[2, 1] = 9.0  # v(0,1,1)
+                t = dataclasses.replace(t, boundary=boundary)
+            return t
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10, table=edit)
+        assert details["greedy_reproduces_optimal"] == "greedy value differs at (0, 1, 1)"
 
 
 def _draw_points(seed, n, draw, max_depth=math.inf):
