@@ -15,10 +15,26 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import SystemParams, _is_integer, band_sign, band_signs, cost_gap_sign, snaps_to_integer
+from .model import (
+    SystemParams,
+    _band_sides,
+    _is_integer,
+    band_sign,
+    cost_gap_sign,
+    snaps_to_integer,
+)
 from .policies import optimal_greedy, policy_by_id
-from .solver import DiffTable, ValueTable, diff, recursion_check, solve_family, solve_optimal
+from .solver import (
+    DiffTable,
+    ValueTable,
+    _solve,
+    diff,
+    recursion_check,
+    solve_family,
+    solve_optimal,
+)
 from .thresholds import (
+    CapExceeded,
     Classification,
     Condition1Verdict,
     actual_profile,
@@ -351,122 +367,138 @@ class VerificationReport:
             fh.write("\n")
 
 
-def _ineq_tol(*values):
-    """Inequality slack; elementwise when given arrays."""
-    return 1e-9 * (1.0 + sum(abs(v) for v in values))
+def _ineq_tol(a, b):
+    """Inequality slack between a and b; elementwise when given arrays."""
+    return 1e-9 * (1.0 + (abs(a) + abs(b)))
 
 
-def _first(mask: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first True entry of mask in row-major order, or None."""
-    hits = np.flatnonzero(mask)
-    if hits.size == 0:
-        return None
-    return tuple(int(x) for x in np.unravel_index(hits[0], mask.shape))
+def _first(mask: np.ndarray) -> tuple[int, ...]:
+    """Index of the first True entry of a mask that holds one, in row-major order."""
+    return tuple(int(x) for x in np.unravel_index(int(mask.argmax()), mask.shape))
 
 
-def _by_k(dt: DiffTable, i_max: int) -> np.ndarray:
-    """D on the fully-busy levels 0..i_max, row k-1 holding index k = 1..C1."""
-    return dt.levels[: i_max + 1, 1:].T
+class _PointArrays(NamedTuple):
+    """What the checks read of a point's difference table up to i_max, derived once per point.
+
+    ``d[k - 1, i]`` is D(i, k, C1 - k) on the fully-busy levels.  ``neg`` and
+    ``pos`` mark where its band sign is negative and where positive, a NaN in
+    both, so a NaN fails every sign check.  ``l`` is the Station 2 count of each
+    row of ``d``, as a column, and ``columns`` is ``dt.columns(i_max)``.
+    """
+
+    d: np.ndarray
+    neg: np.ndarray
+    pos: np.ndarray
+    l: np.ndarray
+    columns: tuple
 
 
-def _l_by_k(params: SystemParams) -> np.ndarray:
-    """Station 2 count l = C1 - k of each row of _by_k, as a column."""
-    return (params.C1 - np.arange(1, params.C1 + 1))[:, None]
+def _point_arrays(params: SystemParams, dt: DiffTable, i_max: int) -> _PointArrays:
+    d = dt.levels[: i_max + 1, 1:].T
+    l = (params.C1 - np.arange(1, params.C1 + 1))[:, None]
+    return _PointArrays(d, *_band_sides(d), l, dt.columns(i_max))
 
+
+# Each check returns None when it holds, else a detail naming its first
+# offending state.  Each mask marks the states that fail, a NaN among them:
+# a comparison that must hold is negated, as in ~(hi >= lo - tol).
 
 def check_value_monotone(params: SystemParams, table: ValueTable, i_max: int):
     lo, hi = table.levels[:i_max], table.levels[1:i_max + 1]
-    at = _first(hi < lo - _ineq_tol(lo, hi))
-    if at is None:
+    bad = ~(hi >= lo - _ineq_tol(lo, hi))
+    if not bad.any():
         return None
+    at = _first(bad)
     i, k = at
     l = params.C1 - k
     return f"v({i + 1},{k},{l}) < v({i},{k},{l}): {float(hi[at])!r} < {float(lo[at])!r}"
 
 
-def check_diagonal_monotone(params: SystemParams, dt: DiffTable, i_max: int):
+def check_diagonal_monotone(params: SystemParams, arrays: _PointArrays):
     # In column order (by level, then total jobs in service, then k) the
     # partner (i, k+1, l-1) of a state with l >= 1 is the next state.
-    i, k, l, d = dt.columns(i_max)
+    i, k, l, d = arrays.columns
     lo, hi = d[:-1], d[1:]
-    at = _first((l[:-1] >= 1) & (hi < lo - _ineq_tol(lo, hi)))
-    if at is None:
+    bad = (l[:-1] >= 1) & ~(hi >= lo - _ineq_tol(lo, hi))
+    if not bad.any():
         return None
-    (n,) = at
+    (n,) = _first(bad)
     return f"D({i[n]},{k[n] + 1},{l[n] - 1}) < D({i[n]},{k[n]},{l[n]})"
 
 
-def check_single_sign_change(params: SystemParams, dt: DiffTable, i_max: int):
+def check_single_sign_change(params: SystemParams, arrays: _PointArrays):
     # Band-zeros commit to neither side; only a strict sign reversal counts.
     independent = threshold_spec(params).independent
-    signs = band_signs(_by_k(dt, i_max))
-    crossing, back = (signs > 0, signs < 0) if independent else (signs < 0, signs > 0)
-    at = _first(back & np.logical_or.accumulate(crossing, axis=1))
-    if at is None:
+    crossing, back = (arrays.pos, arrays.neg) if independent else (arrays.neg, arrays.pos)
+    bad = back & np.logical_or.accumulate(crossing, axis=1)
+    if not bad.any():
         return None
-    k, i = at[0] + 1, at[1]
+    k, i = _first(bad)
+    k += 1
     side = "negative" if independent else "positive"
     return f"D returned {side} at ({i},{k},{params.C1 - k}) after crossing"
 
 
-def check_positive_no_blocking(params: SystemParams, dt: DiffTable, i_max: int):
+def check_positive_no_blocking(params: SystemParams, arrays: _PointArrays):
     # mu1 <= mu2 with a free dedicated server: collaborative always weakly wins.
     if band_sign(params.mu1 - params.mu2) > 0 or cost_gap_sign(params) < 0:
         return None
-    strict = cost_gap_sign(params) > 0
-    signs = band_signs(_by_k(dt, i_max))
-    at = _first((_l_by_k(params) < params.C2) & ((signs < 0) | (strict & (signs == 0))))
-    if at is None:
+    # Strictly, D fails where it is not positive; weakly, where it is negative.
+    failing = (~arrays.pos | arrays.neg) if cost_gap_sign(params) > 0 else arrays.neg
+    bad = (arrays.l < params.C2) & failing
+    if not bad.any():
         return None
-    k, i = at[0] + 1, at[1]
+    k, i = _first(bad)
+    k += 1
     return f"D({i},{k},{params.C1 - k}) not positive"
 
 
-def check_nonpositive_blocked(params: SystemParams, dt: DiffTable, i_max: int):
+def check_nonpositive_blocked(params: SystemParams, arrays: _PointArrays):
     if band_sign(params.mu2 - params.mu1) < 0 or cost_gap_sign(params) > 0:
         return None
-    signs = band_signs(_by_k(dt, i_max))
-    at = _first((_l_by_k(params) >= params.C2) & (signs > 0))
-    if at is None:
+    bad = (arrays.l >= params.C2) & arrays.pos
+    if not bad.any():
         return None
-    k, i = at[0] + 1, at[1]
+    k, i = _first(bad)
+    k += 1
     return f"D({i},{k},{params.C1 - k}) > 0"
 
 
-def check_monotone_in_queue(params: SystemParams, dt: DiffTable, i_max: int):
-    rate = band_sign(params.mu1 - params.mu2)
-    gap = cost_gap_sign(params)
-    l = _l_by_k(params)
-    if rate >= 0:
-        direction = np.full_like(l, -1)  # non-increasing
+def check_monotone_in_queue(params: SystemParams, arrays: _PointArrays):
+    # The rows of arrays.d with l >= C2, k = 1..C1 - C2, lead.
+    c1 = params.C1
+    if band_sign(params.mu1 - params.mu2) >= 0:
+        falling, rising = c1, c1  # D non-increasing at every k
     else:
-        direction = np.where(
-            (gap >= 0) & (l >= params.C2), -1, np.where((gap <= 0) & (l < params.C2), 1, 0)
-        )
-    d = _by_k(dt, i_max)
-    lo, hi = d[:, :-1], d[:, 1:]
-    tol = _ineq_tol(lo, hi)
-    at = _first(((direction < 0) & (hi > lo + tol)) | ((direction > 0) & (hi < lo - tol)))
-    if at is None:
-        return None
-    k, i = at[0] + 1, at[1]
-    trend = "non-increasing" if direction[at[0], 0] < 0 else "non-decreasing"
-    return f"D not {trend} at ({i},{k},{params.C1 - k})"
+        gap = cost_gap_sign(params)
+        blocked = max(c1 - params.C2, 0)
+        falling = blocked if gap >= 0 else 0  # rows 0..falling-1: non-increasing
+        rising = blocked if gap <= 0 else c1  # rows rising..C1-1: non-decreasing
+    for first, stop, falls in ((0, falling, True), (rising, c1, False)):
+        if first == stop:
+            continue
+        lo, hi = arrays.d[first:stop, :-1], arrays.d[first:stop, 1:]
+        tol = _ineq_tol(lo, hi)
+        bad = ~(hi <= lo + tol) if falls else ~(hi >= lo - tol)
+        if bad.any():
+            row, i = _first(bad)
+            k = first + row + 1
+            trend = "non-increasing" if falls else "non-decreasing"
+            return f"D not {trend} at ({i},{k},{c1 - k})"
+    return None
 
 
-def check_affine_bounds(params: SystemParams, dt: DiffTable, i_max: int):
+def check_affine_bounds(params: SystemParams, arrays: _PointArrays):
     cst = constants(params)
-    i, k, l, d = dt.columns(i_max)
+    i, k, l, d = arrays.columns
     lower = i * cst.c_prime + cst.b_prime
-    below = d < lower - _ineq_tol(d, lower)
-    above = np.zeros_like(below)
+    below = bad = ~(d >= lower - _ineq_tol(d, lower))
     if band_sign(params.mu2 - params.mu1) >= 0:
         upper = i * cst.c + cst.b
-        above = d > upper + _ineq_tol(d, upper)
-    at = _first(below | above)
-    if at is None:
+        bad = below | ~(d <= upper + _ineq_tol(d, upper))
+    if not bad.any():
         return None
-    (n,) = at
+    (n,) = _first(bad)
     bound = "below affine lower bound" if below[n] else "above affine upper bound"
     return f"D({i[n]},{k[n]},{l[n]}) {bound}"
 
@@ -478,11 +510,13 @@ def check_recursion_residual(params: SystemParams, dt: DiffTable):
     return None
 
 
-def check_boundary_formula(params: SystemParams, dt: DiffTable):
-    _, ks, ls, ds = dt.columns(0)
-    for k, l, d_val in zip(ks.tolist(), ls.tolist(), ds.tolist()):
+def check_boundary_formula(params: SystemParams, arrays: _PointArrays):
+    # The C1 (C1 + 1) / 2 states at i = 0 lead the columns.
+    count = params.C1 * (params.C1 + 1) // 2
+    _, ks, ls, ds = (column[:count].tolist() for column in arrays.columns)
+    for k, l, d_val in zip(ks, ls, ds):
         expected = boundary_diff_formula(params, k, l)
-        if abs(d_val - expected) > 1e-12 * (1.0 + abs(expected)):
+        if not abs(d_val - expected) <= 1e-12 * (1.0 + abs(expected)):
             return f"D(0,{k},{l}) != boundary formula"
     return None
 
@@ -492,26 +526,37 @@ def check_policy_dominance(
 ):
     # family_tables: one table per policy of the point's family, in policy_family order.
     opt = table.levels[i_max]
-    for policy_id, v_pi in zip(policy_family(cost_regime_label(params)), family_tables):
-        got = v_pi.levels[i_max]
-        at = _first(got < opt - _ineq_tol(opt, got))
-        if at is not None:
-            (k,) = at
-            return f"v^{policy_id}({i_max},{k},{params.C1 - k}) < optimal"
-    return None
+    got = np.array([v_pi.levels[i_max] for v_pi in family_tables])
+    bad = ~(got >= opt - _ineq_tol(opt, got))
+    if not bad.any():
+        return None
+    row, k = _first(bad)
+    policy_id = policy_family(cost_regime_label(params))[row]
+    return f"v^{policy_id}({i_max},{k},{params.C1 - k}) < optimal"
+
+
+def _differs(opt: np.ndarray, got: np.ndarray) -> np.ndarray:
+    return ~(np.abs(got - opt) <= 1e-9 * (1.0 + np.abs(opt)))
 
 
 def check_greedy_reproduces_optimal(
     params: SystemParams, table: ValueTable, greedy_table: ValueTable, i_max: int
 ):
-    # greedy_table: the values under the greedy rule read off ``table``.
-    i, k, l, opt = table.columns(i_max)
-    got = greedy_table.columns(i_max)[3]
-    at = _first(np.abs(got - opt) > 1e-9 * (1.0 + np.abs(opt)))
-    if at is None:
+    # greedy_table: the values under the greedy rule read off ``table``.  In
+    # column order the i = 0 states with fewer than C1 jobs in service, the
+    # lower triangle of the boundary by (n, k), come before the levels.  Tables
+    # of one parameter set share their boundary, which then needs no comparison.
+    c1 = params.C1
+    if greedy_table.boundary is not table.boundary:
+        bad = np.tri(c1, dtype=bool) & _differs(table.boundary, greedy_table.boundary)
+        if bad.any():
+            n, k = _first(bad)
+            return f"greedy value differs at {(0, k, n - k)}"
+    bad = _differs(table.levels[:i_max + 1], greedy_table.levels)
+    if not bad.any():
         return None
-    (n,) = at
-    return f"greedy value differs at {(int(i[n]), int(k[n]), int(l[n]))}"
+    i, k = _first(bad)
+    return f"greedy value differs at {(i, k, c1 - k)}"
 
 
 def check_threshold_structure(params: SystemParams, dt: DiffTable):
@@ -525,7 +570,10 @@ def check_threshold_structure(params: SystemParams, dt: DiffTable):
     """
     spec = threshold_spec(params)
     heur = heuristic_profile(params)
-    act = actual_profile(params, dt)
+    try:
+        act = actual_profile(params, dt)
+    except CapExceeded as exc:
+        return str(exc)
     cst = constants(params)
     # Independent-orientation thresholds carry a tilde and are indexed by l.
     d_name, h_name, ix = ("i~_D", "i~_H", "l") if spec.independent else ("i_D", "i_H", "k")
@@ -614,27 +662,27 @@ POINT_CHECKS = (
 def verify_point(params: SystemParams, i_max: int) -> list[CheckResult]:
     """The POINT_CHECKS at one point up to queue i_max: two solves, then checks that read tables.
 
-    The optimal table goes as deep as ``required_depth`` asks.  One ``solve_family`` pass to
-    i_max evaluates the point's policy family and the greedy rule read off that table; its
-    leading optimal table equals the first levels of the deep one and goes unused.
+    The optimal table goes as deep as ``required_depth`` asks.  One pass of the level kernel to
+    i_max, over policy rows alone, evaluates the point's policy family and the greedy rule read
+    off that table.  The arrays the checks share are derived once, by ``_point_arrays``.
     """
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
     table = solve_optimal(params, max(i_max, required_depth(params)))
     dt = diff(table)
+    arrays = _point_arrays(params, dt, i_max)
     policies = [policy_by_id(params, p) for p in policy_family(cost_regime_label(params))]
-    _, *family_tables, greedy_table = solve_family(
-        params, [*policies, optimal_greedy(table)], i_max)
+    *family_tables, greedy_table = _solve(params, i_max, (*policies, optimal_greedy(table)), False)
     outcomes = {
         "value_monotone_in_queue": check_value_monotone(params, table, i_max),
-        "diff_diagonal_monotone": check_diagonal_monotone(params, dt, i_max),
-        "single_sign_change": check_single_sign_change(params, dt, i_max),
-        "positive_without_blocking": check_positive_no_blocking(params, dt, i_max),
-        "nonpositive_when_blocked": check_nonpositive_blocked(params, dt, i_max),
-        "diff_monotone_in_queue": check_monotone_in_queue(params, dt, i_max),
-        "affine_bounds": check_affine_bounds(params, dt, i_max),
+        "diff_diagonal_monotone": check_diagonal_monotone(params, arrays),
+        "single_sign_change": check_single_sign_change(params, arrays),
+        "positive_without_blocking": check_positive_no_blocking(params, arrays),
+        "nonpositive_when_blocked": check_nonpositive_blocked(params, arrays),
+        "diff_monotone_in_queue": check_monotone_in_queue(params, arrays),
+        "affine_bounds": check_affine_bounds(params, arrays),
         "recursion_residual": check_recursion_residual(params, dt),
-        "boundary_formula": check_boundary_formula(params, dt),
+        "boundary_formula": check_boundary_formula(params, arrays),
         "policy_dominance": check_policy_dominance(params, table, family_tables, i_max),
         "greedy_reproduces_optimal": check_greedy_reproduces_optimal(
             params, table, greedy_table, i_max),

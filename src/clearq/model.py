@@ -159,6 +159,15 @@ def band_signs(x) -> np.ndarray:
     return np.where(x > tol, 1, np.where(x < -tol, -1, 0))
 
 
+def _band_sides(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of where band_signs(x) is -1 and where it is +1, with a NaN in both.
+
+    A NaN thus fails any test that rejects either sign.
+    """
+    tol = ZERO_BAND * (1.0 + np.abs(x))
+    return ~(x >= -tol), ~(x <= tol)
+
+
 def cost_gap_sign(params: SystemParams) -> int:
     """Sign of h1/mu1 - h2/mu2, computed cross-multiplied."""
     return band_sign(params.h1 * params.mu2 - params.h2 * params.mu1)

@@ -35,9 +35,9 @@ import numpy as np
 from .model import (
     GRID_CACHE_SIZE,
     PARAMS_CACHE_SIZE,
+    ZERO_BAND,
     State,
     SystemParams,
-    band_signs,
     read_only,
     service_rate,
 )
@@ -331,43 +331,47 @@ class RecursionReport:
     worst_state: State | None
 
 
+# Levels per block of recursion_check, which bounds its temporaries at C1 x
+# _RESIDUAL_BLOCK floats each.
+_RESIDUAL_BLOCK = 2048
+
+
 def recursion_check(params: SystemParams, diff_table: DiffTable) -> RecursionReport:
     """Residuals of the one-step difference recursions.
 
     At each fully-busy state the difference satisfies an exact three-term
     recursion whose form depends on the sign of the difference one level
     down; both forms apply at a zero.  Residuals are scaled by 1/(1 + |D|).
+    The levels are taken a block at a time, every k at once.
     """
     c1 = params.C1
     d = diff_table.levels
-    i = np.arange(1, diff_table.i_max + 1)
-    # scaled[i-1, k-1, form]: form 0 holds where D one level down is >= 0,
-    # form 1 where it is <= 0; zero where the form does not apply.
-    scaled = np.zeros((len(i), c1, 2))
-    for k in range(1, c1 + 1):
-        l = c1 - k
-        here, prev = d[1:, k], d[:-1, k]
-        p, q, r = probs(params, k)
-        c_k, b_k = affine_pieces(params, k)
-        base = p * (i * c_k + b_k)
-        sign_prev = band_signs(prev)
-        pos = base + r * prev
-        if k >= 2:
-            pos += q * np.maximum(0.0, d[:-1, k - 1])
-        neg = base + q * prev
-        if l >= 1:
-            neg += r * np.minimum(d[:-1, k + 1], 0.0)
-        for form, (pred, applies) in enumerate(((pos, sign_prev >= 0), (neg, sign_prev <= 0))):
-            scaled[:, k - 1, form] = np.where(
-                applies, np.abs(here - pred) / (1.0 + np.abs(here)), 0.0
-            )
-    scaled[np.isnan(scaled)] = np.inf  # a NaN difference fails, it is never skipped
+    # Column k - 1 of each holds p_k, q_k, r_k and c_k, b_k.
+    p, q, r, c, b = np.array(
+        [(*probs(params, k), *affine_pieces(params, k)) for k in range(1, c1 + 1)]
+    ).T[:, :, None]
     worst, worst_state = 0.0, None
-    if scaled.size:
-        # The first maximum in (i, k, form) order, as a scan would report it.
-        at = int(np.argmax(scaled))
-        if scaled.flat[at] > 0.0:
-            worst = float(scaled.flat[at])
-            level, k_index, _ = np.unravel_index(at, scaled.shape)
-            worst_state = State(int(level) + 1, int(k_index) + 1, c1 - int(k_index) - 1)
+    for start in range(1, diff_table.i_max + 1, _RESIDUAL_BLOCK):
+        stop = min(start + _RESIDUAL_BLOCK, diff_table.i_max + 1)
+        # dk[k - 1, n] is D(start - 1 + n, k, C1 - k), contiguous along the levels.
+        dk = np.ascontiguousarray(d[start - 1:stop, 1:].T)
+        here, prev = dk[:, 1:], dk[:, :-1]
+        base = p * (np.arange(float(start), stop) * c + b)
+        pos = base + r * prev  # the form where D one level down is >= 0
+        pos[1:] += q[1:] * np.maximum(0.0, prev[:-1])  # k >= 2
+        neg = base + q * prev  # the form where it is <= 0
+        neg[:-1] += r[:-1] * np.minimum(prev[1:], 0.0)  # l >= 1
+        tol = ZERO_BAND * (1.0 + np.abs(prev))  # band_signs(prev), as two masks
+        # max(x / s, y / s) is max(x, y) / s in floats, since rounding is monotone.
+        scaled = np.maximum(np.where(prev < -tol, 0.0, np.abs(here - pos)),
+                            np.where(prev > tol, 0.0, np.abs(here - neg))) / (1.0 + np.abs(here))
+        top = float(scaled.max())
+        if top != top:
+            top = np.inf  # a NaN difference fails, it is never skipped
+        if top > worst:
+            # The first maximum in (i, k) order, as a scan would report it.
+            hits = scaled == top if top < np.inf else ~(scaled < np.inf)
+            level = int(hits.any(axis=0).argmax())
+            k_index = int(hits[:, level].argmax())
+            worst, worst_state = top, State(start + level, k_index + 1, c1 - k_index - 1)
     return RecursionReport(worst, worst_state)

@@ -215,7 +215,7 @@ class TestVerify:
         corrupted = dt.levels.copy()
         corrupted[4, 3] = corrupted[4, 2] - 5.0  # D(4,3,1) = D(4,2,2) - 5
         bad = DiffTable(params, 10, dt.boundary, corrupted)
-        detail = check_diagonal_monotone(params, bad, 10)
+        detail = check_diagonal_monotone(params, experiments._point_arrays(params, bad, 10))
         assert detail is not None and "D(4,3,1)" in detail
 
     @pytest.mark.parametrize("params, k, corrupt, side", [
@@ -226,22 +226,23 @@ class TestVerify:
     ])
     def test_fault_injection_flags_sign_change(self, params, k, corrupt, side):
         dt = diff(solve_optimal(params, 12))
-        assert check_single_sign_change(params, dt, 12) is None
+        assert check_single_sign_change(params, experiments._point_arrays(params, dt, 12)) is None
         corrupted = dt.levels.copy()
         corrupted[10, k] = corrupt
         bad = DiffTable(params, 12, dt.boundary, corrupted)
-        detail = check_single_sign_change(params, bad, 12)
+        detail = check_single_sign_change(params, experiments._point_arrays(params, bad, 12))
         assert detail == f"D returned {side} at (10,{k},{params.C1 - k}) after crossing"
 
     def test_fault_injection_flags_boundary_row(self):
         # Row n = C1 of the i = 0 triangle is levels[0], held nowhere else.
         params = EXAMPLE_PARAMS["ex1"]
         dt = diff(solve_optimal(params, 5))
-        assert check_boundary_formula(params, dt) is None
+        assert check_boundary_formula(params, experiments._point_arrays(params, dt, 5)) is None
         corrupted = dt.levels.copy()
         corrupted[0, 2] += 1e-6
         bad = DiffTable(params, 5, dt.boundary, corrupted)
-        assert check_boundary_formula(params, bad) == "D(0,2,2) != boundary formula"
+        assert check_boundary_formula(params, experiments._point_arrays(params, bad, 5)) == (
+            "D(0,2,2) != boundary formula")
 
     def test_fault_injection_flags_policy_dominance(self):
         # At ex6, depth 10, k = 1, pi2 does better than the heuristic.  An
@@ -316,7 +317,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", ["ex2", "ex7"])  # lowcost below depth 40, highcost above
     def test_verify_point_is_two_solves(self, monkeypatch, name):
-        # One deep optimal solve and one family pass; the checks only read tables.
+        # One deep optimal solve and one family pass without an optimal row; the
+        # checks only read tables.
         params = EXAMPLE_PARAMS[name]
         want = verify_point(params, 40)
         calls = []
@@ -329,13 +331,14 @@ class TestVerify:
                 return real(*args)
             return record
 
-        for fn_name in ("solve_optimal", "solve_family", "solve_under_policy", "optimal_greedy"):
+        for fn_name in ("solve_optimal", "solve_family", "solve_under_policy", "optimal_greedy",
+                        "_solve"):
             monkeypatch.setattr(experiments, fn_name, recording(fn_name), raising=False)
         assert verify_point(params, 40) == want
-        assert [call[0] for call in calls] == ["solve_optimal", "optimal_greedy", "solve_family"]
-        (_, p, depth), (_, deep), (_, q, policies, i_max) = calls
+        assert [call[0] for call in calls] == ["solve_optimal", "optimal_greedy", "_solve"]
+        (_, p, depth), (_, deep), (_, q, i_max, policies, optimal) = calls
         assert (p, depth) == (params, max(40, thresholds.required_depth(params)))
-        assert (q, i_max) == (params, 40) and deep.i_max == depth
+        assert (q, i_max, optimal) == (params, 40, False) and deep.i_max == depth
         assert [policy.id for policy in policies] == [
             *policy_family(cost_regime_label(params)), "optimal"]
 
@@ -491,6 +494,69 @@ class TestCheckFaults:
             return t
         details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10, table=edit)
         assert details["greedy_reproduces_optimal"] == "greedy value differs at (0, 1, 1)"
+
+    def test_threshold_search_past_its_cap_is_a_failure(self, monkeypatch):
+        # ex1 expects a finite i_D(3) below its cap of 70; a D(., 3, 1) that never
+        # turns negative makes the search raise, and verify_point reports it.
+        def edit(dt):
+            dt.levels[:, 3] = 1.0
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10, d=edit)
+        assert details["threshold_structure"] == str(thresholds.CapExceeded(3, 70)) == (
+            "no sign change up to analytic cap 70 at index 3; this indicates a solver bug")
+
+
+class TestNaNFails:
+    """A NaN fails every check that reads it, with a detail naming its state."""
+
+    def test_at_a_boundary_state(self, monkeypatch):
+        # D(0,1,1) has fewer than C1 jobs in service, so the recursion residual,
+        # which is taken on the fully-busy levels, does not read it.
+        def edit(dt):
+            dt.boundary[2, 1] = math.nan
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10, d=edit)
+        assert {name: details[name] for name in (
+            "boundary_formula", "diff_diagonal_monotone", "affine_bounds")} == {
+            "boundary_formula": "D(0,1,1) != boundary formula",
+            "diff_diagonal_monotone": "D(0,2,0) < D(0,1,1)",
+            "affine_bounds": "D(0,1,1) below affine lower bound",
+        }
+
+    @pytest.mark.parametrize("name, at, want", [
+        ("ex1", (3, 2), {
+            "diff_diagonal_monotone": "D(3,2,2) < D(3,1,3)",
+            "single_sign_change": "D returned positive at (3,2,2) after crossing",
+            "diff_monotone_in_queue": "D not non-increasing at (2,2,2)",
+            "affine_bounds": "D(3,2,2) below affine lower bound",
+            "recursion_residual": "max scaled residual inf at State(i=3, k=2, l=2)",
+        }),
+        ("ex3", (3, 3), {"positive_without_blocking": "D(3,3,1) not positive"}),
+        ("ex7", (3, 1), {"nonpositive_when_blocked": "D(3,1,3) > 0"}),
+    ])
+    def test_at_a_level(self, monkeypatch, name, at, want):
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS[name], 10,
+                                 d=_set_d({at: math.nan}))
+        assert {check: details[check] for check in want} == want
+
+    def test_in_the_optimal_table(self, monkeypatch):
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10,
+                                 table=_set("optimal", {(4, 2): math.nan}))
+        lo = float(EX1_UNEDITED.levels[3, 2])
+        assert details["value_monotone_in_queue"] == f"v(4,2,2) < v(3,2,2): nan < {lo!r}"
+
+    def test_in_the_optimal_table_at_the_compared_level(self, monkeypatch):
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10,
+                                 table=_set("optimal", {(10, 2): math.nan}))
+        assert details["policy_dominance"] == "v^heuristic(10,2,2) < optimal"
+
+    def test_in_a_policy_table(self, monkeypatch):
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10,
+                                 table=_set("policy:pi1", {(10, 2): math.nan}))
+        assert details["policy_dominance"] == "v^pi1(10,2,2) < optimal"
+
+    def test_in_the_greedy_table(self, monkeypatch):
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10,
+                                 table=_set("policy:optimal", {(4, 2): math.nan}))
+        assert details["greedy_reproduces_optimal"] == "greedy value differs at (4, 2, 2)"
 
 
 def _draw_points(seed, n, draw, max_depth=math.inf):
