@@ -157,10 +157,24 @@ class SweepResult:
     RAW_HEADER = "C1,C2,h0,h1,h2,mu1,mu2,i0,k0,l0,policy,v_opt,v_pi,err_pct"
 
     def write_raw_csv(self, path) -> None:
+        # The policies of one start state repeat its ten head fields and v_opt,
+        # and a v_pi that ties is v_opt itself, so each distinct head and v_opt
+        # is formatted once.  Equal floats format alike but for 0.0 and -0.0,
+        # and the floats of a head (rates, costs) and v_opt are positive.
+        heads, v_opts = {}, {}
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.RAW_HEADER + "\n")
             for row in self.raw_rows:
-                fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+                head, (policy_id, v_opt, v_pi, err_pct) = row[:10], row[10:]
+                head_text = heads.get(head)
+                if head_text is None:
+                    head_text = heads[head] = ",".join(
+                        repr(x) if isinstance(x, float) else str(x) for x in head)
+                v_opt_text = v_opts.get(v_opt)
+                if v_opt_text is None:
+                    v_opt_text = v_opts[v_opt] = repr(v_opt)
+                v_pi_text = v_opt_text if v_pi is v_opt else repr(v_pi)
+                fh.write(f"{head_text},{policy_id},{v_opt_text},{v_pi_text},{err_pct!r}\n")
 
 
 def _map(fn, jobs: int | None, chunksize: int, *args) -> list:

@@ -113,6 +113,21 @@ class TestSweep:
         first = (tmp_path / "raw.csv").read_text().splitlines()[0]
         assert first == "C1,C2,h0,h1,h2,mu1,mu2,i0,k0,l0,policy,v_opt,v_pi,err_pct"
 
+    def test_raw_csv_rows_format_each_field(self, small_result, tmp_path):
+        # Floats by repr, the rest by str, whether or not a head, v_opt or v_pi
+        # is shared with another row.
+        v_opt, tie = 2.0000000000000004, float("2.0000000000000004")
+        head = (2, 1, 0.1, 1.0, 0.1, 10.0, 4.0, 20, 0, 2)
+        rows = [head + ("pi1", v_opt, v_opt, 0.0), head + ("pi2", v_opt, tie, 0.0),
+                head + ("pi3", v_opt, 3.0, 49.99999999999999),
+                head[:8] + (1, 1, "pi1", 1.5, 1.5, 0.0), *small_result.raw_rows]
+        experiments.SweepResult(stats=[], raw_rows=rows).write_raw_csv(tmp_path / "raw.csv")
+        lines = (tmp_path / "raw.csv").read_text().splitlines()[1:]
+        assert lines == [",".join(repr(x) if isinstance(x, float) else str(x) for x in row)
+                         for row in rows]
+        assert lines[1] == ("2,1,0.1,1.0,0.1,10.0,4.0,20,0,2,pi2,"
+                            "2.0000000000000004,2.0000000000000004,0.0")
+
     def test_table_csv_layout(self, small_result, tmp_path):
         write_table_csv(small_result.stats, 5, tmp_path / "t5.csv")
         lines = (tmp_path / "t5.csv").read_text().splitlines()
