@@ -409,7 +409,7 @@ class _PointArrays(NamedTuple):
 
 def _point_arrays(params: SystemParams, dt: DiffTable, i_max: int) -> _PointArrays:
     d = dt.levels[: i_max + 1, 1:].T
-    l = (params.C1 - np.arange(1, params.C1 + 1))[:, None]
+    l = np.arange(params.C1 - 1, -1, -1)[:, None]
     return _PointArrays(d, *_band_sides(d), l, dt.columns(i_max))
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep
-from clearq.model import GRID_CACHE_SIZE, State, SystemParams, service_rate
+from clearq.model import GRID_CACHE_SIZE, State, SystemParams, band_signs, service_rate
 from clearq.policies import (
     POLICY_IDS,
     Policy,
@@ -26,6 +26,7 @@ from clearq.solver import (
     solve_under_policy,
 )
 from clearq.thresholds import (
+    affine_pieces,
     boundary_diff_formula,
     constants,
     heuristic_profile,
@@ -239,6 +240,43 @@ class TestDiff:
         assert dt.levels[3, 2] < 0
 
 
+def recursion_check_reference(params, diff_table):
+    """``recursion_check`` one k at a time over every level, with the same arithmetic.
+
+    The oracle of the blocked check: both must return equal reports.
+    """
+    c1 = params.C1
+    d = diff_table.levels
+    i = np.arange(1, diff_table.i_max + 1)
+    # scaled[i-1, k-1, form]: form 0 holds where D one level down is >= 0,
+    # form 1 where it is <= 0; zero where the form does not apply.
+    scaled = np.zeros((len(i), c1, 2))
+    for k in range(1, c1 + 1):
+        here, prev = d[1:, k], d[:-1, k]
+        p, q, r = probs(params, k)
+        c_k, b_k = affine_pieces(params, k)
+        base = p * (i * c_k + b_k)
+        sign_prev = band_signs(prev)
+        pos = base + r * prev
+        if k >= 2:
+            pos += q * np.maximum(0.0, d[:-1, k - 1])
+        neg = base + q * prev
+        if c1 - k >= 1:
+            neg += r * np.minimum(d[:-1, k + 1], 0.0)
+        for form, (pred, applies) in enumerate(((pos, sign_prev >= 0), (neg, sign_prev <= 0))):
+            scaled[:, k - 1, form] = np.where(
+                applies, np.abs(here - pred) / (1.0 + np.abs(here)), 0.0)
+    scaled[np.isnan(scaled)] = np.inf
+    if not scaled.size:
+        return solver.RecursionReport(0.0, None)
+    at = int(np.argmax(scaled))  # the first maximum in (i, k, form) order
+    if not scaled.flat[at] > 0.0:
+        return solver.RecursionReport(0.0, None)
+    level, k_index, _ = np.unravel_index(at, scaled.shape)
+    return solver.RecursionReport(
+        float(scaled.flat[at]), State(int(level) + 1, int(k_index) + 1, c1 - int(k_index) - 1))
+
+
 class TestRecursion:
     @given(param_strategy)
     @settings(max_examples=25, deadline=None)
@@ -246,6 +284,27 @@ class TestRecursion:
         table = solve_optimal(params, 12)
         report = recursion_check(params, diff(table))
         assert report.max_scaled_residual <= 1e-9
+
+    @pytest.mark.parametrize("block", [1, 3, 2048])
+    def test_blocks_equal_reference(self, monkeypatch, block):
+        # Faults set the worst residual: NaN and inf count as infinite, and the
+        # first of equal maxima is reported, also when they lie in different blocks.
+        monkeypatch.setattr(solver, "_RESIDUAL_BLOCK", block)
+        cases = []
+        for params in EXAMPLE_PARAMS.values():
+            for depth in (0, 1, 12, 40):
+                cases.append((params, diff(solve_optimal(params, depth))))
+        deep = SystemParams(4, 3, 10.0, 25.0, 0.01, 1.0, 0.1)
+        cases.append((deep, diff(solve_optimal(deep, 3000))))
+        for fault, cells in [(np.nan, [(5, 2)]), (np.inf, [(7, 1), (3, 4)]),
+                             (1e300, [(9, 3), (2, 3)]), (-1e300, [(0, 2)]), (0.0, [(4, 4)])]:
+            dt = diff(solve_optimal(EX1, 12))
+            for at in cells:
+                dt.levels[at] = fault
+            cases.append((EX1, dt))
+        with np.errstate(invalid="ignore"):
+            for params, dt in cases:
+                assert recursion_check(params, dt) == recursion_check_reference(params, dt)
 
     @given(param_strategy, st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
