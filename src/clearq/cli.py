@@ -121,7 +121,7 @@ def cmd_thresholds(args) -> int:
 def cmd_sweep(args) -> int:
     tables = sorted(set(args.table or TABLE_DEFS))
     i0_values = sorted({TABLE_DEFS[t][2] for t in tables})
-    result = sweep(SweepSpec(i0_values=tuple(i0_values)), jobs=args.jobs)
+    result = sweep(SweepSpec(i0_values=tuple(i0_values)))
     outdir = args.outdir
     outdir.mkdir(parents=True, exist_ok=True)
     result.write_raw_csv(outdir / "sweep_raw.csv")
@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", type=int, action="append", choices=sorted(TABLE_DEFS),
                    help="table number to aggregate (repeatable; default all)")
     p.add_argument("--outdir", type=Path, default=Path("."))
-    p.add_argument("--jobs", type=int, default=os.cpu_count())
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte-Carlo estimate of a policy's expected cost")
@@ -208,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the structural invariant suite")
     p.add_argument("--grid", choices=("table4", "examples"), default="table4")
     p.add_argument("--imax", type=int, default=40)
-    p.add_argument("--jobs", type=int, default=os.cpu_count())
+    p.add_argument("--jobs", type=int, default=os.cpu_count(),
+                   help="worker processes, at most one per point (default: CPU count)")
     p.add_argument("--out", type=Path)
     p.set_defaults(func=cmd_verify)
 

@@ -37,6 +37,7 @@ from .thresholds import (
     CapExceeded,
     Classification,
     Condition1Verdict,
+    NaNInDiff,
     actual_profile,
     boundary_diff_formula,
     condition1,
@@ -177,23 +178,9 @@ class SweepResult:
                 fh.write(f"{head_text},{policy_id},{v_opt_text},{v_pi_text},{err_pct!r}\n")
 
 
-def _map(fn, jobs: int | None, chunksize: int, *args) -> list:
-    """fn over the argument lists, in order, on ``jobs`` worker processes when jobs > 1."""
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs is None or jobs == 1:
-        return list(map(fn, *args))
-    from concurrent.futures import ProcessPoolExecutor  # so serial runs never load multiprocessing
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, *args, chunksize=chunksize))
-
-
-def _sweep_combo(args) -> tuple[list[tuple], dict[tuple, list[float]]]:
-    """Raw error rows, and the errors of each (policy, group, i0) cell, for one combination.
-
-    Worker function.  A cell's errors are in row order.
-    """
-    params, i0_values = args
+def _sweep_point(params: SystemParams, i0_values: Sequence[int], rows: list[tuple],
+                 cells: dict[tuple, list[float]]) -> None:
+    """Append one point's raw rows to ``rows`` and each row's error to its (policy, group, i0) cell."""
     c1, c2 = params.C1, params.C2
     point = (c1, c2, params.h0, params.h1, params.h2, params.mu1, params.mu2)
     group = _group(params)
@@ -206,7 +193,6 @@ def _sweep_combo(args) -> tuple[list[tuple], dict[tuple, list[float]]]:
     # value that ties it (about a quarter of the study grid's rows) reuses it.
     starts = [(i0, [point + (i0, k0, c1 - k0) for k0 in range(c1 + 1)],
                optimal.levels[i0].tolist()) for i0 in i0_values]
-    rows, cells = [], {}
     for policy_id, table in zip(family, tables):
         for i0, heads, v_opts in starts:
             errs = cells.setdefault((policy_id, group, i0), [])
@@ -217,30 +203,21 @@ def _sweep_combo(args) -> tuple[list[tuple], dict[tuple, list[float]]]:
                     err_pct = (v_pi - v_opt) / v_opt * 100.0
                 rows.append(head + (policy_id, v_opt, v_pi, err_pct))
                 errs.append(err_pct)
-    return rows, cells
 
 
-def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
+def sweep(spec: SweepSpec) -> SweepResult:
     """Relative errors of each point's policy family over the grid.
 
     The regime captions are strict inequalities, so cost-order ties are left
-    out.  Each cell's errors are merged in the deterministic order of the
-    combination list, so the worker count cannot change the result, and the
-    stats equal ``aggregate_stats`` of the raw rows.
+    out.  Each cell's errors are in raw row order, so the stats equal
+    ``aggregate_stats`` of the raw rows.
     """
     grid = _grid(spec.server_configs, spec.h0_values, spec.h2_values, spec.mu2_values,
                  spec.mu1, spec.h1)
-    i0_values = tuple(spec.i0_values)
-    combos = [(params, i0_values) for params in grid if cost_gap_sign(params) != 0]
     raw_rows, cells = [], {}
-    for rows, point_cells in _map(_sweep_combo, jobs, 8, combos):
-        raw_rows += rows
-        for key, errs in point_cells.items():
-            cell = cells.get(key)
-            if cell is None:
-                cells[key] = errs
-            else:
-                cell += errs
+    for params in grid:
+        if cost_gap_sign(params) != 0:
+            _sweep_point(params, spec.i0_values, raw_rows, cells)
     return SweepResult(stats=_error_stats(cells), raw_rows=raw_rows)
 
 
@@ -586,7 +563,7 @@ def check_threshold_structure(params: SystemParams, dt: DiffTable):
     heur = heuristic_profile(params)
     try:
         act = actual_profile(params, dt)
-    except CapExceeded as exc:
+    except (CapExceeded, NaNInDiff) as exc:
         return str(exc)
     cst = constants(params)
     # Independent-orientation thresholds carry a tilde and are indexed by l.
@@ -711,8 +688,17 @@ def verify_point(params: SystemParams, i_max: int) -> list[CheckResult]:
 def verify(
     params_list: Sequence[SystemParams], i_max: int, jobs: int | None = None
 ) -> VerificationReport:
-    """Run the full invariant suite over the supplied parameter points."""
-    per_point = _map(verify_point, jobs, 4, params_list, [i_max] * len(params_list))
+    """Run the full invariant suite over the points, on at most ``jobs`` processes (one per point)."""
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs or 1, len(params_list))
+    i_maxes = [i_max] * len(params_list)
+    if workers <= 1:
+        per_point = map(verify_point, params_list, i_maxes)
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # so serial runs never load multiprocessing
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_point = list(pool.map(verify_point, params_list, i_maxes, chunksize=4))
     return VerificationReport([r for results in per_point for r in results])
 
 

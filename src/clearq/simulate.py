@@ -38,6 +38,8 @@ class SimConfig:
         for name in ("seed", "replications"):
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 

@@ -29,9 +29,9 @@ from typing import Callable, Mapping, NamedTuple
 
 from .model import (
     PARAMS_CACHE_SIZE,
+    ZERO_BAND,
     SystemParams,
     band_sign,
-    band_signs,
     blocked_cost_gap_sign,
     cost_gap_sign,
     service_rate,
@@ -55,6 +55,10 @@ class CapExceeded(RuntimeError):
             f"no sign change up to analytic cap {cap} at index {index}; "
             "this indicates a solver bug"
         )
+
+
+class NaNInDiff(RuntimeError):
+    """The difference is NaN at or before a finite threshold's sign change."""
 
 
 @dataclass(frozen=True)
@@ -382,8 +386,8 @@ def actual_profile(params: SystemParams, diff_table) -> ThresholdProfile:
 
     Indices classified provably infinite are emitted as inf without search;
     always-zero indices as 0.  A finite-expected index whose sign change is
-    missing below the analytic cap raises CapExceeded (bug trap); a diff
-    table shallower than the cap is a precondition error.
+    missing below the analytic cap raises CapExceeded, a NaN at or before it
+    NaNInDiff (bug traps); a diff table shallower than the cap is a precondition error.
     """
     spec = threshold_spec(params)
     caps = search_caps(params)
@@ -395,12 +399,18 @@ def actual_profile(params: SystemParams, diff_table) -> ThresholdProfile:
                 f"diff table depth {diff_table.i_max} is below the search cap {cap} "
                 f"required at index {s.index}"
             )
-        signs = band_signs(diff_table.levels[: cap + 1, s.k])
-        # The collaborative threshold is the first D < 0, the independent the first D >= 0.
-        hits = (signs < 0) != spec.independent
-        if not hits.any():
+        column = diff_table.levels[: cap + 1, s.k]
+        tol = ZERO_BAND * (1.0 + abs(column))
+        # The collaborative threshold is the first D < 0, the independent the first D >= 0,
+        # by band_sign.  Each test is a negated comparison, so a NaN passes it and is found.
+        hits = ~(column < -tol) if spec.independent else ~(column >= -tol)
+        found = int(hits.argmax())
+        if not hits[found]:
             raise CapExceeded(s.index, cap)
-        return int(hits.argmax())
+        if math.isnan(column[found]):
+            raise NaNInDiff(f"D({found},{s.k},{s.l}) is NaN at or before the sign change at "
+                            f"index {s.index}; this indicates a solver bug")
+        return found
 
     return _profile(spec, ProfileKind.ACTUAL, first_sign_change, diff_table.i_max)
 

@@ -73,7 +73,7 @@ def test_criterion_1_worked_examples(report):
 
 @pytest.fixture(scope="module")
 def full_sweep():
-    return sweep(SweepSpec(), jobs=JOBS)
+    return sweep(SweepSpec())
 
 
 def test_criterion_2_table_reproduction(full_sweep, report):

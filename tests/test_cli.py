@@ -3,7 +3,7 @@ import json
 import pytest
 
 import clearq.cli as cli
-from clearq.experiments import SweepSpec, sweep
+from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep, verify
 
 
 def run(argv):
@@ -193,11 +193,17 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == (
             "clearq: initial state State(i=-1, k=4, l=0) is outside the state space\n")
 
+    def test_negative_seed_one_line_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--preset", "ex1", "--policy", "pi1",
+                 "--i0", "3", "--reps", "10", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "clearq: seed must be non-negative, got -1\n"
+
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 @pytest.mark.parametrize("command", [
     ["verify", "--grid", "examples", "--imax", "5"],
-    ["sweep", "--table", "5"],
 ])
 def test_jobs_below_one_one_line_error(command, jobs, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -208,16 +214,27 @@ def test_jobs_below_one_one_line_error(command, jobs, tmp_path, monkeypatch, cap
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_sweep_has_no_jobs_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--jobs", "2", "--outdir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, message", [
     (["solve", "--preset", "ex1", "--imax", "-1"], "i_max must be non-negative"),
     (["thresholds", "--preset", "ex1"], "no profile"),
-    (["sweep", "--jobs", "0"], "jobs must be at least 1, got 0"),
+    (["sweep"], "no sweep"),
 ], ids=["solve", "thresholds", "sweep"])
 def test_failed_command_creates_no_outdir(command, message, tmp_path, monkeypatch, capsys):
-    def failing(params):
-        raise ValueError("no profile")
+    def failing(message):
+        def fail(*args):
+            raise ValueError(message)
+        return fail
 
-    monkeypatch.setattr(cli, "compute_actual_profile", failing)
+    monkeypatch.setattr(cli, "compute_actual_profile", failing("no profile"))
+    monkeypatch.setattr(cli, "sweep", failing("no sweep"))
     with pytest.raises(SystemExit) as exc:
         run(command + ["--outdir", str(tmp_path / "out")])
     assert exc.value.code == 2
@@ -250,6 +267,35 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL diff_diagonal_monotone" in capsys.readouterr().out
 
+    def test_workers_capped_at_point_count(self, monkeypatch, capsys):
+        # A fake pool that records its size and maps in this process: no process starts.
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        assert run(["verify", "--grid", "examples", "--imax", "5", "--jobs", "10000"]) == 0
+        assert sizes == [len(EXAMPLE_PARAMS)]
+        assert run(["verify", "--grid", "examples", "--imax", "5", "--jobs", "2"]) == 0
+        assert sizes == [len(EXAMPLE_PARAMS), 2]
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == out[1] == f"checks: {12 * len(EXAMPLE_PARAMS)}, failures: 0"
+        # One point needs no pool.
+        assert verify([EXAMPLE_PARAMS["ex1"]], 5, jobs=2).passed
+        assert sizes == [len(EXAMPLE_PARAMS), 2]
 
     def test_negative_imax_one_line_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -262,16 +308,16 @@ class TestSweepCommand:
     # Plumbing checks on a narrowed grid; full-grid accuracy is covered by
     # the acceptance suite.
     @staticmethod
-    def small_sweep(spec, jobs=None):
+    def small_sweep(spec):
         return sweep(SweepSpec(
             server_configs=((2, 1),), h0_values=(0.1,),
             h2_values=(0.1, 2.0), mu2_values=(4.0, 12.0),
-            i0_values=spec.i0_values), jobs=1)
+            i0_values=spec.i0_values))
 
     def test_table_csv_written(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "sweep", self.small_sweep)
         code = run(["sweep", "--table", "5", "--table", "9",
-                    "--outdir", str(tmp_path), "--jobs", "1"])
+                    "--outdir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "sweep_raw.csv").exists()
         t5 = (tmp_path / "table5.csv").read_text().splitlines()
@@ -290,7 +336,7 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "sweep", self.small_sweep)
         monkeypatch.setattr(cli, "write_table_csv", write_table_csv)
         code = run(["sweep", "--table", "5", "--table", "5",
-                    "--outdir", str(tmp_path), "--jobs", "1"])
+                    "--outdir", str(tmp_path)])
         assert code == 0
         assert written == [5]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep_raw.csv", "table5.csv"]

@@ -89,24 +89,23 @@ class TestSweep:
         )
         assert not sweep(spec).raw_rows
         tie = SystemParams(2, 1, 10.0, 10.0, 0.1, 1.0, 1.0)
-        rows, cells = experiments._sweep_combo((tie, (20,)))
+        rows, cells = [], {}
+        experiments._sweep_point(tie, (20,), rows, cells)
         assert rows and cells
 
-    def test_parallel_equals_serial(self):
+    def test_stats_equal_aggregate_of_rows(self):
         # Both cost regimes and both rate splits, in two server blocks.
         spec = SweepSpec(
             server_configs=((2, 1), (3, 2)), h0_values=(0.1,), h2_values=(0.1, 2.0),
             mu2_values=(4.0, 12.0), i0_values=(20, 5),
         )
-        serial = sweep(spec)
-        assert {(s.cost_regime, s.rate_regime) for s in serial.stats} == {
+        result = sweep(spec)
+        assert {(s.cost_regime, s.rate_regime) for s in result.stats} == {
             (cost, rate) for cost in ("lowcost", "highcost") for rate in ("mu1_ge", "mu1_lt")}
-        for result in (serial, sweep(spec, jobs=2)):
-            assert result == serial
-            # The stats merged from the workers' cells equal a second parse of the rows.
-            want = aggregate_stats(result.raw_rows)
-            assert result.stats == want
-            assert [repr(s) for s in result.stats] == [repr(s) for s in want]
+        # The stats kept from the cells as rows are built equal a second parse of the rows.
+        want = aggregate_stats(result.raw_rows)
+        assert result.stats == want
+        assert [repr(s) for s in result.stats] == [repr(s) for s in want]
 
     def test_raw_csv_header(self, small_result, tmp_path):
         small_result.write_raw_csv(tmp_path / "raw.csv")
@@ -192,7 +191,7 @@ class TestRounding:
             "import sys\n"
             "from clearq.experiments import SweepSpec, round_half_up, sweep\n"
             "sweep(SweepSpec(server_configs=((2, 1),), h0_values=(0.1,), h2_values=(0.5,),\n"
-            "                mu2_values=(4.0,), i0_values=(5,)), jobs=1)\n"
+            "                mu2_values=(4.0,), i0_values=(5,)))\n"
             "print('decimal' in sys.modules)\n"
             "round_half_up(0.005)\n"
             "print('decimal' in sys.modules)\n"
@@ -212,6 +211,21 @@ class TestVerify:
     def test_examples_pass(self):
         report = verify(list(EXAMPLE_PARAMS.values()), 25)
         assert report.passed, [f.detail for f in report.failures()]
+
+    def test_serial_runs_load_no_pool(self):
+        code = (
+            "import sys\n"
+            "from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep, verify\n"
+            "verify([EXAMPLE_PARAMS['ex1'], EXAMPLE_PARAMS['ex7']], 5, jobs=1)\n"
+            "verify([EXAMPLE_PARAMS['ex1']], 5, jobs=2)\n"
+            "sweep(SweepSpec(server_configs=((2, 1),), h0_values=(0.1,), h2_values=(0.5,),\n"
+            "                mu2_values=(4.0,), i0_values=(5,)))\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.split() == ["False"]
 
     def test_c2_at_least_c1_points(self):
         # No-queueing corollaries: heuristic equals actual for one server.
@@ -573,6 +587,16 @@ class TestNaNFails:
                                  table=_set("policy:optimal", {(4, 2): math.nan}))
         assert details["greedy_reproduces_optimal"] == "greedy value differs at (4, 2, 2)"
 
+    def test_at_a_threshold_sign_change(self, monkeypatch):
+        # ex1 solves to depth 103 for its threshold search.  D(2,2,2) is the first
+        # negative entry of k = 2; read as a band zero, a NaN there would move i_D(2)
+        # from 2 to 3 and pass the check.
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10,
+                                 d=_set_d({(2, 2): math.nan}))
+        assert details["threshold_structure"] == (
+            "D(2,2,2) is NaN at or before the sign change at index 2; "
+            "this indicates a solver bug")
+
 
 def _draw_points(seed, n, draw, max_depth=math.inf):
     """n points from draw(rng), leaving out those whose required_depth exceeds max_depth."""
@@ -698,11 +722,15 @@ class TestGrid:
     def test_aggregate_stats_equals_oracle_on_interleaved_points(self):
         # Points of every cost and rate regime, equal-cost ties included, with
         # their rows dealt out one at a time so no point's rows form a block.
-        # The sweep leaves ties out, so the rows come from its per-point worker.
+        # The sweep leaves ties out, so the rows come from its per-point function.
         grid = experiments._grid(((2, 1), (3, 2)), (0.1,), (0.1, 1.0, 2.0),
                                  (4.0, 10.0, 25.0), 10.0, 1.0)
-        combos = [experiments._sweep_combo((params, (20, 5))) for params in grid]
-        rows = [row for point_rows, _ in combos for row in point_rows]
+        points = []
+        for params in grid:
+            point_rows, cells = [], {}
+            experiments._sweep_point(params, (20, 5), point_rows, cells)
+            points.append((point_rows, cells))
+        rows = [row for point_rows, _ in points for row in point_rows]
         blocks = {}
         for row in rows:
             blocks.setdefault(row[:7], []).append(row)
@@ -717,6 +745,6 @@ class TestGrid:
             assert got == aggregate_stats_oracle(sample)
             assert [repr(s) for s in got] == [repr(s) for s in aggregate_stats_oracle(sample)]
         # Each point's cells hold its rows' errors by (policy, group, i0), in row order.
-        for point_rows, cells in combos:
+        for point_rows, cells in points:
             assert experiments._error_stats(cells) == aggregate_stats(point_rows)
             assert [e for errs in cells.values() for e in errs] == [row[13] for row in point_rows]

@@ -66,7 +66,7 @@ def produce(workdir) -> dict[str, str]:
         digests[name] = _digest(outdir)
     outdir = workdir / "sweep-raw"
     outdir.mkdir()
-    sweep(SMALL_SWEEP, jobs=1).write_raw_csv(outdir / "sweep_raw.csv")
+    sweep(SMALL_SWEEP).write_raw_csv(outdir / "sweep_raw.csv")
     digests["sweep-raw"] = _digest(outdir)
     return digests
 

@@ -13,6 +13,7 @@ from clearq.thresholds import (
     Classification,
     Condition1Verdict,
     DegenerateSlope,
+    NaNInDiff,
     Orientation,
     ProfileKind,
     actual_profile,
@@ -214,6 +215,28 @@ class TestActualProfile:
         fake = DiffTable(params, cap + 1, boundary, levels)
         with pytest.raises(CapExceeded):
             actual_profile(params, fake)
+
+    @pytest.mark.parametrize("name, at, index", [
+        ("ex1", (2, 2), 2),  # i_D(2) = 2: at the sign change, which would move to 3
+        ("ex1", (0, 3), 3),  # before i_D(3) = 10
+        ("ex7", (5, 4), 0),  # independent: before i~_D(0) = 12, which would move to 5
+    ])
+    def test_nan_at_or_before_a_sign_change_is_a_bug_trap(self, name, at, index):
+        params = EXAMPLE_PARAMS[name]
+        dt = diff(solve_optimal(params, required_depth(params)))
+        dt.levels[at] = math.nan
+        i, k = at
+        with pytest.raises(NaNInDiff) as exc:
+            actual_profile(params, dt)
+        assert str(exc.value) == (f"D({i},{k},{params.C1 - k}) is NaN at or before the sign "
+                                  f"change at index {index}; this indicates a solver bug")
+
+    def test_nan_after_the_sign_changes_is_not_read(self):
+        params = EXAMPLE_PARAMS["ex1"]
+        dt = diff(solve_optimal(params, required_depth(params)))
+        want = actual_profile(params, dt).entries
+        dt.levels[3, 2] = dt.levels[12, 4] = math.nan
+        assert actual_profile(params, dt).entries == want == {1: 0, 2: 2, 3: 10, 4: 11}
 
     @given(param_strategy)
     @settings(max_examples=20, deadline=None)
