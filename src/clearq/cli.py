@@ -135,10 +135,11 @@ def cmd_simulate(args) -> int:
     params = params_from_args(args)
     k0 = args.k0 if args.k0 is not None else params.C1
     l0 = args.l0 if args.l0 is not None else params.C1 - k0
-    initial = initial_state(params, (args.i0, k0, l0))  # before the optimal policy's solve
+    # Checked before the optimal policy's solve.
+    config = SimConfig(args.seed, args.reps, initial_state(params, (args.i0, k0, l0)))
     value_table = solve_optimal(params, args.i0) if args.policy == "optimal" else None
     policy = policy_by_id(params, args.policy, value_table=value_table)
-    result = estimate(params, policy, SimConfig(args.seed, args.reps, initial))
+    result = estimate(params, policy, config)
     payload = json.dumps(result.to_json_dict(seed=args.seed), indent=2)
     if args.out:
         args.out.write_text(payload + "\n", encoding="utf-8")

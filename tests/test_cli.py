@@ -3,7 +3,7 @@ import json
 import pytest
 
 import clearq.cli as cli
-from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep, verify
+from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep
 
 
 def run(argv):
@@ -193,12 +193,16 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == (
             "clearq: initial state State(i=-1, k=4, l=0) is outside the state space\n")
 
-    def test_negative_seed_one_line_error(self, capsys):
+    @pytest.mark.parametrize("policy", ["optimal", "pi1"])
+    def test_negative_seed_one_line_error(self, policy, monkeypatch, capsys):
+        solved = []
+        monkeypatch.setattr(cli, "solve_optimal", lambda *args: solved.append(args))
         with pytest.raises(SystemExit) as exc:
-            run(["simulate", "--preset", "ex1", "--policy", "pi1",
+            run(["simulate", "--preset", "ex1", "--policy", policy,
                  "--i0", "3", "--reps", "10", "--seed", "-1"])
         assert exc.value.code == 2
         assert capsys.readouterr().err == "clearq: seed must be non-negative, got -1\n"
+        assert not solved  # rejected before the optimal policy's solve
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -293,9 +297,6 @@ class TestVerifyCommand:
         assert sizes == [len(EXAMPLE_PARAMS), 2]
         out = capsys.readouterr().out.splitlines()
         assert out[0] == out[1] == f"checks: {12 * len(EXAMPLE_PARAMS)}, failures: 0"
-        # One point needs no pool.
-        assert verify([EXAMPLE_PARAMS["ex1"]], 5, jobs=2).passed
-        assert sizes == [len(EXAMPLE_PARAMS), 2]
 
     def test_negative_imax_one_line_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
