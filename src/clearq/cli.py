@@ -10,6 +10,7 @@ written, and a depth too large to allocate; every exit-2 error is one
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -77,6 +78,24 @@ def params_from_args(args: argparse.Namespace) -> SystemParams:
     return SystemParams.from_json_dict(values)
 
 
+def check_writable(path: Path) -> None:
+    """Raise ``cannot write PATH: reason`` unless a file can be written at PATH.
+
+    Commands call it before their work, so a bad --out costs none.  It
+    creates and truncates nothing: an existing file is opened without
+    truncation, and for a new one its directory is checked.
+    """
+    try:
+        try:
+            os.close(os.open(path, os.O_WRONLY))
+        except FileNotFoundError:
+            os.stat(path.parent)  # a missing directory raises here
+            if not os.access(path.parent, os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES)) from None
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def cmd_solve(args) -> int:
     params = params_from_args(args)
     table = solve_optimal(params, args.imax)
@@ -137,6 +156,8 @@ def cmd_simulate(args) -> int:
     l0 = args.l0 if args.l0 is not None else params.C1 - k0
     # Checked before the optimal policy's solve.
     config = SimConfig(args.seed, args.reps, initial_state(params, (args.i0, k0, l0)))
+    if args.out:
+        check_writable(args.out)
     value_table = solve_optimal(params, args.i0) if args.policy == "optimal" else None
     policy = policy_by_id(params, args.policy, value_table=value_table)
     result = estimate(params, policy, config)
@@ -148,6 +169,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.out:
+        check_writable(args.out)
     if args.grid == "table4":
         points = table4_params()
     else:

@@ -18,7 +18,8 @@ seeds each solve.
 A solve advances the rows of one parameter set together: an optional
 optimal row, then one row per policy.  Row r's ``levels`` is ``block[:, r]``
 of one float64 array, allocated at its final size and filled a chunk of
-CHUNK levels at a time.  The levels come from a kernel generated once per
+CHUNK levels at a time: the chunk's floats are packed into the block with
+one struct.pack_into call.  The levels come from a kernel generated once per
 C1, number of policy rows and whether an optimal row leads, and unrolled
 over k and the rows.  It keeps the previous rows in local variables, resumes
 from given rows, and returns its last rows to seed the next chunk.
@@ -26,6 +27,7 @@ from given rows, and returns its last rows to seed the next chunk.
 from __future__ import annotations
 
 import functools
+import struct
 import weakref
 from dataclasses import dataclass
 from typing import Callable
@@ -254,7 +256,7 @@ def _decision_rows(rule: Callable, c1: int, i_max: int) -> list:
 
 
 # Levels per kernel call: the floats of one chunk are held as Python objects
-# until they are written into the table block with one slice assignment.
+# until they are packed into the table block with one struct.pack_into call.
 CHUNK = 512
 
 
@@ -273,14 +275,15 @@ def _solve(
     if i_max:
         kernel = _kernel(c1, len(policies), optimal)
         decisions = [_decision_rows(p, c1, i_max) for p in policies]
-        cells, rows, width = block.reshape(-1), (full_row,) * len(kinds), len(kinds) * (c1 + 1)
+        rows, width = (full_row,) * len(kinds), len(kinds) * (c1 + 1)
         for start in range(1, i_max + 1, CHUNK):
             stop = min(start + CHUNK, i_max + 1)
             chunk = []
             # Decision row i - 1 belongs to level i.
             rows = kernel(chunk, rows, coefficients, params.h0, start, stop,
                           *(collab[start - 1:stop - 1] for collab in decisions))
-            cells[start * width:stop * width] = chunk
+            # Native doubles, copied bit for bit to the chunk's byte offset in the block.
+            struct.pack_into(f"{len(chunk)}d", block, 8 * start * width, *chunk)
     return [ValueTable(params, i_max, boundary, block[:, r], kind) for r, kind in enumerate(kinds)]
 
 

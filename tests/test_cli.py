@@ -246,6 +246,38 @@ def test_failed_command_creates_no_outdir(command, message, tmp_path, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--grid", "examples", "--imax", "5", "--jobs", "1"],
+    ["simulate", "--preset", "ex1", "--policy", "optimal", "--i0", "3", "--reps", "10"],
+], ids=["verify", "simulate"])
+def test_unwritable_out_rejected_before_any_work(command, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        pytest.fail("the command worked before checking --out")
+
+    for name in ("verify", "estimate", "solve_optimal"):
+        monkeypatch.setattr(cli, name, never)
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("kept")
+    for out, reason in ((blocker / "r.json", "Not a directory"),
+                        (tmp_path / "missing" / "r.json", "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"clearq: cannot write {out}: {reason}\n"
+    assert not (tmp_path / "missing").exists()
+    assert blocker.read_text() == "kept"
+
+
+def test_writable_out_is_neither_created_nor_truncated_by_the_check(tmp_path):
+    existing = tmp_path / "r.json"
+    existing.write_text("kept")
+    cli.check_writable(existing)
+    cli.check_writable(tmp_path / "new.json")
+    assert existing.read_text() == "kept"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
 class TestVerifyCommand:
     def test_examples_grid_passes(self, tmp_path, capsys):
         code = run(["verify", "--grid", "examples", "--imax", "25",

@@ -458,6 +458,32 @@ class TestScalarOracle:
         policies += [benchmark(EX1, which) for which in ("pi1", "pi2", "pi3", "pi4", "tpi2")]
         assert_row_sets_equal_scalar(EX1, depth, policies)
 
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    @pytest.mark.parametrize("c1", [1, 2, 7])
+    def test_every_chunk_lands_at_its_offset_in_the_block(self, c1, chunk, monkeypatch):
+        """Each chunk, the last partial one too, fills its own levels of a 1- and a 7-row block.
+
+        A wrong byte offset or a dropped chunk leaves np.empty garbage behind.
+        """
+        if chunk is not None:
+            monkeypatch.setattr(solver, "CHUNK", chunk)
+        depth = 2 * solver.CHUNK + 1
+        params = SystemParams(c1, 2, 3.0, 4.0, 0.2, 1.0, 2.0)
+        optimal = solve_optimal(params, depth)
+        policies = tuple(policy_by_id(params, p, value_table=optimal)
+                         for p in ("optimal", "heuristic", "pi1", "pi2", "pi4", "tpi2"))
+        want_optimal = scalar_solve(params, depth)
+        want_first = scalar_solve(params, depth, policies[0].rule)
+        assert entries(optimal) == want_optimal
+        [first] = solver._solve(params, depth, policies[:1], False)
+        assert entries(first) == want_first
+        tables = solver._solve(params, depth, policies, True)
+        wants = [want_optimal, want_first]
+        wants += [scalar_solve(params, depth, policy.rule) for policy in policies[1:]]
+        assert len(tables) == len(wants) == 7
+        for table, want in zip(tables, wants):
+            assert entries(table) == want, (c1, depth, table.kind)
+
     @pytest.mark.parametrize("c1", range(1, 7))
     def test_every_kernel_shape_equals_scalar_recursion(self, c1):
         """Each C1 and row set has its own kernel; C1 = 1 has no interior column."""
