@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -269,13 +270,17 @@ def test_unwritable_out_rejected_before_any_work(command, tmp_path, monkeypatch,
     assert blocker.read_text() == "kept"
 
 
-def test_writable_out_is_neither_created_nor_truncated_by_the_check(tmp_path):
+def test_writable_out_is_neither_created_nor_truncated_by_the_check(tmp_path, monkeypatch):
     existing = tmp_path / "r.json"
     existing.write_text("kept")
     cli.check_writable(existing)
     cli.check_writable(tmp_path / "new.json")
     assert existing.read_text() == "kept"
     assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+    # A directory the user may not write into, which root never meets.
+    monkeypatch.setattr(os, "access", lambda *args: False)
+    with pytest.raises(OSError, match=r"^cannot write .*new\.json: Permission denied$"):
+        cli.check_writable(tmp_path / "new.json")
 
 
 class TestVerifyCommand:
