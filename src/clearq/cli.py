@@ -3,9 +3,10 @@
 Subcommands: solve, thresholds, sweep, simulate, verify, curve.  System
 parameters come from flags, a JSON file, or a named example preset; flags
 override file values.  Exit codes: 0 success, 1 verification failure,
+including a bug trap (CapExceeded, NaNInDiff) in threshold extraction,
 2 usage error, including bad parameters, files that cannot be read or
-written, and a depth too large to allocate; every exit-2 error is one
-`clearq: ...` line on standard error.
+written, and a depth too large to allocate; every exit-2 error and every
+bug trap is one `clearq: ...` line on standard error.
 """
 from __future__ import annotations
 
@@ -32,6 +33,8 @@ from .policies import POLICY_IDS, policy_by_id
 from .simulate import SimConfig, estimate, initial_state
 from .solver import diff, solve_optimal
 from .thresholds import (
+    CapExceeded,
+    NaNInDiff,
     Orientation,
     compute_actual_profile,
     condition1,
@@ -253,6 +256,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (CapExceeded, NaNInDiff) as exc:  # a bug trap fired: the run failed verification
+        parser.exit(1, f"clearq: {exc}\n")
     except ParameterError as exc:
         parser.exit(2, f"clearq: parameter error: {exc}\n")
     except (ValueError, OSError) as exc:

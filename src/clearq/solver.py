@@ -41,7 +41,6 @@ from .model import (
     State,
     SystemParams,
     read_only,
-    service_rate,
 )
 from .policies import decision_grid
 from .thresholds import affine_pieces, probs
@@ -142,18 +141,16 @@ def _fixed_parts(params: SystemParams) -> tuple[np.ndarray, tuple, tuple]:
             served = min(l, c2)
             if served > 0:
                 acc += served * mu2 * prev[k]
-            row.append(acc / service_rate(params, k, l))
+            row.append(acc / (k * mu1 + served * mu2))  # model.service_rate, inlined
         rows.append(tuple(row))
-    boundary = np.full((c1, c1), np.nan)
-    for n, row in enumerate(rows[:c1]):
-        boundary[n, :n + 1] = row
+    # Rows n < C1, padded with NaN above the diagonal, as one array.
+    (boundary,) = read_only(np.array([row + (np.nan,) * (c1 - len(row)) for row in rows[:c1]]))
     # Per-k coefficients: each is the same float product the scalar recursion
     # forms, and the kernels keep its order of sums, so values match it bit for bit.
     coefficients = tuple(
-        (k * h1, (c1 - k) * h2, k * mu1, min(c1 - k, c2) * mu2, service_rate(params, k, c1 - k))
+        (k * h1, (c1 - k) * h2, k * mu1, min(c1 - k, c2) * mu2, k * mu1 + min(c1 - k, c2) * mu2)
         for k in range(c1 + 1)
     )
-    read_only(boundary)
     return boundary, rows[c1], coefficients
 
 

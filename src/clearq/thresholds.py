@@ -303,10 +303,10 @@ FIXED_THRESHOLDS = {Classification.PROVABLY_INFINITE: INF, Classification.ALWAYS
 def _profile(
     spec: ThresholdSpec,
     kind: ProfileKind,
-    finite: Callable[[IndexSpec], int],
+    finite: Callable[[IndexSpec], int] | None,
     i_max_used: int | None = None,
 ) -> ThresholdProfile:
-    """Profile with the fixed thresholds, and finite(s) at finite-expected indices."""
+    """Profile with the fixed thresholds, and finite(s) at finite-expected indices, if any."""
     entries: dict[int, float] = {}
     for s in spec:
         fixed = FIXED_THRESHOLDS.get(s.classification)
@@ -416,9 +416,15 @@ def actual_profile(params: SystemParams, diff_table) -> ThresholdProfile:
 
 
 def compute_actual_profile(params: SystemParams) -> ThresholdProfile:
-    """Solve to the required depth and extract the actual profile."""
+    """Solve to the required depth and extract the actual profile.
+
+    A point with no finite-expected index has nothing to search: it is not
+    solved, and its profile holds the fixed thresholds with i_max_used 0.
+    """
     from .solver import diff, solve_optimal  # deferred: solver imports this module
 
+    if not search_caps(params):
+        return _profile(threshold_spec(params), ProfileKind.ACTUAL, None, 0)
     return actual_profile(params, diff(solve_optimal(params, required_depth(params))))
 
 

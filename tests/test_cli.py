@@ -1,10 +1,13 @@
 import json
+import math
 import os
 
 import pytest
 
 import clearq.cli as cli
+import clearq.solver as solver
 from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep
+from clearq.thresholds import CapExceeded, Classification, search_caps, threshold_spec
 
 
 def run(argv):
@@ -150,6 +153,31 @@ class TestThresholdsCommand:
         for name in ("actual_profile.csv", "actual_profile.json",
                      "heuristic_profile.csv", "heuristic_profile.json"):
             assert (tmp_path / name).exists()
+
+    @pytest.mark.parametrize("fill", [1.0, math.nan], ids=["CapExceeded", "NaNInDiff"])
+    def test_bug_trap_one_line_exit_1(self, fill, tmp_path, monkeypatch, capsys):
+        # D never turns negative (CapExceeded) or is NaN (NaNInDiff) at every level.
+        params = EXAMPLE_PARAMS["ex1"]
+        real = solver.diff
+
+        def corrupted(table):
+            dt = real(table)
+            dt.levels[:, 1:] = fill
+            return dt
+
+        monkeypatch.setattr(solver, "diff", corrupted)
+        first = next(s for s in threshold_spec(params)
+                     if s.classification is Classification.FINITE_EXPECTED)
+        if math.isnan(fill):
+            message = (f"D(0,{first.k},{first.l}) is NaN at or before the sign change at "
+                       f"index {first.index}; this indicates a solver bug")
+        else:
+            message = str(CapExceeded(first.index, search_caps(params)[first.index]))
+        with pytest.raises(SystemExit) as exc:
+            run(["thresholds", "--preset", "ex1", "--outdir", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == f"clearq: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulateCommand:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import clearq.experiments as experiments
@@ -32,9 +33,16 @@ from clearq.experiments import (
     verify_point,
     write_table_csv,
 )
-from clearq.model import SystemParams
-from clearq.policies import optimal_greedy, policy_by_id
-from clearq.solver import DiffTable, ValueTable, diff, solve_optimal, solve_under_policy
+from clearq.model import SystemParams, cost_gap_sign
+from clearq.policies import optimal_greedy, pi_prime, policy_by_id
+from clearq.solver import (
+    DiffTable,
+    ValueTable,
+    diff,
+    solve_family,
+    solve_optimal,
+    solve_under_policy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -748,3 +756,29 @@ class TestGrid:
         for point_rows, cells in points:
             assert experiments._error_stats(cells) == aggregate_stats(point_rows)
             assert [e for errs in cells.values() for e in errs] == [row[13] for row in point_rows]
+
+
+class TestHeuristicAccuracyAtLongQueues:
+    """The abstract's claim: the heuristic is most accurate when the initial queue is long.
+
+    Only the grid aggregates fall: at some points the error rises between one
+    level and the next, so no point is tested alone.
+    """
+
+    I0_VALUES = (10, 20, 30, 60, 120, 240)
+
+    def test_grid_mean_and_max_of_the_relative_error_fall(self):
+        errors = {i0: [] for i0 in self.I0_VALUES}
+        for params in table4_params():
+            if cost_gap_sign(params) == 0:
+                continue  # the sweep leaves cost-order ties out
+            optimal, heuristic = solve_family(params, [pi_prime(params)], self.I0_VALUES[-1])
+            for i0 in self.I0_VALUES:
+                # Every start state (i0, k0, C1 - k0), in percent, as the sweep reports it.
+                v_opt = optimal.levels[i0]
+                errors[i0].append((heuristic.levels[i0] - v_opt) / v_opt * 100.0)
+        assert sum(map(len, errors[10])) == 9_100  # the sweep's rows per i0 and policy
+        means = [float(np.concatenate(errors[i0]).mean()) for i0 in self.I0_VALUES]
+        maxes = [float(np.concatenate(errors[i0]).max()) for i0 in self.I0_VALUES]
+        assert all(a > b for a, b in zip(means, means[1:])), means
+        assert all(a > b for a, b in zip(maxes, maxes[1:])), maxes

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep
+from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep, table4_params
 from clearq.model import GRID_CACHE_SIZE, State, SystemParams, band_signs, service_rate
 from clearq.policies import (
     POLICY_IDS,
@@ -107,22 +107,30 @@ class TestBoundary:
         v = entries(solve_optimal(params, 0))
         assert v[State(0, 0, 1)] == pytest.approx(0.1 / 4.0)
 
-    @pytest.mark.parametrize("c1", range(1, 7))
+    @staticmethod
+    def check_cached_triangle(params):
+        c1 = params.C1
+        v = entries(solve_optimal(params, 0))
+        assert list(v) == enumerate_states(params, 0)
+        assert all(type(x) is float for x in v.values())
+        assert v == dict_boundary(params)
+        # The table holds rows n < C1 of the triangle; row C1 is levels[0] alone.
+        table = solve_optimal(params, 3)
+        assert table.boundary.shape == (c1, c1)
+        triangle = {State(0, k, n - k): float(table.boundary[n, k])
+                    for n in range(c1) for k in range(n + 1)}
+        full_row = {State(0, k, c1 - k): x for k, x in enumerate(table.levels[0].tolist())}
+        assert v == {**triangle, **full_row}
+        assert np.isnan(table.boundary[np.triu_indices(c1, 1)]).all()
+
+    @pytest.mark.parametrize("c1", range(1, 8))
     def test_dict_view_of_the_cached_triangle(self, c1):
         for c2 in (1, c1 + 1):
-            params = SystemParams(c1, c2, 3.0, 1.5 * c2, 0.2, 1.0, 0.4)
-            v = entries(solve_optimal(params, 0))
-            assert list(v) == enumerate_states(params, 0)
-            assert all(type(x) is float for x in v.values())
-            assert v == dict_boundary(params)
-            # The table holds rows n < C1 of the triangle; row C1 is levels[0] alone.
-            table = solve_optimal(params, 3)
-            assert table.boundary.shape == (c1, c1)
-            triangle = {State(0, k, n - k): float(table.boundary[n, k])
-                        for n in range(c1) for k in range(n + 1)}
-            full_row = {State(0, k, c1 - k): x for k, x in enumerate(table.levels[0].tolist())}
-            assert v == {**triangle, **full_row}
-            assert np.isnan(table.boundary[np.triu_indices(c1, 1)]).all()
+            self.check_cached_triangle(SystemParams(c1, c2, 3.0, 1.5 * c2, 0.2, 1.0, 0.4))
+
+    def test_cached_triangle_on_the_study_grid_and_the_examples(self):
+        for params in table4_params() + list(EXAMPLE_PARAMS.values()):
+            self.check_cached_triangle(params)
 
     @given(param_strategy)
     @settings(max_examples=40, deadline=None)

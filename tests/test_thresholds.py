@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import clearq.solver as solver
 import clearq.thresholds as thresholds
-from clearq.experiments import EXAMPLE_PARAMS
+from clearq.experiments import EXAMPLE_PARAMS, table4_params
 from clearq.model import SystemParams, cost_gap_sign
 from clearq.solver import DiffTable, diff, solve_optimal
 from clearq.thresholds import (
@@ -249,6 +250,62 @@ class TestActualProfile:
                 assert cls is not Classification.PROVABLY_INFINITE
                 if cls is Classification.FINITE_EXPECTED:
                     assert value <= caps[index]
+
+
+@pytest.fixture(scope="module")
+def grid_profiles():
+    """(params, actual profile, optimal solve depths, diff calls) at each table4 point."""
+    real_solve, real_diff = solver.solve_optimal, solver.diff
+    depths, diffs, out = [], [], []
+
+    def counted_solve(params, i_max):
+        depths.append(i_max)
+        return real_solve(params, i_max)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "solve_optimal", counted_solve)
+        mp.setattr(solver, "diff", lambda table: diffs.append(table) or real_diff(table))
+        for params in table4_params():
+            act = compute_actual_profile(params)
+            out.append((params, act, depths[:], len(diffs)))
+            depths.clear()
+            diffs.clear()
+    return out
+
+
+def has_finite_expected_index(params):
+    return any(s.classification is Classification.FINITE_EXPECTED for s in threshold_spec(params))
+
+
+class TestStudyGrid:
+    def test_solves_only_points_with_an_index_to_search(self, grid_profiles):
+        searched = [(p, depths, n_diff) for p, _, depths, n_diff in grid_profiles
+                    if has_finite_expected_index(p)]
+        assert len(searched) == 1288
+        assert all(depths == [required_depth(p)] and n_diff == 1 for p, depths, n_diff in searched)
+        assert sum(depths[0] for _, depths, _ in searched) == 553_779
+        unsearched = [(p, act, depths, n_diff) for p, act, depths, n_diff in grid_profiles
+                      if not has_finite_expected_index(p)]
+        assert len(unsearched) == 980
+        for params, act, depths, n_diff in unsearched:
+            assert depths == [] and n_diff == 0
+            want = actual_profile(params, diff(solve_optimal(params, 0)))
+            assert dict(act.entries) == dict(want.entries)
+            assert (act.orientation, act.kind, act.i_max_used) == (want.orientation, want.kind, 0)
+            assert want.i_max_used == 0
+
+    def test_both_sandwich_ends_are_attained(self, grid_profiles):
+        # At a finite-expected index with l < C2, i_H <= i_D <= i_H + C1 - 1.
+        lower = upper = 0
+        for params, act, _, _ in grid_profiles:
+            heur = heuristic_profile(params)
+            for s in threshold_spec(params):
+                if s.classification is Classification.FINITE_EXPECTED and s.l < params.C2:
+                    i_h, i_d = heur[s.index], act[s.index]
+                    assert i_h <= i_d <= i_h + params.C1 - 1
+                    lower += i_d == i_h
+                    upper += i_d == i_h + params.C1 - 1
+        assert lower and upper
 
 
 class TestCondition1:
