@@ -138,7 +138,7 @@ def _fixed_parts(params: SystemParams) -> tuple[np.ndarray, tuple, tuple]:
             acc = k * h1 + l * h2
             if k > 0:
                 acc += k * mu1 * prev[k - 1]
-            served = min(l, c2)
+            served = l if l < c2 else c2  # min(l, C2), without a call per entry
             if served > 0:
                 acc += served * mu2 * prev[k]
             row.append(acc / (k * mu1 + served * mu2))  # model.service_rate, inlined
@@ -147,11 +147,11 @@ def _fixed_parts(params: SystemParams) -> tuple[np.ndarray, tuple, tuple]:
     (boundary,) = read_only(np.array([row + (np.nan,) * (c1 - len(row)) for row in rows[:c1]]))
     # Per-k coefficients: each is the same float product the scalar recursion
     # forms, and the kernels keep its order of sums, so values match it bit for bit.
-    coefficients = tuple(
-        (k * h1, (c1 - k) * h2, k * mu1, min(c1 - k, c2) * mu2, k * mu1 + min(c1 - k, c2) * mu2)
-        for k in range(c1 + 1)
-    )
-    return boundary, rows[c1], coefficients
+    coefficients = []
+    for k in range(c1 + 1):
+        up, down = k * mu1, min(c1 - k, c2) * mu2
+        coefficients.append((k * h1, (c1 - k) * h2, up, down, up + down))
+    return boundary, rows[c1], tuple(coefficients)
 
 
 # The level loop over levels start..stop-1, unrolled over k = 0..C1 and over
