@@ -190,6 +190,7 @@ def cmd_verify(args) -> int:
 
 def cmd_curve(args) -> int:
     params = params_from_args(args)
+    check_writable(args.out)
     rows = dh_curve(params, k=args.k, l=args.l, i_max=args.imax)
     write_dh_csv(rows, args.out)
     print(f"wrote {args.out}")

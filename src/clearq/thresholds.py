@@ -381,25 +381,24 @@ def required_depth(params: SystemParams) -> int:
     return max(search_caps(params).values(), default=0)
 
 
-def actual_profile(params: SystemParams, diff_table) -> ThresholdProfile:
-    """First sign change of the solved difference, per index.
+def _first_sign_changes(params: SystemParams, depth: int, d_column) -> ThresholdProfile:
+    """First sign change of a depth-deep solve's difference, per index.
 
-    Indices classified provably infinite are emitted as inf without search;
-    always-zero indices as 0.  A finite-expected index whose sign change is
-    missing below the analytic cap raises CapExceeded, a NaN at or before it
-    NaNInDiff (bug traps); a diff table shallower than the cap is a precondition error.
+    d_column(k, n) gives D(0..n, k, C1 - k).  Indices classified provably
+    infinite are emitted as inf without search; always-zero indices as 0.  A
+    finite-expected index whose sign change is missing below the analytic cap
+    raises CapExceeded, a NaN at or before it NaNInDiff (bug traps); a depth
+    below the cap is a precondition error.
     """
     spec = threshold_spec(params)
     caps = search_caps(params)
 
     def first_sign_change(s: IndexSpec) -> int:
         cap = caps[s.index]
-        if diff_table.i_max < cap:
-            raise ValueError(
-                f"diff table depth {diff_table.i_max} is below the search cap {cap} "
-                f"required at index {s.index}"
-            )
-        column = diff_table.levels[: cap + 1, s.k]
+        if depth < cap:
+            raise ValueError(f"diff table depth {depth} is below the search cap {cap} "
+                             f"required at index {s.index}")
+        column = d_column(s.k, cap)
         tol = ZERO_BAND * (1.0 + abs(column))
         # The collaborative threshold is the first D < 0, the independent the first D >= 0,
         # by band_sign.  Each test is a negated comparison, so a NaN passes it and is found.
@@ -412,20 +411,29 @@ def actual_profile(params: SystemParams, diff_table) -> ThresholdProfile:
                             f"index {s.index}; this indicates a solver bug")
         return found
 
-    return _profile(spec, ProfileKind.ACTUAL, first_sign_change, diff_table.i_max)
+    return _profile(spec, ProfileKind.ACTUAL, first_sign_change, depth)
+
+
+def actual_profile(params: SystemParams, diff_table) -> ThresholdProfile:
+    """First sign change of the solved difference table, per index (see _first_sign_changes)."""
+    return _first_sign_changes(params, diff_table.i_max, lambda k, n: diff_table.levels[:n + 1, k])
 
 
 def compute_actual_profile(params: SystemParams) -> ThresholdProfile:
     """Solve to the required depth and extract the actual profile.
 
-    A point with no finite-expected index has nothing to search: it is not
-    solved, and its profile holds the fixed thresholds with i_max_used 0.
+    Each D column is read off the solved values up to its cap, as value column
+    k minus column k - 1: diff's subtraction, bit for bit, with no difference
+    table built.  A point with no finite-expected index is not solved; its
+    profile holds the fixed thresholds with i_max_used 0.
     """
-    from .solver import diff, solve_optimal  # deferred: solver imports this module
+    from .solver import solve_optimal  # deferred: solver imports this module
 
     if not search_caps(params):
         return _profile(threshold_spec(params), ProfileKind.ACTUAL, None, 0)
-    return actual_profile(params, diff(solve_optimal(params, required_depth(params))))
+    depth = required_depth(params)
+    v = solve_optimal(params, depth).levels
+    return _first_sign_changes(params, depth, lambda k, n: v[:n + 1, k] - v[:n + 1, k - 1])
 
 
 class Condition1Verdict(Enum):

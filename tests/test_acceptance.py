@@ -24,10 +24,15 @@ from clearq.model import State, SystemParams
 from clearq.policies import optimal_greedy, pi_prime
 from clearq.simulate import SimConfig, estimate
 from clearq.solver import diff, recursion_check, solve_optimal, solve_under_policy
-from clearq.thresholds import boundary_diff_formula, compute_actual_profile, heuristic_profile
+from clearq.thresholds import (
+    boundary_diff_formula,
+    compute_actual_profile,
+    heuristic_profile,
+    threshold_spec,
+)
 
 from golden_tables import GOLDEN_TABLES, SERVER_COLUMNS
-from test_solver import entries
+from test_solver import entries, exact_solve
 
 JOBS = os.cpu_count() or 1
 
@@ -44,21 +49,24 @@ def report(capsys):
     return _report
 
 
+# Criterion 1's worked examples: (preset, index, actual threshold, heuristic threshold).
+WORKED_EXAMPLES = [
+    ("ex1", 3, 10, 10),
+    ("ex2", 4, 4, 1),
+    ("ex3", 2, 3, 4),
+    ("ex3b", 2, 13, 13),
+    ("ex4", 2, 4, 2),
+    ("ex4b", 2, 17, 17),
+    ("ex5", 2, 13, 13),
+    ("ex7", 0, 12, 12),
+    ("ex8", 0, 8, 5),
+]
+
+
 def test_criterion_1_worked_examples(report):
     t0 = time.time()
-    expected = [
-        ("ex1", 3, 10, 10),
-        ("ex2", 4, 4, 1),
-        ("ex3", 2, 3, 4),
-        ("ex3b", 2, 13, 13),
-        ("ex4", 2, 4, 2),
-        ("ex4b", 2, 17, 17),
-        ("ex5", 2, 13, 13),
-        ("ex7", 0, 12, 12),
-        ("ex8", 0, 8, 5),
-    ]
     mismatches = []
-    for name, index, want_actual, want_heuristic in expected:
+    for name, index, want_actual, want_heuristic in WORKED_EXAMPLES:
         params = EXAMPLE_PARAMS[name]
         got_actual = compute_actual_profile(params)[index]
         got_heuristic = heuristic_profile(params)[index]
@@ -69,6 +77,21 @@ def test_criterion_1_worked_examples(report):
             )
     elapsed = time.time() - t0
     report(1, not mismatches, "; ".join(mismatches) or f"9 example thresholds exact in {elapsed:.2f}s")
+
+
+@pytest.mark.parametrize("name, index, want", [case[:3] for case in WORKED_EXAMPLES],
+                         ids=[case[0] for case in WORKED_EXAMPLES])
+def test_criterion_1_actual_thresholds_are_the_exact_sign_changes(name, index, want):
+    # The first sign change of the exact D, an exact zero on the collaborative side:
+    # the first D < 0 in the collaborative orientation, the first D >= 0 in the independent.
+    params = EXAMPLE_PARAMS[name]
+    spec = threshold_spec(params)
+    s = spec[index]
+    depth = max(case[2] for case in WORKED_EXAMPLES) + 1
+    v = exact_solve(params, depth)
+    d = [v[State(i, s.k, s.l)] - v[State(i, s.k - 1, s.l + 1)] for i in range(depth + 1)]
+    exact = next((i for i, x in enumerate(d) if (x >= 0 if spec.independent else x < 0)), None)
+    assert exact == want == compute_actual_profile(params)[index]
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 import clearq.cli as cli
@@ -156,16 +157,17 @@ class TestThresholdsCommand:
 
     @pytest.mark.parametrize("fill", [1.0, math.nan], ids=["CapExceeded", "NaNInDiff"])
     def test_bug_trap_one_line_exit_1(self, fill, tmp_path, monkeypatch, capsys):
-        # D never turns negative (CapExceeded) or is NaN (NaNInDiff) at every level.
+        # Value column k of every level holds k * fill, so D = 1.0 never turns negative
+        # (CapExceeded), or D is NaN (NaNInDiff), at every level.
         params = EXAMPLE_PARAMS["ex1"]
-        real = solver.diff
+        real = solver.solve_optimal
 
-        def corrupted(table):
-            dt = real(table)
-            dt.levels[:, 1:] = fill
-            return dt
+        def corrupted(params, i_max):
+            table = real(params, i_max)
+            table.levels[:] = np.arange(params.C1 + 1) * fill
+            return table
 
-        monkeypatch.setattr(solver, "diff", corrupted)
+        monkeypatch.setattr(solver, "solve_optimal", corrupted)
         first = next(s for s in threshold_spec(params)
                      if s.classification is Classification.FINITE_EXPECTED)
         if math.isnan(fill):
@@ -278,12 +280,13 @@ def test_failed_command_creates_no_outdir(command, message, tmp_path, monkeypatc
 @pytest.mark.parametrize("command", [
     ["verify", "--grid", "examples", "--imax", "5", "--jobs", "1"],
     ["simulate", "--preset", "ex1", "--policy", "optimal", "--i0", "3", "--reps", "10"],
-], ids=["verify", "simulate"])
+    ["curve", "--preset", "ex1", "--k", "2", "--imax", "20000"],
+], ids=["verify", "simulate", "curve"])
 def test_unwritable_out_rejected_before_any_work(command, tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):
         pytest.fail("the command worked before checking --out")
 
-    for name in ("verify", "estimate", "solve_optimal"):
+    for name in ("verify", "estimate", "solve_optimal", "dh_curve"):
         monkeypatch.setattr(cli, name, never)
     blocker = tmp_path / "plain-file"
     blocker.write_text("kept")

@@ -1,14 +1,23 @@
+import dataclasses
 import gc
 import math
 import weakref
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep, table4_params
-from clearq.model import GRID_CACHE_SIZE, State, SystemParams, band_signs, service_rate
+from clearq.model import (
+    GRID_CACHE_SIZE,
+    RATE_COST_FIELDS,
+    State,
+    SystemParams,
+    band_signs,
+    service_rate,
+)
 from clearq.policies import (
     POLICY_IDS,
     Policy,
@@ -58,7 +67,7 @@ def dict_boundary(params):
 
     Kept here as the oracle of every table's boundary.
     """
-    v = {State(0, 0, 0): 0.0}
+    v = {State(0, 0, 0): 0 * params.h1}  # 0.0, or an exact zero under exact_solve
     for total in range(1, params.C1 + 1):
         for k in range(0, total + 1):
             l = total - k
@@ -371,6 +380,19 @@ def scalar_solve(params, i_max, rule=None):
                 else:
                     acc += served * params.mu2 * (move if rule(i, k, l - 1) else stay)
             v[State(i, k, l)] = acc / d
+    return v
+
+
+def exact_solve(params, i_max):
+    """``scalar_solve`` in exact rationals, each rate and cost taken as Fraction(repr(x)).
+
+    Its entries are the model's true values at the parameters as written, so
+    it can say whether a float D has the sign of the true D.
+    """
+    exact = dataclasses.replace(
+        params, **{f: Fraction(repr(getattr(params, f))) for f in RATE_COST_FIELDS})
+    v = scalar_solve(exact, i_max)
+    assert {type(x) for x in v.values()} == {Fraction}
     return v
 
 

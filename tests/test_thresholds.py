@@ -279,11 +279,13 @@ def has_finite_expected_index(params):
 
 class TestStudyGrid:
     def test_solves_only_points_with_an_index_to_search(self, grid_profiles):
-        searched = [(p, depths, n_diff) for p, _, depths, n_diff in grid_profiles
-                    if has_finite_expected_index(p)]
+        # No point builds a difference table: D is read off the solved values.
+        assert len(grid_profiles) == 2268
+        assert all(n_diff == 0 for *_, n_diff in grid_profiles)
+        searched = [(p, depths) for p, _, depths, _ in grid_profiles if has_finite_expected_index(p)]
         assert len(searched) == 1288
-        assert all(depths == [required_depth(p)] and n_diff == 1 for p, depths, n_diff in searched)
-        assert sum(depths[0] for _, depths, _ in searched) == 553_779
+        assert all(depths == [required_depth(p)] for p, depths in searched)
+        assert sum(depths[0] for _, depths in searched) == 553_779
         unsearched = [(p, act, depths, n_diff) for p, act, depths, n_diff in grid_profiles
                       if not has_finite_expected_index(p)]
         assert len(unsearched) == 980
@@ -293,6 +295,34 @@ class TestStudyGrid:
             assert dict(act.entries) == dict(want.entries)
             assert (act.orientation, act.kind, act.i_max_used) == (want.orientation, want.kind, 0)
             assert want.i_max_used == 0
+
+    def test_columns_read_off_the_solved_table_equal_the_diff_table(self, monkeypatch):
+        # At every grid point and example, each D column the search reads is the diff
+        # table's, bit for bit, and the profile is the one read off the diff table.
+        real_solve, real_search = solver.solve_optimal, thresholds._first_sign_changes
+        read = []
+
+        def recorded_search(params, depth, d_column):
+            def column(k, n):
+                read.append((k, n, d_column(k, n)))
+                return read[-1][2]
+            return real_search(params, depth, column)
+
+        monkeypatch.setattr(thresholds, "_first_sign_changes", recorded_search)
+        for params in table4_params() + list(EXAMPLE_PARAMS.values()):
+            read.clear()
+            act = compute_actual_profile(params)
+            got = read[:]
+            dt = diff(real_solve(params, required_depth(params)))
+            caps = search_caps(params)
+            assert sorted((k, n) for k, n, _ in got) == sorted(
+                (threshold_spec(params)[index].k, cap) for index, cap in caps.items())
+            for k, n, column in got:
+                assert column.tobytes() == dt.levels[:n + 1, k].tobytes(), (params, k)
+            want = actual_profile(params, dt)
+            assert dict(act.entries) == dict(want.entries)
+            assert (act.orientation, act.kind, act.i_max_used) == (
+                want.orientation, want.kind, want.i_max_used)
 
     def test_both_sandwich_ends_are_attained(self, grid_profiles):
         # At a finite-expected index with l < C2, i_H <= i_D <= i_H + C1 - 1.
