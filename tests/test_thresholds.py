@@ -299,13 +299,14 @@ class TestStudyGrid:
     def test_columns_read_off_the_solved_table_equal_the_diff_table(self, monkeypatch):
         # At every grid point and example, each D column the search reads is the diff
         # table's, bit for bit, and the profile is the one read off the diff table.
-        real_solve, real_search = solver.solve_optimal, thresholds._first_sign_changes
+        real_search = thresholds._first_sign_changes
         read = []
 
         def recorded_search(params, depth, d_column):
             def column(k, n):
-                read.append((k, n, d_column(k, n)))
-                return read[-1][2]
+                got = d_column(k, n)
+                read.append((k, n, got))
+                return got
             return real_search(params, depth, column)
 
         monkeypatch.setattr(thresholds, "_first_sign_changes", recorded_search)
@@ -313,7 +314,7 @@ class TestStudyGrid:
             read.clear()
             act = compute_actual_profile(params)
             got = read[:]
-            dt = diff(real_solve(params, required_depth(params)))
+            dt = diff(solve_optimal(params, required_depth(params)))
             caps = search_caps(params)
             assert sorted((k, n) for k, n, _ in got) == sorted(
                 (threshold_spec(params)[index].k, cap) for index, cap in caps.items())
