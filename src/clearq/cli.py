@@ -99,8 +99,23 @@ def check_writable(path: Path) -> None:
         raise OSError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def check_writable_dir(path: Path) -> None:
+    """check_writable for a directory made with its parents; the nearest existing one is checked."""
+    found = path
+    while not os.path.exists(found):
+        found = found.parent
+    try:
+        if not os.path.isdir(found):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if not os.access(found, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def cmd_solve(args) -> int:
     params = params_from_args(args)
+    check_writable_dir(args.outdir)
     table = solve_optimal(params, args.imax)
     dt = diff(table)
     outdir = args.outdir
@@ -116,6 +131,7 @@ def cmd_solve(args) -> int:
 
 def cmd_thresholds(args) -> int:
     params = params_from_args(args)
+    check_writable_dir(args.outdir)
     heur = heuristic_profile(params)
     act = compute_actual_profile(params)
     outdir = args.outdir
@@ -143,6 +159,7 @@ def cmd_thresholds(args) -> int:
 def cmd_sweep(args) -> int:
     tables = sorted(set(args.table or TABLE_DEFS))
     i0_values = sorted({TABLE_DEFS[t][2] for t in tables})
+    check_writable_dir(args.outdir)
     result = sweep(SweepSpec(i0_values=tuple(i0_values)))
     outdir = args.outdir
     outdir.mkdir(parents=True, exist_ok=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,12 +31,15 @@ def snaps_to_integer(r: float) -> bool:
     return abs(r - round(r)) <= INT_SNAP * max(1.0, abs(r))
 
 
-# Bounds of the caches of derived data: entries per parameter set (boundary
-# triangle, constants, threshold spec, heuristic profile, search caps), and
-# per index grid shape, level kernel, benchmark policy or depth of one rule's
-# decision rows.
+# Bounds of the caches of derived data: entries per parameter set (constants,
+# heuristic profile, search caps), and per index grid shape, level kernel,
+# benchmark policy or depth of one rule's decision rows.
 PARAMS_CACHE_SIZE = 32
 GRID_CACHE_SIZE = 32
+# Entries per WithoutH0 key (boundary triangle and level coefficients,
+# threshold spec), shared by the parameter sets that differ only in h0: sized
+# to hold a study grid's keys, 324 for table4, in any order.
+WITHOUT_H0_CACHE_SIZE = 512
 
 
 class ParameterError(ValueError):
@@ -46,7 +50,7 @@ class NonPositiveParameter(ParameterError):
     def __init__(self, field: str, value: float):
         self.field = field
         self.value = value
-        super().__init__(f"parameter {field} must be positive, got {value!r}")
+        super().__init__(f"parameter {field} must be finite and positive, got {value!r}")
 
 
 class ZeroServers(ParameterError):
@@ -65,6 +69,9 @@ class State(NamedTuple):
 
 PARAM_FIELDS = ("C1", "C2", "mu1", "mu2", "h0", "h1", "h2")
 RATE_COST_FIELDS = PARAM_FIELDS[2:]
+# Every field but h0: the key of the data that never reads h0, and the
+# stand-in for the parameter set when that data is derived.
+WithoutH0 = namedtuple("WithoutH0", "C1 C2 mu1 mu2 h1 h2")
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,8 @@ class SystemParams:
         # The field tuple's hash, so equal int and float sets hash equal.
         object.__setattr__(self, "_hash", hash(
             (self.C1, self.C2, self.mu1, self.mu2, self.h0, self.h1, self.h2)))
+        object.__setattr__(self, "without_h0", WithoutH0(
+            self.C1, self.C2, self.mu1, self.mu2, self.h1, self.h2))
 
     def __hash__(self) -> int:
         return self._hash

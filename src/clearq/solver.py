@@ -11,9 +11,9 @@ Tables are two float64 arrays.  ``boundary[n, k]`` holds the entry at
 jobs in service n.  ``levels[i, k]`` holds the entry at (i, k, C1 - k) for the
 fully-busy levels i = 0..i_max, so the full row n = C1 of the triangle is
 ``levels[0]`` and is held nowhere else.  Cells outside a table's index set
-are NaN.  The value tables of one parameter set share one read-only partial
-triangle, built once row by row, each row from the one before; the full row
-seeds each solve.
+are NaN.  The value tables of the parameter sets that differ only in h0
+share one read-only partial triangle, built once row by row, each row from
+the one before; the full row seeds each solve.
 
 A solve advances the rows of one parameter set together: an optional
 optimal row, then one row per policy.  Row r's ``levels`` is ``block[:, r]``
@@ -36,10 +36,11 @@ import numpy as np
 
 from .model import (
     GRID_CACHE_SIZE,
-    PARAMS_CACHE_SIZE,
+    WITHOUT_H0_CACHE_SIZE,
     ZERO_BAND,
     State,
     SystemParams,
+    WithoutH0,
     read_only,
 )
 from .policies import decision_grid
@@ -118,12 +119,13 @@ class DiffTable(_Table):
         return self._get(i, k, l)
 
 
-@functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def _fixed_parts(params: SystemParams) -> tuple[np.ndarray, tuple, tuple]:
-    """A parameter set's read-only partial triangle, its full row C1, and the level coefficients.
+@functools.lru_cache(maxsize=WITHOUT_H0_CACHE_SIZE)
+def _fixed_parts(params: WithoutH0) -> tuple[np.ndarray, tuple, tuple]:
+    """The read-only partial triangle, the full row C1, and the level coefficients.
 
-    Row n of the triangle holds the i = 0 values with n jobs in service, by k,
-    each from row n - 1; the array keeps rows n < C1, the tuple row C1.  Terms
+    None reads h0, so they are built once per ``params.without_h0``.  Row n
+    of the triangle holds the i = 0 values with n jobs in service, by k, each
+    from row n - 1; the array keeps rows n < C1, the tuple row C1.  Terms
     with a zero rate coefficient are skipped, so successor states outside the
     state space are never read.
     """
@@ -263,7 +265,7 @@ def _solve(
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
     c1 = params.C1
-    boundary, full_row, coefficients = _fixed_parts(params)
+    boundary, full_row, coefficients = _fixed_parts(params.without_h0)
     kinds = ["optimal"] * optimal + [
         f"policy:{getattr(p, 'id', getattr(p, '__name__', 'anonymous'))}" for p in policies]
     # block[i, r] is level i of row r, the order in which the kernel makes them.

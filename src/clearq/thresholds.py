@@ -14,8 +14,8 @@ positive.  The golden values in the acceptance suite pin this direction at
 exactly-integer crossing roots; see the README for the full convention.
 
 Which orientation applies, and each index's D column and classification,
-are decided once per parameter set by ``threshold_spec``; every function
-here reads them from its result.
+are decided by ``threshold_spec`` once per ``params.without_h0``, since none
+of them reads h0; every function here reads them from its result.
 """
 from __future__ import annotations
 
@@ -29,8 +29,10 @@ from typing import Callable, Mapping, NamedTuple
 
 from .model import (
     PARAMS_CACHE_SIZE,
+    WITHOUT_H0_CACHE_SIZE,
     ZERO_BAND,
     SystemParams,
+    WithoutH0,
     band_sign,
     blocked_cost_gap_sign,
     cost_gap_sign,
@@ -211,18 +213,22 @@ class ThresholdSpec:
         return self.indices[index - first]
 
 
-@functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def threshold_spec(params: SystemParams) -> ThresholdSpec:
-    """Orientation and per-index facts, decided once per parameter set.
+    """Orientation and per-index facts, decided once per ``params.without_h0``.
 
     The cost ordering picks the orientation; a cost-order tie takes the
     collaborative one, whose structural results hold weakly.  Collaborative
     orientation: the threshold is provably infinite when mu1 <= mu2 with no
     Station 2 queue (l < C2), and identically zero when the blocked cost
     comparison already favors independent service.  Independent orientation:
-    finite only when mu1 < mu2 with no Station 2 queue.  The last few specs
-    are cached: every threshold function of one point asks for its spec.
+    finite only when mu1 < mu2 with no Station 2 queue.  None of it reads
+    h0, so the parameter sets that differ only in h0 share one spec.
     """
+    return _threshold_spec(params.without_h0)
+
+
+@functools.lru_cache(maxsize=WITHOUT_H0_CACHE_SIZE)
+def _threshold_spec(params: WithoutH0) -> ThresholdSpec:
     finite, infinite = Classification.FINITE_EXPECTED, Classification.PROVABLY_INFINITE
     c1, c2 = params.C1, params.C2
     rate = band_sign(params.mu1 - params.mu2)

@@ -101,6 +101,23 @@ class TestSolveCommand:
         assert "mu1 must be a number" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("source", ["flag", "params-json"])
+    def test_non_finite_rate_or_cost_one_line_error(self, tmp_path, capsys, value, source):
+        if source == "flag":
+            given = ["--preset", "ex1", "--h2", value]
+        else:
+            params_file = tmp_path / "p.json"
+            params_file.write_text(json.dumps(dict(EXAMPLE_PARAMS["ex1"].to_json_dict(),
+                                                   h2=float(value))))
+            given = ["--params-json", str(params_file)]
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", *given, "--imax", "0", "--outdir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"clearq: parameter error: parameter h2 must be finite and positive, got {value}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_uncreatable_outdir_one_line_error(self, tmp_path, capsys):
         blocker = tmp_path / "plain-file"
         blocker.write_text("")
@@ -298,6 +315,34 @@ def test_unwritable_out_rejected_before_any_work(command, tmp_path, monkeypatch,
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"clearq: cannot write {out}: {reason}\n"
     assert not (tmp_path / "missing").exists()
+    assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command, work", [
+    (["solve", "--preset", "ex1", "--imax", "3"], "solve_optimal"),
+    (["thresholds", "--preset", "ex1"], "compute_actual_profile"),
+    (["sweep", "--table", "5"], "sweep"),
+], ids=["solve", "thresholds", "sweep"])
+def test_unwritable_outdir_rejected_before_any_work(command, work, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        pytest.fail("the command worked before checking --outdir")
+
+    monkeypatch.setattr(cli, work, never)
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("kept")
+    for outdir in (blocker / "sub", blocker, blocker / "sub" / "deeper"):
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--outdir", str(outdir)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"clearq: cannot write {outdir}: Not a directory\n"
+    # A directory the user may not write into, which root never meets.
+    monkeypatch.setattr(os, "access", lambda *args: False)
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--outdir", str(tmp_path / "new" / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"clearq: cannot write {tmp_path / 'new' / 'out'}: Permission denied\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain-file"]
     assert blocker.read_text() == "kept"
 
 

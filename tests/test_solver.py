@@ -13,6 +13,7 @@ from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep, table4_params
 from clearq.model import (
     GRID_CACHE_SIZE,
     RATE_COST_FIELDS,
+    WITHOUT_H0_CACHE_SIZE,
     State,
     SystemParams,
     band_signs,
@@ -41,6 +42,7 @@ from clearq.thresholds import (
     heuristic_profile,
     probs,
     search_caps,
+    threshold_spec,
 )
 
 EX1 = SystemParams(4, 2, 3.0, 0.96, 0.1, 1.0, 0.16)
@@ -609,6 +611,25 @@ class TestSharedData:
             assert writer not in solver._DECISION_ROWS
         table = solve_under_policy(EX1, lambda q, kb, lb: np.asarray(q) <= 3, 9)
         assert entries(table) == want
+
+    def test_study_grid_points_that_differ_only_in_h0_share_their_h0_free_parts(self):
+        groups: dict = {}
+        for params in table4_params():
+            key = (params.C1, params.C2, params.mu1, params.mu2, params.h1, params.h2)
+            groups.setdefault(key, []).append(params)
+        # The whole grid's keys fit, so no point's parts are rebuilt in any order.
+        assert len(groups) == 324 <= WITHOUT_H0_CACHE_SIZE
+        for points in groups.values():
+            assert len({params.h0 for params in points}) == len(points) == 7
+            tables = [solve_optimal(params, 3) for params in points]
+            assert all(table.boundary is tables[0].boundary for table in tables)
+            assert all(threshold_spec(params) is threshold_spec(points[0]) for params in points)
+            c1 = points[0].C1
+            assert np.isnan(tables[0].boundary[np.triu_indices(c1, 1)]).all()
+            assert not np.isnan(tables[0].boundary[np.tril_indices(c1)]).any()
+            for params, table in zip(points, tables):
+                assert not np.isnan(table.levels).any()
+                assert entries(table) == scalar_solve(params, 3)
 
     def test_equal_params_with_int_rates_share_one_entry(self):
         ints = SystemParams(4, 2, 3, 1, 1, 2, 1)
