@@ -88,8 +88,9 @@ class SystemParams:
 
     def __post_init__(self):
         validate(self)
-        # Every cache of derived data looks a parameter set up by its hash.
-        # The field tuple's hash, so equal int and float sets hash equal.
+        # Every cache of derived data looks a parameter set up by its hash, or
+        # by without_h0 if the data never reads h0.  The field tuple's hash, so
+        # equal int and float sets hash equal.
         object.__setattr__(self, "_hash", hash(
             (self.C1, self.C2, self.mu1, self.mu2, self.h0, self.h1, self.h2)))
         object.__setattr__(self, "without_h0", WithoutH0(
