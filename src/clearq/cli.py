@@ -99,8 +99,9 @@ def check_writable(path: Path) -> None:
         raise OSError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def check_writable_dir(path: Path) -> None:
-    """check_writable for a directory made with its parents; the nearest existing one is checked."""
+def check_writable_dir(path: Path, names) -> list[Path]:
+    """check_writable for a directory made with its parents (the nearest existing one is
+    checked) and, if it exists, for each named file in it; returns the files' paths."""
     found = path
     while not os.path.exists(found):
         found = found.parent
@@ -111,36 +112,41 @@ def check_writable_dir(path: Path) -> None:
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc.strerror}") from exc
+    paths = [path / name for name in names]
+    if path.is_dir():
+        for file in paths:
+            check_writable(file)
+    return paths
 
 
 def cmd_solve(args) -> int:
     params = params_from_args(args)
-    check_writable_dir(args.outdir)
+    values, diffs = check_writable_dir(args.outdir, ("values.csv", "diff.csv"))
     table = solve_optimal(params, args.imax)
     dt = diff(table)
     outdir = args.outdir
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        table.to_csv(outdir / "values.csv")
-        dt.to_csv(outdir / "diff.csv")
+        table.to_csv(values)
+        dt.to_csv(diffs)
     except OSError as exc:
         raise OSError(f"cannot write under {outdir}: {exc}") from exc
-    print(f"wrote {outdir / 'values.csv'} and {outdir / 'diff.csv'}")
+    print(f"wrote {values} and {diffs}")
     return 0
 
 
 def cmd_thresholds(args) -> int:
     params = params_from_args(args)
-    check_writable_dir(args.outdir)
+    heur_csv, heur_json, act_csv, act_json, summary = check_writable_dir(args.outdir, (
+        "heuristic_profile.csv", "heuristic_profile.json", "actual_profile.csv",
+        "actual_profile.json", "thresholds.csv"))
     heur = heuristic_profile(params)
     act = compute_actual_profile(params)
-    outdir = args.outdir
-    outdir.mkdir(parents=True, exist_ok=True)
-    heur.to_csv(outdir / "heuristic_profile.csv")
-    heur.to_json(outdir / "heuristic_profile.json")
-    act.to_csv(outdir / "actual_profile.csv")
-    act.to_json(outdir / "actual_profile.json")
-    summary = outdir / "thresholds.csv"
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    heur.to_csv(heur_csv)
+    heur.to_json(heur_json)
+    act.to_csv(act_csv)
+    act.to_json(act_json)
     with open(summary, "w", encoding="utf-8") as fh:
         fh.write("index,actual,heuristic,cond1\n")
         for index in act.indices():
@@ -159,14 +165,14 @@ def cmd_thresholds(args) -> int:
 def cmd_sweep(args) -> int:
     tables = sorted(set(args.table or TABLE_DEFS))
     i0_values = sorted({TABLE_DEFS[t][2] for t in tables})
-    check_writable_dir(args.outdir)
+    raw, *table_files = check_writable_dir(
+        args.outdir, ["sweep_raw.csv"] + [f"table{t}.csv" for t in tables])
     result = sweep(SweepSpec(i0_values=tuple(i0_values)))
-    outdir = args.outdir
-    outdir.mkdir(parents=True, exist_ok=True)
-    result.write_raw_csv(outdir / "sweep_raw.csv")
-    for t in tables:
-        write_table_csv(result.stats, t, outdir / f"table{t}.csv")
-    print(f"wrote {outdir / 'sweep_raw.csv'} and {len(tables)} aggregated table(s)")
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    result.write_raw_csv(raw)
+    for t, path in zip(tables, table_files):
+        write_table_csv(result.stats, t, path)
+    print(f"wrote {raw} and {len(tables)} aggregated table(s)")
     return 0
 
 

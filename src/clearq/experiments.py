@@ -691,6 +691,8 @@ def verify(
     """Run the full invariant suite over the points, on at most ``jobs`` processes (one per point)."""
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if i_max < 0:  # before any worker starts
+        raise ValueError("i_max must be non-negative")
     workers = min(jobs or 1, len(params_list))
     i_maxes = [i_max] * len(params_list)
     if workers <= 1:

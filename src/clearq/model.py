@@ -37,8 +37,9 @@ def snaps_to_integer(r: float) -> bool:
 PARAMS_CACHE_SIZE = 32
 GRID_CACHE_SIZE = 32
 # Entries per WithoutH0 key (boundary triangle and level coefficients,
-# threshold spec), shared by the parameter sets that differ only in h0: sized
-# to hold a study grid's keys, 324 for table4, in any order.
+# threshold spec with the h0-free terms of the constants, caps, profiles and
+# recursion weights), shared by the parameter sets that differ only in h0:
+# sized to hold a study grid's keys, 324 for table4, in any order.
 WITHOUT_H0_CACHE_SIZE = 512
 
 

@@ -44,7 +44,7 @@ from .model import (
     read_only,
 )
 from .policies import decision_grid
-from .thresholds import affine_pieces, probs
+from .thresholds import constants, threshold_spec
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _column_index(c1: int, depth: int, k_min: int) -> tuple[np.ndarray, ...]:
@@ -348,10 +348,12 @@ def recursion_check(params: SystemParams, diff_table: DiffTable) -> RecursionRep
     """
     c1 = params.C1
     d = diff_table.levels
-    # Column k - 1 of each holds p_k, q_k, r_k and c_k, b_k.
-    p, q, r, c, b = np.array(
-        [(*probs(params, k), *affine_pieces(params, k)) for k in range(1, c1 + 1)]
-    ).T[:, :, None]
+    # Column k - 1 of each holds p_k, q_k, r_k, b_k and c_k; only c_k reads h0.
+    cst = constants(params)
+    p, q, r, b, c = np.array([
+        (*weights, cst.c if c1 - k < params.C2 else cst.c_prime)
+        for k, weights in enumerate(threshold_spec(params).h0_free.weights, 1)
+    ]).T[:, :, None]
     worst, worst_state = 0.0, None
     for start in range(1, diff_table.i_max + 1, _RESIDUAL_BLOCK):
         stop = min(start + _RESIDUAL_BLOCK, diff_table.i_max + 1)

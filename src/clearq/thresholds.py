@@ -13,16 +13,16 @@ the independent-orientation threshold is the first index where it is zero or
 positive.  The golden values in the acceptance suite pin this direction at
 exactly-integer crossing roots; see the README for the full convention.
 
-Which orientation applies, and each index's D column and classification,
-are decided by ``threshold_spec`` once per ``params.without_h0``, since none
-of them reads h0; every function here reads them from its result.
+Which orientation applies, each index's D column and classification, and
+the h0-free terms of everything else here are derived by ``threshold_spec``
+once per ``params.without_h0``; each function adds only the h0 terms.
 """
 from __future__ import annotations
 
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
@@ -89,35 +89,24 @@ class HeuristicConstants:
 
 @functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def constants(params: SystemParams) -> HeuristicConstants:
-    """The surrogate's constants, computed once per parameter set and shared."""
-    m = params.m
-    b = params.h1 / params.mu1 - params.h2 / params.mu2
-    c = (params.h0 / params.C1) * (1.0 / params.mu1 - 1.0 / params.mu2)
-    b_prime = (params.h1 - params.h2) / params.mu1 - params.C1 * params.h2 / (params.C2 * params.mu2)
-    c_prime = -params.h0 / (params.C2 * params.mu2)
-    ks = range(1, params.C1 + 1)
-    y = MappingProxyType({k: (k - 1) + min(params.C1 - k, params.C2) * m for k in ks})
-    r1 = None if band_sign(params.mu1 - params.mu2) == 0 else -b / c
-    r2 = MappingProxyType({k: -b_prime / c_prime + y[k] for k in ks})
-    return HeuristicConstants(m, b, c, b_prime, c_prime, y, r1, r2)
+    """The surrogate's constants, once per parameter set; only c, c', R1 and R2 read h0."""
+    t = threshold_spec(params).h0_free
+    c = (params.h0 / params.C1) * t.rate_gap
+    c_prime = -params.h0 / t.c2_mu2
+    r1 = None if t.rate == 0 else -t.b / c
+    r2 = MappingProxyType({k: -t.b_prime / c_prime + y for k, y in t.y.items()})
+    return HeuristicConstants(t.m, t.b, c, t.b_prime, c_prime, t.y, r1, r2)
 
 
 def probs(params: SystemParams, k: int) -> tuple[float, float, float]:
     """Transition weights (p_k, q_k, r_k) of the difference recursion.
 
     Defined for k = 1..C1 on the fully-busy manifold l = C1 - k; the three
-    weights sum to one.
+    weights sum to one.  They never read h0: threshold_spec's record holds them.
     """
     if not 1 <= k <= params.C1:
         raise ValueError(f"k must be in 1..{params.C1}, got {k}")
-    l = params.C1 - k
-    d_up = service_rate(params, k, l)
-    d_down = service_rate(params, k - 1, l + 1)
-    top = params.C1 if l < params.C2 else params.C2
-    p = top * params.mu1 * params.mu2 / (d_up * d_down)
-    q = (k - 1) * params.mu1 / d_down
-    r = min(l, params.C2) * params.mu2 / d_up
-    return p, q, r
+    return threshold_spec(params).h0_free.weights[k - 1][:3]
 
 
 def affine_pieces(params: SystemParams, k: int) -> tuple[float, float]:
@@ -187,6 +176,26 @@ class IndexSpec(NamedTuple):
     classification: Classification
 
 
+@dataclass(frozen=True, eq=False)
+class H0FreeTerms:
+    """What the surrogate, caps, profiles and recursion weights derive without h0; read-only."""
+
+    m: float
+    b: float
+    b_prime: float
+    y: Mapping[int, float]
+    rate: int  # band sign of mu1 - mu2
+    rate_gap: float  # 1/mu1 - 1/mu2, so c = (h0/C1) * rate_gap
+    c2_mu2: float  # C2 * mu2, so c' = -h0 / c2_mu2
+    finite: tuple[IndexSpec, ...]  # the finite-expected indices
+    skeleton: Mapping[int, float | None]  # fixed threshold by index, None where finite
+    # By finite-expected index: d_prod = service_rate(k, l) * service_rate(k - 1, l + 1),
+    # whether the sandwich applies (l < C2), and (numerator, rate factor, whether a
+    # non-positive coefficient drops it) of each linear bound, in the order taken.
+    caps: Mapping[int, tuple[float, bool, tuple[tuple[float, float, bool], ...]]]
+    weights: tuple[tuple[float, float, float, float], ...]  # (p_k, q_k, r_k, b_k) by k - 1
+
+
 @dataclass(frozen=True)
 class ThresholdSpec:
     """A parameter set's threshold orientation and its indices, in index order.
@@ -197,6 +206,7 @@ class ThresholdSpec:
 
     orientation: Orientation
     indices: tuple[IndexSpec, ...]
+    h0_free: H0FreeTerms = field(compare=False, repr=False)
 
     @property
     def independent(self) -> bool:
@@ -230,25 +240,60 @@ def threshold_spec(params: SystemParams) -> ThresholdSpec:
 @functools.lru_cache(maxsize=WITHOUT_H0_CACHE_SIZE)
 def _threshold_spec(params: WithoutH0) -> ThresholdSpec:
     finite, infinite = Classification.FINITE_EXPECTED, Classification.PROVABLY_INFINITE
-    c1, c2 = params.C1, params.C2
-    rate = band_sign(params.mu1 - params.mu2)
+    c1, c2, mu1, mu2, h1, h2 = params
+    rate = band_sign(mu1 - mu2)
     if cost_gap_sign(params) < 0:
+        orientation = Orientation.INDEPENDENT
         indices = tuple(
             IndexSpec(l, c1 - l, l, finite if l < c2 and rate < 0 else infinite)
             for l in range(c1)
         )
-        return ThresholdSpec(Orientation.INDEPENDENT, indices)
-    collaborative = []
+    else:
+        orientation = Orientation.COLLABORATIVE
+        collaborative = []
+        for k in range(1, c1 + 1):
+            l = c1 - k
+            if l < c2:
+                classification = finite if rate > 0 else infinite
+            elif blocked_cost_gap_sign(params, l) <= 0:
+                classification = Classification.ALWAYS_ZERO
+            else:
+                classification = finite
+            collaborative.append(IndexSpec(k, k, l, classification))
+        indices = tuple(collaborative)
+    # The h0-free terms, in the float expressions of the per-point formulas, so no bit moves.
+    m = mu2 / mu1
+    b = h1 / mu1 - h2 / mu2
+    b_prime = (h1 - h2) / mu1 - c1 * h2 / (c2 * mu2)
+    y, weights, d_prods = {}, [], []
     for k in range(1, c1 + 1):
         l = c1 - k
-        if l < c2:
-            classification = finite if rate > 0 else infinite
-        elif blocked_cost_gap_sign(params, l) <= 0:
-            classification = Classification.ALWAYS_ZERO
+        d_up, d_down = service_rate(params, k, l), service_rate(params, k - 1, l + 1)
+        y[k] = (k - 1) + min(l, c2) * m
+        d_prods.append(d_up * d_down)
+        weights.append(((c1 if l < c2 else c2) * mu1 * mu2 / (d_up * d_down),
+                        (k - 1) * mu1 / d_down, min(l, c2) * mu2 / d_up,
+                        b if l < c2 else b_prime))
+    finite_indices = tuple(s for s in indices if s.classification is finite)
+    caps = {}
+    for index, k, l, _ in finite_indices:
+        if orientation is Orientation.INDEPENDENT:
+            bounds = [(-b, mu2 - mu1, False)]  # c6_bound over the c5 coefficient
         else:
-            classification = finite
-        collaborative.append(IndexSpec(k, k, l, classification))
-    return ThresholdSpec(Orientation.COLLABORATIVE, tuple(collaborative))
+            c2_bound = boundary_diff_formula(params, k, l)
+            bounds = []
+            if rate >= 0:
+                # mu1 >= mu2: the monotone-decrease bound, c2_bound over the c1 coefficient.
+                bounds.append((c2_bound, mu1 - (mu2 if l < c2 else 0.0), True))
+            if rate <= 0 and l >= c2:
+                bounds.append((c2_bound, mu1, False))  # c2_bound over the c3 coefficient
+        caps[index] = (d_prods[k - 1], l < c2, tuple(bounds))
+    terms = H0FreeTerms(
+        m, b, b_prime, MappingProxyType(y), rate, 1.0 / mu1 - 1.0 / mu2, c2 * mu2, finite_indices,
+        MappingProxyType({s.index: FIXED_THRESHOLDS.get(s.classification) for s in indices}),
+        MappingProxyType(caps), tuple(weights),
+    )
+    return ThresholdSpec(orientation, indices, terms)
 
 
 def classify(params: SystemParams, index: int) -> Classification:
@@ -313,10 +358,9 @@ def _profile(
     i_max_used: int | None = None,
 ) -> ThresholdProfile:
     """Profile with the fixed thresholds, and finite(s) at finite-expected indices, if any."""
-    entries: dict[int, float] = {}
-    for s in spec:
-        fixed = FIXED_THRESHOLDS.get(s.classification)
-        entries[s.index] = finite(s) if fixed is None else fixed
+    entries = dict(spec.h0_free.skeleton)
+    for s in spec.h0_free.finite:
+        entries[s.index] = finite(s)
     return ThresholdProfile(spec.orientation, kind, MappingProxyType(entries), i_max_used)
 
 
@@ -349,34 +393,22 @@ def search_caps(params: SystemParams) -> Mapping[int, int]:
 
     Each is the maximum of the applicable linear crossing bounds (sandwich
     around the surrogate threshold plus the explicit appendix bounds), padded
-    by C1.  Built once per parameter set; the mapping is read-only.
+    by C1.  Built once per parameter set from the h0-free pieces of
+    ``threshold_spec``; the mapping is read-only.
     """
     spec, heur = threshold_spec(params), heuristic_profile(params)
-    finite = [s for s in spec if s.classification is Classification.FINITE_EXPECTED]
-    return MappingProxyType({s.index: _search_cap(params, spec, s, heur[s.index]) for s in finite})
+    return MappingProxyType(
+        {s.index: _search_cap(params, spec, s, heur[s.index]) for s in spec.h0_free.finite})
 
 
 def _search_cap(params: SystemParams, spec: ThresholdSpec, s: IndexSpec, heur: float) -> int:
-    rate = band_sign(params.mu1 - params.mu2)
-    k, l = s.k, s.l
-    bounds: list[float] = []
-    if l < params.C2 and not math.isinf(heur):
-        bounds.append(heur + params.C1)
-    d_prod = service_rate(params, k, l) * service_rate(params, k - 1, l + 1)
-    if spec.independent:
-        c5_coef = (params.mu2 - params.mu1) * params.h0 / d_prod
-        c6_bound = -(params.h1 / params.mu1 - params.h2 / params.mu2)
-        bounds.append(math.ceil(c6_bound / c5_coef) + 1)
-    else:
-        c2_bound = boundary_diff_formula(params, k, l)
-        if rate >= 0:
-            # mu1 >= mu2: crossing bound from the monotone-decrease argument.
-            c1_coef = (params.mu1 - (params.mu2 if l < params.C2 else 0.0)) * params.h0 / d_prod
-            if c1_coef > 0:
-                bounds.append(math.ceil(c2_bound / c1_coef) + 1)
-        if rate <= 0 and l >= params.C2:
-            c3_coef = params.mu1 * params.h0 / d_prod
-            bounds.append(math.ceil(c2_bound / c3_coef) + 1)
+    # An index that needs no search has no pieces.
+    d_prod, sandwich, linear = spec.h0_free.caps.get(s.index, (None, False, ()))
+    bounds: list[float] = [heur + params.C1] if sandwich and not math.isinf(heur) else []
+    for numerator, factor, positive_only in linear:
+        coef = factor * params.h0 / d_prod
+        if coef > 0 or not positive_only:
+            bounds.append(math.ceil(numerator / coef) + 1)
     if not bounds:
         raise ValueError(f"no finite-threshold bound applies at index {s.index}")
     return int(max(bounds)) + params.C1
@@ -477,7 +509,7 @@ def condition1(params: SystemParams, k: int) -> Condition1Verdict:
         if band_sign(rhs - decay) > 0:
             return Condition1Verdict.HOLDS_QUEUE_SIDE
         return Condition1Verdict.FAILS
-    p, q, rr = probs(params, k)
+    _, q, rr, _ = spec.h0_free.weights[k - 1]
     lhs = rr / (1.0 - q) * decay
     rhs = params.h0 / (params.h2 - params.h0) * (i_h - cst.r2[k])
     if band_sign(rhs - lhs) > 0:

@@ -346,6 +346,37 @@ def test_unwritable_outdir_rejected_before_any_work(command, work, tmp_path, mon
     assert blocker.read_text() == "kept"
 
 
+@pytest.mark.parametrize("command, work, names", [
+    (["solve", "--preset", "ex1", "--imax", "3"], "solve_optimal", ["values.csv", "diff.csv"]),
+    (["thresholds", "--preset", "ex1"], "compute_actual_profile",
+     ["heuristic_profile.csv", "heuristic_profile.json", "actual_profile.csv",
+      "actual_profile.json", "thresholds.csv"]),
+    (["sweep", "--table", "5", "--table", "9"], "sweep",
+     ["sweep_raw.csv", "table5.csv", "table9.csv"]),
+], ids=["solve", "thresholds", "sweep"])
+def test_output_file_taken_by_a_directory_rejected_before_any_work(
+        command, work, names, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        pytest.fail("the command worked before checking its output files")
+
+    monkeypatch.setattr(cli, work, never)
+    for taken in names:
+        outdir = tmp_path / f"out-{taken}"
+        (outdir / taken).mkdir(parents=True)
+        # Every other output exists as a file already, which the check keeps as it is.
+        for name in names:
+            if name != taken:
+                (outdir / name).write_text("kept")
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--outdir", str(outdir)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"clearq: cannot write {outdir / taken}: Is a directory\n")
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(names)
+        assert list((outdir / taken).iterdir()) == []
+        assert all((outdir / name).read_text() == "kept" for name in names if name != taken)
+
+
 def test_writable_out_is_neither_created_nor_truncated_by_the_check(tmp_path, monkeypatch):
     existing = tmp_path / "r.json"
     existing.write_text("kept")
@@ -414,6 +445,18 @@ class TestVerifyCommand:
     def test_negative_imax_one_line_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--grid", "examples", "--imax", "-1", "--jobs", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "clearq: i_max must be non-negative\n"
+
+    def test_negative_imax_rejected_before_the_pool_starts(self, monkeypatch, capsys):
+        import concurrent.futures
+
+        def never(*args, **kwargs):
+            pytest.fail("a process pool started before i_max was checked")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--grid", "examples", "--imax", "-1", "--jobs", "2"])
         assert exc.value.code == 2
         assert capsys.readouterr().err == "clearq: i_max must be non-negative\n"
 

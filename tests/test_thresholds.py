@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import clearq.solver as solver
 import clearq.thresholds as thresholds
 from clearq.experiments import EXAMPLE_PARAMS, table4_params
-from clearq.model import SystemParams, cost_gap_sign
+from clearq.model import WITHOUT_H0_CACHE_SIZE, SystemParams, band_sign, cost_gap_sign
 from clearq.solver import DiffTable, diff, solve_optimal
 from clearq.thresholds import (
     CapExceeded,
@@ -397,6 +397,144 @@ class TestDepthMachinery:
         spec = threshold_spec(params)
         with pytest.raises(ValueError, match="no finite-threshold bound"):
             thresholds._search_cap(params, spec, spec[2], heuristic_profile(params)[2])
+
+
+def direct_constants(params):
+    """m, b, c, b', c', y, R1 or None, R2 by the per-parameter-set formulas (oracle of constants)."""
+    m = params.mu2 / params.mu1
+    b = params.h1 / params.mu1 - params.h2 / params.mu2
+    c = (params.h0 / params.C1) * (1.0 / params.mu1 - 1.0 / params.mu2)
+    b_prime = (params.h1 - params.h2) / params.mu1 - params.C1 * params.h2 / (params.C2 * params.mu2)
+    c_prime = -params.h0 / (params.C2 * params.mu2)
+    ks = range(1, params.C1 + 1)
+    y = {k: (k - 1) + min(params.C1 - k, params.C2) * m for k in ks}
+    r1 = None if band_sign(params.mu1 - params.mu2) == 0 else -b / c
+    r2 = {k: -b_prime / c_prime + y[k] for k in ks}
+    return m, b, c, b_prime, c_prime, y, r1, r2
+
+
+def direct_weights(params, k):
+    """(p_k, q_k, r_k, c_k, b_k) of the difference recursion, formed at the parameter set."""
+    c1, c2, mu1, mu2 = params.C1, params.C2, params.mu1, params.mu2
+    l = c1 - k
+    d_up = k * mu1 + min(l, c2) * mu2
+    d_down = (k - 1) * mu1 + min(l + 1, c2) * mu2
+    p = (c1 if l < c2 else c2) * mu1 * mu2 / (d_up * d_down)
+    q = (k - 1) * mu1 / d_down
+    r = min(l, c2) * mu2 / d_up
+    _, b, c, b_prime, c_prime, *_ = direct_constants(params)
+    return (p, q, r, c, b) if l < c2 else (p, q, r, c_prime, b_prime)
+
+
+def direct_thresholds(params):
+    """Heuristic profile entries, search caps and condition1 verdicts, formed at the parameter set.
+
+    The slow path of the h0-free record: every bound and verdict is worked out
+    from the seven fields, with the index classes of threshold_spec.
+    """
+    spec = threshold_spec(params)
+    c1, c2, mu1, mu2, h0, h1, h2 = (params.C1, params.C2, params.mu1, params.mu2,
+                                    params.h0, params.h1, params.h2)
+    m, b, c, b_prime, c_prime, y, r1, r2 = direct_constants(params)
+    heur, caps, verdicts = {}, {}, {}
+    for s in spec.indices:
+        k, l = s.k, s.l
+        if s.classification is not Classification.FINITE_EXPECTED:
+            heur[s.index] = math.inf if s.classification is Classification.PROVABLY_INFINITE else 0
+            continue
+        if spec.independent:
+            heur[s.index] = thresholds.first_int_at_root(r1)
+        elif l >= c2:
+            heur[s.index] = max(thresholds.first_int_after_root(r2[k]), 0)
+        else:
+            heur[s.index] = thresholds.first_int_after_root(r1)
+        bounds = [heur[s.index] + c1] if l < c2 else []
+        d_prod = (k * mu1 + min(l, c2) * mu2) * ((k - 1) * mu1 + min(l + 1, c2) * mu2)
+        if spec.independent:
+            bounds.append(math.ceil(-(h1 / mu1 - h2 / mu2) / ((mu2 - mu1) * h0 / d_prod)) + 1)
+        else:
+            c2_bound = h1 / mu1 - (max(l + 1, c2) / c2) * (h2 / mu2)
+            if band_sign(mu1 - mu2) >= 0:
+                coef = (mu1 - (mu2 if l < c2 else 0.0)) * h0 / d_prod
+                if coef > 0:
+                    bounds.append(math.ceil(c2_bound / coef) + 1)
+            if band_sign(mu1 - mu2) <= 0 and l >= c2:
+                bounds.append(math.ceil(c2_bound / (mu1 * h0 / d_prod)) + 1)
+        caps[s.index] = int(max(bounds)) + c1
+    for s in spec.indices:
+        k, l = s.k, s.l
+        verdict = Condition1Verdict.NOT_APPLICABLE
+        h_gap = band_sign(h0 - h2)
+        if (not spec.independent and l >= c2 and h_gap != 0
+                and s.classification is not Classification.ALWAYS_ZERO):
+            i_h = heur[k]
+            decay = y[k] * (c2 * m / (1.0 + c2 * m)) ** (i_h - k)
+            if h_gap > 0:
+                rhs = h0 / (h0 - h2) * (r2[k] - (i_h - 1))
+                verdict = (Condition1Verdict.HOLDS_QUEUE_SIDE if band_sign(rhs - decay) > 0
+                           else Condition1Verdict.FAILS)
+            else:
+                _, q, rr, _, _ = direct_weights(params, k)
+                lhs = rr / (1.0 - q) * decay
+                rhs = h0 / (h2 - h0) * (i_h - r2[k])
+                verdict = (Condition1Verdict.HOLDS_COLLAB_SIDE if band_sign(rhs - lhs) > 0
+                           else Condition1Verdict.FAILS)
+        verdicts[s.index] = verdict
+    return heur, caps, verdicts
+
+
+def assert_matches_direct_computation(params):
+    cst = constants(params)
+    assert (cst.m, cst.b, cst.c, cst.b_prime, cst.c_prime, dict(cst.y), cst.r1,
+            dict(cst.r2)) == direct_constants(params)
+    heur, caps, verdicts = direct_thresholds(params)
+    assert dict(heuristic_profile(params).entries) == heur
+    assert dict(search_caps(params)) == caps
+    assert list(search_caps(params)) == list(caps)
+    assert {s.index: condition1(params, s.index) for s in threshold_spec(params)} == verdicts
+    # The weights recursion_check and condition1 read, and c_k, b_k beside them.
+    want = [direct_weights(params, k) for k in range(1, params.C1 + 1)]
+    assert [(p, q, r, b) for p, q, r, _, b in want] == list(threshold_spec(params).h0_free.weights)
+    for k in range(1, params.C1 + 1):
+        assert probs(params, k) == want[k - 1][:3]
+        assert affine_pieces(params, k) == want[k - 1][3:]
+
+
+class TestH0FreeTerms:
+    """constants, heuristic_profile, search_caps, condition1 and the recursion weights
+    add their h0 terms to one h0-free record per WithoutH0 key, and equal the per-point formulas."""
+
+    def test_study_grid_matches_direct_computation_and_shares_one_record_per_key(self):
+        groups: dict = {}
+        for params in table4_params():
+            groups.setdefault(params.without_h0, []).append(params)
+        # The whole grid's keys fit, so no point's record is rebuilt in any order.
+        assert len(groups) == 324 <= WITHOUT_H0_CACHE_SIZE
+        for points in groups.values():
+            terms = threshold_spec(points[0]).h0_free
+            assert len(points) == 7
+            for params in points:
+                assert threshold_spec(params).h0_free is terms
+                assert constants(params).y is terms.y
+                assert_matches_direct_computation(params)
+
+    def test_examples_and_int_rates_match_direct_computation(self):
+        ints = SystemParams(4, 2, 3, 1, 1, 2, 1)
+        floats = SystemParams(4, 2, 3.0, 1.0, 1.0, 2.0, 1.0)
+        for params in (*EXAMPLE_PARAMS.values(), ints, floats):
+            assert_matches_direct_computation(params)
+        assert threshold_spec(ints).h0_free is threshold_spec(floats).h0_free
+
+    def test_record_is_read_only(self):
+        terms = threshold_spec(EXAMPLE_PARAMS["ex3"]).h0_free
+        for mapping in (terms.y, terms.skeleton, terms.caps, terms.weights):
+            with pytest.raises(TypeError):
+                mapping[1] = 0
+
+    @given(param_strategy)
+    @settings(max_examples=100, deadline=None)
+    def test_random_points_match_direct_computation(self, params):
+        assert_matches_direct_computation(params)
 
 
 class TestSurrogate:
