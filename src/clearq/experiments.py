@@ -9,15 +9,20 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .model import (
     SystemParams,
     _band_sides,
+    _check_rate_or_cost,
     _is_integer,
     band_sign,
     cost_gap_sign,
@@ -106,7 +111,9 @@ class SweepSpec:
 
     Each point compares the policy family of its cost regime with the
     optimal; points where h1/mu1 = h2/mu2 are left out.  A repeated value in
-    a sequence field would repeat raw rows, so it is rejected.
+    a sequence field would repeat raw rows, so it is rejected.  A rate or
+    cost that ``SystemParams`` would reject raises its ``ParameterError``
+    here, before any point is solved.
     """
 
     server_configs: Sequence[tuple[int, int]] = TABLE4_SERVERS
@@ -126,6 +133,11 @@ class SweepSpec:
         for i0 in self.i0_values:
             if not _is_integer(i0) or i0 < 0:
                 raise ValueError(f"i0_values must be non-negative integers, got {i0!r}")
+        # Each rate and cost as SystemParams checks it, before any point is solved.
+        for name, values in (("h0", self.h0_values), ("h2", self.h2_values),
+                             ("mu2", self.mu2_values), ("h1", (self.h1,)), ("mu1", (self.mu1,))):
+            for value in values:
+                _check_rate_or_cost(name, value)
         for name in ("server_configs", "h0_values", "h2_values", "mu2_values", "i0_values"):
             values = getattr(self, name)
             if not values:
@@ -150,59 +162,148 @@ class ErrorStats(NamedTuple):
     count: int
 
 
+class _PointRows(NamedTuple):
+    """One point's raw rows, as the values they are formed from.
+
+    ``values[j, 0, k0]`` is the optimal value at the start state
+    (i0_values[j], k0, C1 - k0) and ``values[j, 1 + n, k0]`` the value there
+    under ``family[n]``.
+    """
+
+    point: tuple  # (C1, C2, h0, h1, h2, mu1, mu2)
+    i0_values: tuple
+    family: tuple
+    values: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """The number of rows: one per policy and start state."""
+        n_i0, tables, width = self.values.shape
+        return n_i0 * (tables - 1) * width
+
+    def starts(self) -> list[tuple[tuple, float]]:
+        """(head, v_opt) of each start state, by i0 and then k0."""
+        c1 = self.point[0]
+        return [(self.point + (i0, k0, c1 - k0), v_opt)
+                for i0, v_opts in zip(self.i0_values, self.values[:, 0].tolist())
+                for k0, v_opt in enumerate(v_opts)]
+
+    def v_pis(self, n: int) -> list[float]:
+        """The values under ``family[n]`` at the start states, in ``starts`` order."""
+        return self.values[:, 1 + n].ravel().tolist()
+
+
+def _raw_row(head: tuple, policy_id: str, v_opt: float, v_pi: float) -> tuple:
+    if v_pi == v_opt:
+        return head + (policy_id, v_opt, v_opt, 0.0)
+    return head + (policy_id, v_opt, v_pi, (v_pi - v_opt) / v_opt * 100.0)
+
+
+class RawRows(Sequence):
+    """A sweep's raw rows, read-only: one value array per point, each row formed when read.
+
+    A row is ``(C1, C2, h0, h1, h2, mu1, mu2, i0, k0, l0, policy, v_opt,
+    v_pi, err_pct)``, ordered by point, then policy, then i0, then k0.  A
+    ``v_pi`` equal to ``v_opt`` is ``v_opt`` itself, with ``err_pct`` 0.0.
+    """
+
+    __slots__ = ("_points", "_ends")
+
+    def __init__(self, points: Iterable[_PointRows]):
+        self._points = tuple(points)
+        self._ends = list(accumulate(point.size for point in self._points))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[tuple]:
+        for point in self._points:
+            starts = point.starts()
+            for n, policy_id in enumerate(point.family):
+                for (head, v_opt), v_pi in zip(starts, point.v_pis(n)):
+                    yield _raw_row(head, policy_id, v_opt, v_pi)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[n] for n in range(*index.indices(len(self)))]
+        n = operator.index(index)
+        if n < 0:
+            n += len(self)
+        if not 0 <= n < len(self):
+            raise IndexError("raw row index out of range")
+        at = bisect_right(self._ends, n)
+        point = self._points[at]
+        n -= self._ends[at - 1] if at else 0
+        n_i0, _, width = point.values.shape
+        policy, start = divmod(n, n_i0 * width)
+        j, k0 = divmod(start, width)
+        v_opt, v_pi = point.values[j, [0, 1 + policy], k0].tolist()
+        head = point.point + (point.i0_values[j], k0, point.point[0] - k0)
+        return _raw_row(head, point.family[policy], v_opt, v_pi)
+
+    def __eq__(self, other):
+        if not isinstance(other, RawRows):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def _csv_lines(self) -> Iterator[str]:
+        """Each row as ``SweepResult.write_raw_csv`` writes it: floats by repr, the rest by str.
+
+        Each head and v_opt is formatted once per start state, and a ``v_pi``
+        that ties is written as its ``v_opt``.  The error is ``_raw_row``'s,
+        inlined: this loop writes every row of a full sweep.
+        """
+        for point in self._points:
+            head = _csv_fields(point.point)
+            starts = [(f"{head},{_csv_fields(start[7:])},", v_opt, repr(v_opt))
+                      for start, v_opt in point.starts()]
+            for n, policy_id in enumerate(point.family):
+                for (head_text, v_opt, v_opt_text), v_pi in zip(starts, point.v_pis(n)):
+                    if v_pi == v_opt:
+                        yield f"{head_text}{policy_id},{v_opt_text},{v_opt_text},0.0\n"
+                    else:
+                        err_pct = (v_pi - v_opt) / v_opt * 100.0
+                        yield f"{head_text}{policy_id},{v_opt_text},{v_pi!r},{err_pct!r}\n"
+
+
+def _csv_fields(fields: Iterable) -> str:
+    return ",".join(repr(x) if isinstance(x, float) else str(x) for x in fields)
+
+
 @dataclass(frozen=True)
 class SweepResult:
     stats: list[ErrorStats]
-    raw_rows: list[tuple]
+    raw_rows: Sequence[tuple]
 
     RAW_HEADER = "C1,C2,h0,h1,h2,mu1,mu2,i0,k0,l0,policy,v_opt,v_pi,err_pct"
 
     def write_raw_csv(self, path) -> None:
-        # The policies of one start state repeat its ten head fields and v_opt,
-        # and a v_pi that ties is v_opt itself, so each distinct head and v_opt
-        # is formatted once.  Equal floats format alike but for 0.0 and -0.0,
-        # and the floats of a head (rates, costs) and v_opt are positive.
-        heads, v_opts = {}, {}
+        rows = self.raw_rows
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.RAW_HEADER + "\n")
-            for row in self.raw_rows:
-                head, (policy_id, v_opt, v_pi, err_pct) = row[:10], row[10:]
-                head_text = heads.get(head)
-                if head_text is None:
-                    head_text = heads[head] = ",".join(
-                        repr(x) if isinstance(x, float) else str(x) for x in head)
-                v_opt_text = v_opts.get(v_opt)
-                if v_opt_text is None:
-                    v_opt_text = v_opts[v_opt] = repr(v_opt)
-                v_pi_text = v_opt_text if v_pi is v_opt else repr(v_pi)
-                fh.write(f"{head_text},{policy_id},{v_opt_text},{v_pi_text},{err_pct!r}\n")
+            if isinstance(rows, RawRows):
+                fh.writelines(rows._csv_lines())
+            else:
+                fh.writelines(_csv_fields(row) + "\n" for row in rows)
 
 
-def _sweep_point(params: SystemParams, i0_values: Sequence[int], rows: list[tuple],
-                 cells: dict[tuple, list[float]]) -> None:
-    """Append one point's raw rows to ``rows`` and each row's error to its (policy, group, i0) cell."""
-    c1, c2 = params.C1, params.C2
-    point = (c1, c2, params.h0, params.h1, params.h2, params.mu1, params.mu2)
+def _sweep_point(params: SystemParams, i0_values: tuple[int, ...],
+                 cells: dict[tuple, list[float]]) -> _PointRows:
+    """One point's raw rows; each row's error is appended to its (policy, group, i0) cell."""
     group = _group(params)
     family = policy_family(group[2])
-    optimal, *tables = solve_family(
+    tables = solve_family(
         params, [policy_by_id(params, policy_id) for policy_id in family], max(i0_values))
     # The start states (i0, k0, C1 - k0) of one i0 are row i0 of the levels.
-    # Rows live as long as the sweep result, so they share floats: each
-    # optimal value and row head is made once for every policy, and a policy
-    # value that ties it (about a quarter of the study grid's rows) reuses it.
-    starts = [(i0, [point + (i0, k0, c1 - k0) for k0 in range(c1 + 1)],
-               optimal.levels[i0].tolist()) for i0 in i0_values]
-    for policy_id, table in zip(family, tables):
-        for i0, heads, v_opts in starts:
-            errs = cells.setdefault((policy_id, group, i0), [])
-            for head, v_opt, v_pi in zip(heads, v_opts, table.levels[i0].tolist()):
-                if v_pi == v_opt:
-                    v_pi, err_pct = v_opt, 0.0
-                else:
-                    err_pct = (v_pi - v_opt) / v_opt * 100.0
-                rows.append(head + (policy_id, v_opt, v_pi, err_pct))
-                errs.append(err_pct)
+    values = np.array([[table.levels[i0] for table in tables] for i0 in i0_values])
+    v_opt, v_pi = values[:, :1], values[:, 1:]
+    # The errors _raw_row and _csv_lines form, in the same float expression.
+    errs = np.where(v_pi == v_opt, 0.0, (v_pi - v_opt) / v_opt * 100.0)
+    for policy_id, per_i0 in zip(family, errs.transpose(1, 0, 2).tolist()):
+        for i0, policy_errs in zip(i0_values, per_i0):
+            cells.setdefault((policy_id, group, i0), []).extend(policy_errs)
+    point = (params.C1, params.C2, params.h0, params.h1, params.h2, params.mu1, params.mu2)
+    return _PointRows(point, i0_values, family, values)
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
@@ -214,11 +315,10 @@ def sweep(spec: SweepSpec) -> SweepResult:
     """
     grid = _grid(spec.server_configs, spec.h0_values, spec.h2_values, spec.mu2_values,
                  spec.mu1, spec.h1)
-    raw_rows, cells = [], {}
-    for params in grid:
-        if cost_gap_sign(params) != 0:
-            _sweep_point(params, spec.i0_values, raw_rows, cells)
-    return SweepResult(stats=_error_stats(cells), raw_rows=raw_rows)
+    i0_values, cells = tuple(spec.i0_values), {}
+    points = [_sweep_point(params, i0_values, cells)
+              for params in grid if cost_gap_sign(params) != 0]
+    return SweepResult(stats=_error_stats(cells), raw_rows=RawRows(points))
 
 
 def aggregate_stats(raw_rows: Iterable[tuple]) -> list[ErrorStats]:

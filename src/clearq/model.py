@@ -146,11 +146,15 @@ def validate(params: SystemParams) -> SystemParams:
         if count <= 0:
             raise ZeroServers(field)
     for field in RATE_COST_FIELDS:
-        value = getattr(params, field)
-        _check_number(field, value)
-        if not math.isfinite(value) or value <= 0:
-            raise NonPositiveParameter(field, value)
+        _check_rate_or_cost(field, getattr(params, field))
     return params
+
+
+def _check_rate_or_cost(field: str, value) -> None:
+    """Raise unless value is a number, not a bool, finite and positive."""
+    _check_number(field, value)
+    if not math.isfinite(value) or value <= 0:
+        raise NonPositiveParameter(field, value)
 
 
 def band_sign(x: float) -> int:

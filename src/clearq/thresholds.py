@@ -98,25 +98,6 @@ def constants(params: SystemParams) -> HeuristicConstants:
     return HeuristicConstants(t.m, t.b, c, t.b_prime, c_prime, t.y, r1, r2)
 
 
-def probs(params: SystemParams, k: int) -> tuple[float, float, float]:
-    """Transition weights (p_k, q_k, r_k) of the difference recursion.
-
-    Defined for k = 1..C1 on the fully-busy manifold l = C1 - k; the three
-    weights sum to one.  They never read h0: threshold_spec's record holds them.
-    """
-    if not 1 <= k <= params.C1:
-        raise ValueError(f"k must be in 1..{params.C1}, got {k}")
-    return threshold_spec(params).h0_free.weights[k - 1][:3]
-
-
-def affine_pieces(params: SystemParams, k: int) -> tuple[float, float]:
-    """(c_k, b_k): slope/intercept pieces used by the difference recursion."""
-    cst = constants(params)
-    if params.C1 - k < params.C2:
-        return cst.c, cst.b
-    return cst.c_prime, cst.b_prime
-
-
 def surrogate(params: SystemParams, i: int, k: int) -> float:
     """Affine surrogate H(i, k, l) of the difference, l = C1 - k."""
     l = params.C1 - k

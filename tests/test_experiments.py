@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,7 @@ from clearq.experiments import (
     verify_point,
     write_table_csv,
 )
-from clearq.model import SystemParams, cost_gap_sign
+from clearq.model import ParameterError, SystemParams, cost_gap_sign
 from clearq.policies import optimal_greedy, pi_prime, policy_by_id
 from clearq.solver import (
     DiffTable,
@@ -97,8 +99,8 @@ class TestSweep:
         )
         assert not sweep(spec).raw_rows
         tie = SystemParams(2, 1, 10.0, 10.0, 0.1, 1.0, 1.0)
-        rows, cells = [], {}
-        experiments._sweep_point(tie, (20,), rows, cells)
+        cells = {}
+        rows = experiments.RawRows([experiments._sweep_point(tie, (20,), cells)])
         assert rows and cells
 
     def test_stats_equal_aggregate_of_rows(self):
@@ -190,6 +192,147 @@ class TestSweep:
         cells = table_cells(small_result.stats, 5)
         assert ("heuristic", 2, 1) in cells
         assert all(key[1:] == (2, 1) for key in cells)
+
+
+def raw_rows_oracle(params, i0_values):
+    """A point's raw rows as tuples, built row by row off ``solve_family``.
+
+    The slow path of ``RawRows``: the sweep's rows must equal these.
+    """
+    c1 = params.C1
+    point = (c1, params.C2, params.h0, params.h1, params.h2, params.mu1, params.mu2)
+    family = policy_family(cost_regime_label(params))
+    optimal, *tables = solve_family(
+        params, [policy_by_id(params, policy_id) for policy_id in family], max(i0_values))
+    rows = []
+    for policy_id, table in zip(family, tables):
+        for i0 in i0_values:
+            for k0 in range(c1 + 1):
+                v_opt, v_pi = float(optimal.levels[i0, k0]), float(table.levels[i0, k0])
+                if v_pi == v_opt:
+                    v_pi, err_pct = v_opt, 0.0
+                else:
+                    err_pct = (v_pi - v_opt) / v_opt * 100.0
+                rows.append(point + (i0, k0, c1 - k0, policy_id, v_opt, v_pi, err_pct))
+    return rows
+
+
+class TestRawRows:
+    """The sweep keeps one value array per point and forms each row tuple when it is read."""
+
+    # Both cost regimes and both rate splits, in two server blocks.
+    SPEC = SweepSpec(server_configs=((2, 1), (3, 2)), h0_values=(0.1,), h2_values=(0.1, 2.0),
+                     mu2_values=(4.0, 12.0), i0_values=(20, 5))
+
+    def test_rows_equal_the_oracle(self):
+        rows = sweep(self.SPEC).raw_rows
+        want = [row for params in experiments._grid(
+                    self.SPEC.server_configs, self.SPEC.h0_values, self.SPEC.h2_values,
+                    self.SPEC.mu2_values, self.SPEC.mu1, self.SPEC.h1)
+                if cost_gap_sign(params) != 0
+                for row in raw_rows_oracle(params, self.SPEC.i0_values)]
+        got = list(rows)
+        assert got == want
+        assert [repr(row) for row in got] == [repr(row) for row in want]
+        assert {(row[0], row[1]) for row in got} == {(2, 1), (3, 2)}
+        assert {row[7] for row in got} == {20, 5}
+        ties = [row for row in got if row[12] == row[11]]
+        assert ties and len(ties) < len(got)
+        assert all(row[12] is row[11] and row[13] == 0.0 for row in ties)
+        assert list(rows) == got  # a second pass forms the same rows
+
+    def test_length_truth_and_indexing(self):
+        rows = sweep(self.SPEC).raw_rows
+        got = list(rows)
+        assert len(rows) == len(got) == 280 and rows
+        assert [rows[n] for n in range(len(rows))] == got
+        assert rows[-1] == got[-1] and rows[-len(got)] == got[0]
+        assert rows[:6] == got[:6] and rows[-3::-7] == got[-3::-7]
+        for n in (len(got), -len(got) - 1):
+            with pytest.raises(IndexError):
+                rows[n]
+        with pytest.raises(TypeError):
+            rows[1.0]
+        tie = SweepSpec(server_configs=((2, 1),), h0_values=(0.1,), h2_values=(1.0,),
+                        mu2_values=(10.0,), i0_values=(20,))
+        empty = sweep(tie).raw_rows
+        assert len(empty) == 0 and not empty and list(empty) == []
+        with pytest.raises(IndexError):
+            empty[0]
+
+    def test_equality_between_sweeps(self):
+        rows = sweep(self.SPEC).raw_rows
+        assert rows == sweep(self.SPEC).raw_rows
+        assert not rows != sweep(self.SPEC).raw_rows
+        other = dataclasses.replace(self.SPEC, i0_values=(20, 6))
+        assert rows != sweep(other).raw_rows
+        fewer = dataclasses.replace(self.SPEC, mu2_values=(4.0,))
+        assert rows != sweep(fewer).raw_rows
+        assert rows != list(rows)  # rows of a sweep, not a list of tuples
+
+    def test_raw_csv_formats_each_row(self, tmp_path):
+        result = sweep(self.SPEC)
+        result.write_raw_csv(tmp_path / "raw.csv")
+        lines = (tmp_path / "raw.csv").read_text().splitlines()
+        assert lines[0] == experiments.SweepResult.RAW_HEADER
+        assert lines[1:] == [",".join(repr(x) if isinstance(x, float) else str(x) for x in row)
+                             for row in result.raw_rows]
+
+    def test_retained_memory_per_row(self):
+        spec = SweepSpec(server_configs=((2, 1), (4, 2)), h0_values=(0.1, 1.0),
+                         h2_values=(0.1, 2.0), mu2_values=(4.0, 12.0), i0_values=(20, 30))
+        sweep(spec)  # warms the caches the second sweep reads
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = sweep(spec)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.raw_rows) == 640
+        assert retained <= 80 * 640, retained / 640
+
+
+class TestSweepSpecRatesAndCosts:
+    """A bad rate or cost fails the spec with SystemParams' error, before any point is solved."""
+
+    BASE = dict(server_configs=((2, 1), (3, 1)), h0_values=(0.1,), h2_values=(0.5,),
+                mu2_values=(4.0,))
+    NAN, INF = float("nan"), float("inf")
+    BAD = [
+        ("mu2_values", (4.0, NAN), "mu2"),
+        ("mu2_values", (4.0, -4.0), "mu2"),
+        ("mu2_values", ("4",), "mu2"),
+        ("h0_values", (0.1, 0.0), "h0"),
+        ("h0_values", (0.1, INF), "h0"),
+        ("h2_values", (0.5, True), "h2"),
+        ("h2_values", (0.5, None), "h2"),
+        ("mu1", INF, "mu1"),
+        ("mu1", NAN, "mu1"),
+        ("h1", 0, "h1"),
+        ("h1", -1.0, "h1"),
+    ]
+
+    @pytest.mark.parametrize("name, values, field", BAD)
+    def test_rejected_before_any_solve(self, monkeypatch, name, values, field):
+        def no_solve(*args):
+            pytest.fail("solve_family was called")
+
+        monkeypatch.setattr(experiments, "solve_family", no_solve)
+        with pytest.raises(ParameterError) as exc:
+            sweep(SweepSpec(**{**self.BASE, name: values}))
+        bad = values[-1] if name.endswith("_values") else values
+        fields = dict(C1=2, C2=1, mu1=10.0, mu2=4.0, h0=0.1, h1=1.0, h2=0.5)
+        with pytest.raises(ParameterError) as want:
+            SystemParams(**{**fields, field: bad})
+        assert type(exc.value) is type(want.value)
+        assert str(exc.value) == str(want.value)
+
+    def test_int_rates_and_costs_accepted(self):
+        spec = SweepSpec(**{**self.BASE, "mu2_values": (4,)}, h1=1, mu1=10, i0_values=(3,))
+        assert sweep(spec).raw_rows
 
 
 class TestRounding:
@@ -735,8 +878,8 @@ class TestGrid:
                                  (4.0, 10.0, 25.0), 10.0, 1.0)
         points = []
         for params in grid:
-            point_rows, cells = [], {}
-            experiments._sweep_point(params, (20, 5), point_rows, cells)
+            cells = {}
+            point_rows = list(experiments.RawRows([experiments._sweep_point(params, (20, 5), cells)]))
             points.append((point_rows, cells))
         rows = [row for point_rows, _ in points for row in point_rows]
         blocks = {}

