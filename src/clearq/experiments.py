@@ -10,11 +10,9 @@ from __future__ import annotations
 import json
 import math
 import operator
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -142,6 +140,8 @@ class SweepSpec:
             values = getattr(self, name)
             if not values:
                 raise ValueError(f"{name} must name at least one value")
+            if name == "server_configs":  # a pair given as a tuple and as a list repeats
+                values = [tuple(pair) for pair in values]
             for n, value in enumerate(values):
                 if value in values[:n]:
                     raise ValueError(f"{name} must not repeat a value, got {value!r} twice")
@@ -193,53 +193,31 @@ class _PointRows(NamedTuple):
         return self.values[:, 1 + n].ravel().tolist()
 
 
-def _raw_row(head: tuple, policy_id: str, v_opt: float, v_pi: float) -> tuple:
-    if v_pi == v_opt:
-        return head + (policy_id, v_opt, v_opt, 0.0)
-    return head + (policy_id, v_opt, v_pi, (v_pi - v_opt) / v_opt * 100.0)
-
-
-class RawRows(Sequence):
-    """A sweep's raw rows, read-only: one value array per point, each row formed when read.
+class RawRows:
+    """A sweep's raw rows, read-only: one value array per point, each row formed as it is iterated.
 
     A row is ``(C1, C2, h0, h1, h2, mu1, mu2, i0, k0, l0, policy, v_opt,
     v_pi, err_pct)``, ordered by point, then policy, then i0, then k0.  A
     ``v_pi`` equal to ``v_opt`` is ``v_opt`` itself, with ``err_pct`` 0.0.
     """
 
-    __slots__ = ("_points", "_ends")
+    __slots__ = ("_points",)
 
     def __init__(self, points: Iterable[_PointRows]):
         self._points = tuple(points)
-        self._ends = list(accumulate(point.size for point in self._points))
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return sum(point.size for point in self._points)
 
     def __iter__(self) -> Iterator[tuple]:
         for point in self._points:
             starts = point.starts()
             for n, policy_id in enumerate(point.family):
                 for (head, v_opt), v_pi in zip(starts, point.v_pis(n)):
-                    yield _raw_row(head, policy_id, v_opt, v_pi)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[n] for n in range(*index.indices(len(self)))]
-        n = operator.index(index)
-        if n < 0:
-            n += len(self)
-        if not 0 <= n < len(self):
-            raise IndexError("raw row index out of range")
-        at = bisect_right(self._ends, n)
-        point = self._points[at]
-        n -= self._ends[at - 1] if at else 0
-        n_i0, _, width = point.values.shape
-        policy, start = divmod(n, n_i0 * width)
-        j, k0 = divmod(start, width)
-        v_opt, v_pi = point.values[j, [0, 1 + policy], k0].tolist()
-        head = point.point + (point.i0_values[j], k0, point.point[0] - k0)
-        return _raw_row(head, point.family[policy], v_opt, v_pi)
+                    if v_pi == v_opt:
+                        yield head + (policy_id, v_opt, v_opt, 0.0)
+                    else:
+                        yield head + (policy_id, v_opt, v_pi, (v_pi - v_opt) / v_opt * 100.0)
 
     def __eq__(self, other):
         if not isinstance(other, RawRows):
@@ -250,7 +228,7 @@ class RawRows(Sequence):
         """Each row as ``SweepResult.write_raw_csv`` writes it: floats by repr, the rest by str.
 
         Each head and v_opt is formatted once per start state, and a ``v_pi``
-        that ties is written as its ``v_opt``.  The error is ``_raw_row``'s,
+        that ties is written as its ``v_opt``.  The error is ``__iter__``'s,
         inlined: this loop writes every row of a full sweep.
         """
         for point in self._points:
@@ -273,18 +251,14 @@ def _csv_fields(fields: Iterable) -> str:
 @dataclass(frozen=True)
 class SweepResult:
     stats: list[ErrorStats]
-    raw_rows: Sequence[tuple]
+    raw_rows: RawRows
 
     RAW_HEADER = "C1,C2,h0,h1,h2,mu1,mu2,i0,k0,l0,policy,v_opt,v_pi,err_pct"
 
     def write_raw_csv(self, path) -> None:
-        rows = self.raw_rows
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.RAW_HEADER + "\n")
-            if isinstance(rows, RawRows):
-                fh.writelines(rows._csv_lines())
-            else:
-                fh.writelines(_csv_fields(row) + "\n" for row in rows)
+            fh.writelines(self.raw_rows._csv_lines())
 
 
 def _sweep_point(params: SystemParams, i0_values: tuple[int, ...],
@@ -297,7 +271,7 @@ def _sweep_point(params: SystemParams, i0_values: tuple[int, ...],
     # The start states (i0, k0, C1 - k0) of one i0 are row i0 of the levels.
     values = np.array([[table.levels[i0] for table in tables] for i0 in i0_values])
     v_opt, v_pi = values[:, :1], values[:, 1:]
-    # The errors _raw_row and _csv_lines form, in the same float expression.
+    # The errors RawRows and _csv_lines form, in the same float expression.
     errs = np.where(v_pi == v_opt, 0.0, (v_pi - v_opt) / v_opt * 100.0)
     for policy_id, per_i0 in zip(family, errs.transpose(1, 0, 2).tolist()):
         for i0, policy_errs in zip(i0_values, per_i0):

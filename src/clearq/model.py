@@ -100,11 +100,6 @@ class SystemParams:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def m(self) -> float:
-        """Service-rate ratio mu2/mu1."""
-        return self.mu2 / self.mu1
-
     def to_json_dict(self) -> dict:
         return {field: getattr(self, field) for field in PARAM_FIELDS}
 
@@ -157,6 +152,14 @@ def _check_rate_or_cost(field: str, value) -> None:
         raise NonPositiveParameter(field, value)
 
 
+def finite_term(name: str, value: float, divisor: bool = False) -> float:
+    """value, unless it overflowed (or, as a divisor, underflowed to 0): ParameterError."""
+    if math.isfinite(value) and (value != 0.0 or not divisor):
+        return value
+    raise ParameterError(f"{name} is {value!r}: the rates and costs are too far apart "
+                         "in magnitude for float arithmetic")
+
+
 def band_sign(x: float) -> int:
     """-1, 0, +1 with a relative dead band around zero."""
     tol = ZERO_BAND * (1.0 + abs(x))
@@ -185,14 +188,14 @@ def _band_sides(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def cost_gap_sign(params: SystemParams) -> int:
     """Sign of h1/mu1 - h2/mu2, computed cross-multiplied."""
-    return band_sign(params.h1 * params.mu2 - params.h2 * params.mu1)
+    gap = params.h1 * params.mu2 - params.h2 * params.mu1
+    return band_sign(finite_term("h1*mu2 - h2*mu1", gap))
 
 
 def blocked_cost_gap_sign(params: SystemParams, l: int) -> int:
     """Sign of h1/mu1 - ((l+1)/C2)(h2/mu2), cross-multiplied."""
-    return band_sign(
-        params.h1 * params.C2 * params.mu2 - (l + 1) * params.h2 * params.mu1
-    )
+    gap = params.h1 * params.C2 * params.mu2 - (l + 1) * params.h2 * params.mu1
+    return band_sign(finite_term("h1*C2*mu2 - (l+1)*h2*mu1", gap))
 
 
 def in_state_space(params: SystemParams, state: State) -> bool:

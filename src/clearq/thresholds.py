@@ -36,6 +36,7 @@ from .model import (
     band_sign,
     blocked_cost_gap_sign,
     cost_gap_sign,
+    finite_term,
     service_rate,
     snaps_to_integer,
 )
@@ -91,10 +92,11 @@ class HeuristicConstants:
 def constants(params: SystemParams) -> HeuristicConstants:
     """The surrogate's constants, once per parameter set; only c, c', R1 and R2 read h0."""
     t = threshold_spec(params).h0_free
-    c = (params.h0 / params.C1) * t.rate_gap
-    c_prime = -params.h0 / t.c2_mu2
-    r1 = None if t.rate == 0 else -t.b / c
-    r2 = MappingProxyType({k: -t.b_prime / c_prime + y for k, y in t.y.items()})
+    c = finite_term("c", (params.h0 / params.C1) * t.rate_gap, divisor=t.rate != 0)
+    c_prime = finite_term("c'", -params.h0 / t.c2_mu2, divisor=True)
+    r1 = None if t.rate == 0 else finite_term("R1", -t.b / c)
+    shift = finite_term("-b'/c'", -t.b_prime / c_prime)  # R2(k) = y(k) - b'/c'
+    r2 = MappingProxyType({k: shift + y for k, y in t.y.items()})
     return HeuristicConstants(t.m, t.b, c, t.b_prime, c_prime, t.y, r1, r2)
 
 
@@ -243,16 +245,16 @@ def _threshold_spec(params: WithoutH0) -> ThresholdSpec:
             collaborative.append(IndexSpec(k, k, l, classification))
         indices = tuple(collaborative)
     # The h0-free terms, in the float expressions of the per-point formulas, so no bit moves.
-    m = mu2 / mu1
-    b = h1 / mu1 - h2 / mu2
+    m = finite_term("m = mu2/mu1", mu2 / mu1)
+    b = finite_term("b", h1 / mu1 - h2 / mu2)
     b_prime = (h1 - h2) / mu1 - c1 * h2 / (c2 * mu2)
     y, weights, d_prods = {}, [], []
     for k in range(1, c1 + 1):
         l = c1 - k
         d_up, d_down = service_rate(params, k, l), service_rate(params, k - 1, l + 1)
-        y[k] = (k - 1) + min(l, c2) * m
-        d_prods.append(d_up * d_down)
-        weights.append(((c1 if l < c2 else c2) * mu1 * mu2 / (d_up * d_down),
+        y[k] = finite_term("y", (k - 1) + min(l, c2) * m)
+        d_prods.append(finite_term("d_up*d_down", d_up * d_down, divisor=True))
+        weights.append(((c1 if l < c2 else c2) * mu1 * mu2 / d_prods[-1],
                         (k - 1) * mu1 / d_down, min(l, c2) * mu2 / d_up,
                         b if l < c2 else b_prime))
     finite_indices = tuple(s for s in indices if s.classification is finite)
@@ -387,9 +389,9 @@ def _search_cap(params: SystemParams, spec: ThresholdSpec, s: IndexSpec, heur: f
     d_prod, sandwich, linear = spec.h0_free.caps.get(s.index, (None, False, ()))
     bounds: list[float] = [heur + params.C1] if sandwich and not math.isinf(heur) else []
     for numerator, factor, positive_only in linear:
-        coef = factor * params.h0 / d_prod
-        if coef > 0 or not positive_only:
-            bounds.append(math.ceil(numerator / coef) + 1)
+        if factor > 0 or not positive_only:
+            coef = finite_term("a cap coefficient", factor * params.h0 / d_prod, divisor=True)
+            bounds.append(math.ceil(finite_term("a cap bound", numerator / coef)) + 1)
     if not bounds:
         raise ValueError(f"no finite-threshold bound applies at index {s.index}")
     return int(max(bounds)) + params.C1

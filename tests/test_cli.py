@@ -118,6 +118,42 @@ class TestSolveCommand:
             f"clearq: parameter error: parameter h2 must be finite and positive, got {value}\n")
         assert not (tmp_path / "out").exists()
 
+    # Finite rates and costs (C1 C2 mu1 mu2 h0 h1 h2) so far apart in magnitude that a
+    # term of the thresholds overflows or underflows, and the term the error names.
+    FAR_APART = [
+        ("2 1 1e-300 1e300 1 1 1", "m = mu2/mu1 is inf"),
+        ("2 1 10 4 5e-324 1 0.1", "c is -0.0"),
+        ("3 1 2e-100 7e100 3e-100 2 2e-100", "a cap coefficient is 0.0"),
+        ("1 3 7e300 5e-50 1e-50 3e150 6e10", "h1*mu2 - h2*mu1 is -inf"),
+    ]
+    FAR_APART_IDS = ["m-overflows", "c-underflows", "cap-coefficient-underflows",
+                     "cost-gap-overflows"]
+
+    @staticmethod
+    def far_apart_flags(values):
+        return [arg for flag, value in zip(("--c1", "--c2", "--mu1", "--mu2", "--h0", "--h1",
+                                            "--h2"), values.split()) for arg in (flag, value)]
+
+    @pytest.mark.parametrize("values, term", FAR_APART, ids=FAR_APART_IDS)
+    def test_far_apart_rates_and_costs_one_line_error(self, tmp_path, capsys, values, term):
+        with pytest.raises(SystemExit) as exc:
+            run(["thresholds", *self.far_apart_flags(values), "--outdir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"clearq: parameter error: {term}: the rates and costs are too far apart in "
+            "magnitude for float arithmetic\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("values, term", FAR_APART[:2], ids=FAR_APART_IDS[:2])
+    def test_far_apart_heuristic_simulation_one_line_error(self, tmp_path, capsys, values, term):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", *self.far_apart_flags(values), "--policy", "heuristic", "--i0", "3",
+                 "--reps", "10", "--out", str(tmp_path / "sim.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"clearq: parameter error: {term}: ") and err.count("\n") == 1
+        assert not (tmp_path / "sim.json").exists()
+
     def test_uncreatable_outdir_one_line_error(self, tmp_path, capsys):
         blocker = tmp_path / "plain-file"
         blocker.write_text("")

@@ -124,18 +124,29 @@ class TestSweep:
 
     def test_raw_csv_rows_format_each_field(self, small_result, tmp_path):
         # Floats by repr, the rest by str, whether or not a head, v_opt or v_pi
-        # is shared with another row.
-        v_opt, tie = 2.0000000000000004, float("2.0000000000000004")
-        head = (2, 1, 0.1, 1.0, 0.1, 10.0, 4.0, 20, 0, 2)
-        rows = [head + ("pi1", v_opt, v_opt, 0.0), head + ("pi2", v_opt, tie, 0.0),
-                head + ("pi3", v_opt, 3.0, 49.99999999999999),
-                head[:8] + (1, 1, "pi1", 1.5, 1.5, 0.0), *small_result.raw_rows]
+        # is shared with another row; a tie is written as its v_opt twice.
+        head = (2, 1, 0.1, 1.0, 0.1, 10.0, 4.0)
+        values = np.array([[[2.0000000000000004, 1.5, 1.9999999999999998],  # optimal
+                            [2.0000000000000004, 1.5, 2.5],
+                            [2.0000000000000004, 2.25, 1.9999999999999998],
+                            [3.0, 1.5, 2.9999999999999996]]])
+        point = experiments._PointRows(head, (20,), ("pi1", "pi2", "pi3"), values)
+        rows = experiments.RawRows([point, *small_result.raw_rows._points])
         experiments.SweepResult(stats=[], raw_rows=rows).write_raw_csv(tmp_path / "raw.csv")
         lines = (tmp_path / "raw.csv").read_text().splitlines()[1:]
         assert lines == [",".join(repr(x) if isinstance(x, float) else str(x) for x in row)
                          for row in rows]
-        assert lines[1] == ("2,1,0.1,1.0,0.1,10.0,4.0,20,0,2,pi2,"
-                            "2.0000000000000004,2.0000000000000004,0.0")
+        start = "2,1,0.1,1.0,0.1,10.0,4.0,20,"
+        assert lines[:9] == [start + line for line in (
+            "0,2,pi1,2.0000000000000004,2.0000000000000004,0.0",
+            "1,1,pi1,1.5,1.5,0.0",
+            "2,0,pi1,1.9999999999999998,2.5,25.000000000000018",
+            "0,2,pi2,2.0000000000000004,2.0000000000000004,0.0",
+            "1,1,pi2,1.5,2.25,50.0",
+            "2,0,pi2,1.9999999999999998,1.9999999999999998,0.0",
+            "0,2,pi3,2.0000000000000004,3.0,49.999999999999964",
+            "1,1,pi3,1.5,1.5,0.0",
+            "2,0,pi3,1.9999999999999998,2.9999999999999996,49.99999999999999")]
 
     def test_table_csv_layout(self, small_result, tmp_path):
         write_table_csv(small_result.stats, 5, tmp_path / "t5.csv")
@@ -166,6 +177,7 @@ class TestSweep:
         ("server_configs", ((True, 1),), "(True, 1)"),
         ("server_configs", ((2, 1, 1),), "(2, 1, 1)"),
         ("server_configs", (2,), "got 2"),
+        ("server_configs", ((2, 1), [2, 1]), "(2, 1) twice"),
     ]
 
     # Ids as pytest makes them for a first argument named after the field.
@@ -184,7 +196,7 @@ class TestSweep:
                          mu2_values=(4.0,), i0_values=(0, 3))
         rows = sweep(spec).raw_rows
         optimal = solve_optimal(params, 3)
-        assert [row[7:10] for row in rows[:6]] == [
+        assert [row[7:10] for row in list(rows)[:6]] == [
             (i0, k0, 2 - k0) for i0 in (0, 3) for k0 in range(3)]
         assert all(row[11] == optimal.levels[row[7], row[8]] for row in rows)
 
@@ -241,24 +253,13 @@ class TestRawRows:
         assert all(row[12] is row[11] and row[13] == 0.0 for row in ties)
         assert list(rows) == got  # a second pass forms the same rows
 
-    def test_length_truth_and_indexing(self):
+    def test_length_and_truth(self):
         rows = sweep(self.SPEC).raw_rows
-        got = list(rows)
-        assert len(rows) == len(got) == 280 and rows
-        assert [rows[n] for n in range(len(rows))] == got
-        assert rows[-1] == got[-1] and rows[-len(got)] == got[0]
-        assert rows[:6] == got[:6] and rows[-3::-7] == got[-3::-7]
-        for n in (len(got), -len(got) - 1):
-            with pytest.raises(IndexError):
-                rows[n]
-        with pytest.raises(TypeError):
-            rows[1.0]
+        assert len(rows) == len(list(rows)) == 280 and rows
         tie = SweepSpec(server_configs=((2, 1),), h0_values=(0.1,), h2_values=(1.0,),
                         mu2_values=(10.0,), i0_values=(20,))
         empty = sweep(tie).raw_rows
         assert len(empty) == 0 and not empty and list(empty) == []
-        with pytest.raises(IndexError):
-            empty[0]
 
     def test_equality_between_sweeps(self):
         rows = sweep(self.SPEC).raw_rows

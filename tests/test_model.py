@@ -62,9 +62,6 @@ class TestValidate:
         assert hash(ints) == hash(fields) == hash(floats) and ints == floats
         assert hash(make(C1=3)) == hash((3,) + fields[1:])
 
-    def test_ratio_m(self):
-        assert make(mu1=10, mu2=4).m == pytest.approx(0.4)
-
 
 class TestRates:
     def test_service_rate_example(self):

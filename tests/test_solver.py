@@ -336,7 +336,8 @@ class TestRecursion:
         params = SystemParams(4, 2, 1.0, 1.5, 2.0, 2.0, 1.0)
         p, q, r = probs(params, 1)  # l = 3 >= C2
         assert q == 0.0
-        assert r == pytest.approx(params.C2 * params.m / (1 + params.C2 * params.m))
+        m = params.mu2 / params.mu1
+        assert r == pytest.approx(params.C2 * m / (1 + params.C2 * m))
 
 
 class TestCsv:

@@ -100,7 +100,7 @@ class TestProbs:
         params = EXAMPLE_PARAMS["ex3"]  # C1=4, C2=2 so l=3 >= C2 at k=1
         p, q, r = probs(params, 1)
         assert q == 0.0
-        m = params.m
+        m = params.mu2 / params.mu1
         assert r == pytest.approx(params.C2 * m / (1 + params.C2 * m))
 
     @given(param_strategy, st.integers(1, 4))
