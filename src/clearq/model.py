@@ -31,8 +31,8 @@ def snaps_to_integer(r: float) -> bool:
     return abs(r - round(r)) <= INT_SNAP * max(1.0, abs(r))
 
 
-# Bounds of the caches of derived data: entries per parameter set (constants,
-# heuristic profile, search caps), and per index grid shape, level kernel,
+# Bounds of the caches of derived data: entries per parameter set (the
+# thresholds.H0Terms record), and per index grid shape, level kernel,
 # benchmark policy or depth of one rule's decision rows.
 PARAMS_CACHE_SIZE = 32
 GRID_CACHE_SIZE = 32

@@ -15,7 +15,8 @@ exactly-integer crossing roots; see the README for the full convention.
 
 Which orientation applies, each index's D column and classification, and
 the h0-free terms of everything else here are derived by ``threshold_spec``
-once per ``params.without_h0``; each function adds only the h0 terms.
+once per ``params.without_h0``.  The h0 terms (the constants, the heuristic
+profile and the search caps) are one ``H0Terms`` record per parameter set.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .model import (
     PARAMS_CACHE_SIZE,
@@ -88,16 +89,9 @@ class HeuristicConstants:
         return self.r1
 
 
-@functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def constants(params: SystemParams) -> HeuristicConstants:
-    """The surrogate's constants, once per parameter set; only c, c', R1 and R2 read h0."""
-    t = threshold_spec(params).h0_free
-    c = finite_term("c", (params.h0 / params.C1) * t.rate_gap, divisor=t.rate != 0)
-    c_prime = finite_term("c'", -params.h0 / t.c2_mu2, divisor=True)
-    r1 = None if t.rate == 0 else finite_term("R1", -t.b / c)
-    shift = finite_term("-b'/c'", -t.b_prime / c_prime)  # R2(k) = y(k) - b'/c'
-    r2 = MappingProxyType({k: shift + y for k, y in t.y.items()})
-    return HeuristicConstants(t.m, t.b, c, t.b_prime, c_prime, t.y, r1, r2)
+    """The surrogate's constants, read off the parameter set's H0Terms record."""
+    return _h0_terms(params).constants
 
 
 def surrogate(params: SystemParams, i: int, k: int) -> float:
@@ -334,22 +328,54 @@ def format_threshold_json(value: float):
 FIXED_THRESHOLDS = {Classification.PROVABLY_INFINITE: INF, Classification.ALWAYS_ZERO: 0}
 
 
-def _profile(
-    spec: ThresholdSpec,
-    kind: ProfileKind,
-    finite: Callable[[IndexSpec], int] | None,
-    i_max_used: int | None = None,
-) -> ThresholdProfile:
-    """Profile with the fixed thresholds, and finite(s) at finite-expected indices, if any."""
-    entries = dict(spec.h0_free.skeleton)
-    for s in spec.h0_free.finite:
-        entries[s.index] = finite(s)
-    return ThresholdProfile(spec.orientation, kind, MappingProxyType(entries), i_max_used)
+class H0Terms(NamedTuple):
+    """What a parameter set's threshold machinery adds to the h0-free record; read-only."""
+
+    spec: ThresholdSpec
+    constants: HeuristicConstants
+    heuristic: ThresholdProfile
+    caps: Mapping[int, int]  # search cap by finite-expected index, in index order
+    depth: int  # the deepest cap, 0 with none
 
 
 @functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)
+def _h0_terms(params: SystemParams) -> H0Terms:
+    """The h0 terms, once per parameter set, in one pass over the finite-expected indices.
+
+    Only c, c', R1, R2 and each cap coefficient (factor * h0) / d_prod read h0;
+    each keeps the float expression of the per-point formulas, so no bit moves.
+    """
+    spec = threshold_spec(params)
+    t = spec.h0_free
+    c1, h0 = params.C1, params.h0
+    c = finite_term("c", (h0 / c1) * t.rate_gap, divisor=t.rate != 0)
+    c_prime = finite_term("c'", -h0 / t.c2_mu2, divisor=True)
+    r1 = None if t.rate == 0 else finite_term("R1", -t.b / c)
+    shift = finite_term("-b'/c'", -t.b_prime / c_prime)  # R2(k) = y(k) - b'/c'
+    r2 = MappingProxyType({k: shift + y for k, y in t.y.items()})
+    cst = HeuristicConstants(t.m, t.b, c, t.b_prime, c_prime, t.y, r1, r2)
+    heur, caps = dict(t.skeleton), {}
+    for s in t.finite:
+        d_prod, sandwich, linear = t.caps[s.index]  # sandwich is l < C2
+        if spec.independent:  # the heuristic threshold, as heuristic_profile says
+            heur[s.index] = first_int_at_root(cst.R1)
+        elif not sandwich:
+            heur[s.index] = max(first_int_after_root(r2[s.k]), 0)
+        else:
+            heur[s.index] = first_int_after_root(cst.R1)
+        # The cap, as search_caps says.
+        bounds = [heur[s.index] + c1] if sandwich else []
+        for numerator, factor, positive_only in linear:
+            if factor > 0 or not positive_only:
+                coef = finite_term("a cap coefficient", factor * h0 / d_prod, divisor=True)
+                bounds.append(math.ceil(finite_term("a cap bound", numerator / coef)) + 1)
+        caps[s.index] = int(max(bounds)) + c1
+    heuristic = ThresholdProfile(spec.orientation, ProfileKind.HEURISTIC, MappingProxyType(heur))
+    return H0Terms(spec, cst, heuristic, MappingProxyType(caps), max(caps.values(), default=0))
+
+
 def heuristic_profile(params: SystemParams) -> ThresholdProfile:
-    """Closed-form thresholds of the affine surrogate, built once per parameter set.
+    """Closed-form thresholds of the affine surrogate, read off the H0Terms record.
 
     Provably infinite indices are inf and always-zero ones 0.  At a
     finite-expected index the threshold is, in the collaborative orientation,
@@ -357,52 +383,25 @@ def heuristic_profile(params: SystemParams) -> ThresholdProfile:
     (l >= C2), else the first integer past R1; in the independent orientation
     it is the first integer at or past R1.
     """
-    spec = threshold_spec(params)
-    cst = constants(params)
-
-    def finite(s: IndexSpec) -> int:
-        if spec.independent:
-            return first_int_at_root(cst.R1)
-        if s.l >= params.C2:
-            return max(first_int_after_root(cst.r2[s.k]), 0)
-        return first_int_after_root(cst.R1)
-
-    return _profile(spec, ProfileKind.HEURISTIC, finite)
+    return _h0_terms(params).heuristic
 
 
-@functools.lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def search_caps(params: SystemParams) -> Mapping[int, int]:
     """Analytic upper bound on the first sign change at every finite-expected index.
 
     Each is the maximum of the applicable linear crossing bounds (sandwich
     around the surrogate threshold plus the explicit appendix bounds), padded
-    by C1.  Built once per parameter set from the h0-free pieces of
-    ``threshold_spec``; the mapping is read-only.
+    by C1.  Read off the H0Terms record; the mapping is read-only.
     """
-    spec, heur = threshold_spec(params), heuristic_profile(params)
-    return MappingProxyType(
-        {s.index: _search_cap(params, spec, s, heur[s.index]) for s in spec.h0_free.finite})
-
-
-def _search_cap(params: SystemParams, spec: ThresholdSpec, s: IndexSpec, heur: float) -> int:
-    # An index that needs no search has no pieces.
-    d_prod, sandwich, linear = spec.h0_free.caps.get(s.index, (None, False, ()))
-    bounds: list[float] = [heur + params.C1] if sandwich and not math.isinf(heur) else []
-    for numerator, factor, positive_only in linear:
-        if factor > 0 or not positive_only:
-            coef = finite_term("a cap coefficient", factor * params.h0 / d_prod, divisor=True)
-            bounds.append(math.ceil(finite_term("a cap bound", numerator / coef)) + 1)
-    if not bounds:
-        raise ValueError(f"no finite-threshold bound applies at index {s.index}")
-    return int(max(bounds)) + params.C1
+    return _h0_terms(params).caps
 
 
 def required_depth(params: SystemParams) -> int:
     """Queue depth sufficient to extract every finite actual threshold."""
-    return max(search_caps(params).values(), default=0)
+    return _h0_terms(params).depth
 
 
-def _first_sign_changes(params: SystemParams, depth: int, d_column) -> ThresholdProfile:
+def _first_sign_changes(terms: H0Terms, depth: int, d_column) -> ThresholdProfile:
     """First sign change of a depth-deep solve's difference, per index.
 
     d_column(k, n) gives D(0..n, k, C1 - k).  Indices classified provably
@@ -411,11 +410,10 @@ def _first_sign_changes(params: SystemParams, depth: int, d_column) -> Threshold
     raises CapExceeded, a NaN at or before it NaNInDiff (bug traps); a depth
     below the cap is a precondition error.
     """
-    spec = threshold_spec(params)
-    caps = search_caps(params)
-
-    def first_sign_change(s: IndexSpec) -> int:
-        cap = caps[s.index]
+    spec = terms.spec
+    entries = dict(spec.h0_free.skeleton)
+    for s in spec.h0_free.finite:
+        cap = terms.caps[s.index]
         if depth < cap:
             raise ValueError(f"diff table depth {depth} is below the search cap {cap} "
                              f"required at index {s.index}")
@@ -430,14 +428,14 @@ def _first_sign_changes(params: SystemParams, depth: int, d_column) -> Threshold
         if math.isnan(column[found]):
             raise NaNInDiff(f"D({found},{s.k},{s.l}) is NaN at or before the sign change at "
                             f"index {s.index}; this indicates a solver bug")
-        return found
-
-    return _profile(spec, ProfileKind.ACTUAL, first_sign_change, depth)
+        entries[s.index] = found
+    return ThresholdProfile(spec.orientation, ProfileKind.ACTUAL, MappingProxyType(entries), depth)
 
 
 def actual_profile(params: SystemParams, diff_table) -> ThresholdProfile:
     """First sign change of the solved difference table, per index (see _first_sign_changes)."""
-    return _first_sign_changes(params, diff_table.i_max, lambda k, n: diff_table.levels[:n + 1, k])
+    return _first_sign_changes(_h0_terms(params), diff_table.i_max,
+                               lambda k, n: diff_table.levels[:n + 1, k])
 
 
 def compute_actual_profile(params: SystemParams) -> ThresholdProfile:
@@ -450,11 +448,11 @@ def compute_actual_profile(params: SystemParams) -> ThresholdProfile:
     """
     from .solver import solve_optimal  # deferred: solver imports this module
 
-    if not search_caps(params):
-        return _profile(threshold_spec(params), ProfileKind.ACTUAL, None, 0)
-    depth = required_depth(params)
-    v = solve_optimal(params, depth).levels
-    return _first_sign_changes(params, depth, lambda k, n: v[:n + 1, k] - v[:n + 1, k - 1])
+    terms = _h0_terms(params)
+    if not terms.caps:
+        return _first_sign_changes(terms, 0, None)
+    v = solve_optimal(params, terms.depth).levels
+    return _first_sign_changes(terms, terms.depth, lambda k, n: v[:n + 1, k] - v[:n + 1, k - 1])
 
 
 class Condition1Verdict(Enum):
@@ -480,8 +478,8 @@ def condition1(params: SystemParams, k: int) -> Condition1Verdict:
     h_gap = band_sign(params.h0 - params.h2)
     if h_gap == 0:
         return Condition1Verdict.NOT_APPLICABLE
-    cst = constants(params)
-    i_h = heuristic_profile(params)[k]
+    terms = _h0_terms(params)
+    cst, i_h = terms.constants, terms.heuristic[k]
     r = params.C2 * cst.m / (1.0 + params.C2 * cst.m)
     decay = cst.y[k] * r ** (i_h - k)
     # Band-equality of either inequality is reported as a failure: at the

@@ -461,23 +461,15 @@ class TestVerify:
         text = (tmp_path / "report.json").read_text()
         assert '"passed": true' in text
 
-    def test_verify_point_computes_search_caps_once(self, monkeypatch):
+    def test_verify_point_computes_search_caps_once(self):
         # The caps set the solve depth and bound the threshold search; the
         # threshold-structure check must reuse them, not build them again.
         params = EXAMPLE_PARAMS["ex3b"]
         want = verify_point(params, 15)
-        thresholds.search_caps.cache_clear()
-        built = []
-        real = thresholds._search_cap
-
-        def counting(p, spec, s, heur):
-            built.append(s.index)
-            return real(p, spec, s, heur)
-
-        monkeypatch.setattr(thresholds, "_search_cap", counting)
+        thresholds._h0_terms.cache_clear()
         assert verify_point(params, 15) == want
-        assert thresholds.search_caps.cache_info().misses == 1
-        assert built == list(thresholds.search_caps(params)) == [1, 2]
+        assert thresholds._h0_terms.cache_info().misses == 1
+        assert list(thresholds.search_caps(params)) == [1, 2]
 
     def test_verify_point_works_out_condition1_once_per_index(self, monkeypatch):
         # ex3b has the condition holding at k = 2, where the increment check

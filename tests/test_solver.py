@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import random
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -398,6 +399,43 @@ def exact_solve(params, i_max):
     return v
 
 
+def exact_d_recursion(params, depth):
+    """D(i, k, C1 - k) for i = 0..depth, k = 1..C1 by the one-step difference recursion,
+    in exact rationals, each rate and cost taken as Fraction(repr(x)).
+
+    D(0, k, l) is the boundary closed form.  Above it, with the weights p_k, q_k,
+    r_k and the affine pieces c_k, b_k of the model's formulas,
+    D(i, k) = p_k (i c_k + b_k) + r_k D(i-1, k) + q_k max(0, D(i-1, k-1)) where
+    D(i-1, k) >= 0, else p_k (i c_k + b_k) + q_k D(i-1, k) + r_k min(D(i-1, k+1), 0).
+    No value table is formed, so it shares no code with the solver.
+    """
+    c1, c2 = params.C1, params.C2
+    mu1, mu2, h0, h1, h2 = (Fraction(repr(getattr(params, f))) for f in RATE_COST_FIELDS)
+    b = h1 / mu1 - h2 / mu2
+    c = h0 / c1 * (1 / mu1 - 1 / mu2)
+    b_prime = (h1 - h2) / mu1 - c1 * h2 / (c2 * mu2)
+    c_prime = -h0 / (c2 * mu2)
+    terms, d = {}, {}
+    for k in range(1, c1 + 1):
+        l = c1 - k
+        d_up = k * mu1 + min(l, c2) * mu2
+        d_down = (k - 1) * mu1 + min(l + 1, c2) * mu2
+        p = (c1 if l < c2 else c2) * mu1 * mu2 / (d_up * d_down)
+        q, r = (k - 1) * mu1 / d_down, min(l, c2) * mu2 / d_up
+        terms[k] = (p, q, r, c, b) if l < c2 else (p, q, r, c_prime, b_prime)
+        d[0, k] = h1 / mu1 - Fraction(max(l + 1, c2), c2) * (h2 / mu2)
+    for i in range(1, depth + 1):
+        for k, (p, q, r, c_k, b_k) in terms.items():
+            prev = d[i - 1, k]
+            # q_1 = 0 and r_C1 = 0, so the missing neighbours of k = 1 and k = C1 read as 0.
+            if prev >= 0:
+                step = r * prev + q * max(0, d.get((i - 1, k - 1), 0))
+            else:
+                step = q * prev + r * min(d.get((i - 1, k + 1), 0), 0)
+            d[i, k] = p * (i * c_k + b_k) + step
+    return d
+
+
 def assert_row_sets_equal_scalar(params, i_max, policies):
     """Every row set of a kernel equals ``scalar_solve`` table by table, in order and kind.
 
@@ -418,6 +456,29 @@ def assert_row_sets_equal_scalar(params, i_max, policies):
         for kind, want, table in zip(want_kinds, want_tables, tables):
             assert table.levels.shape == (i_max + 1, params.C1 + 1)
             assert entries(table) == want, (params, i_max, kind)
+
+
+def assert_exact_recursion_equals_exact_values(points, depth):
+    """exact_d_recursion equals exact_solve's value difference at every fully-busy entry."""
+    compared = 0
+    for params in points:
+        v, d = exact_solve(params, depth), exact_d_recursion(params, depth)
+        for (i, k), x in d.items():
+            l = params.C1 - k
+            assert x == v[State(i, k, l)] - v[State(i, k - 1, l + 1)], (params, i, k)
+        compared += len(d)
+    return compared
+
+
+class TestExactRecursion:
+    """The exact one-step recursion of the difference against the exact value solve."""
+
+    def test_examples_to_depth_25(self):
+        assert assert_exact_recursion_equals_exact_values(EXAMPLE_PARAMS.values(), 25) == 1040
+
+    def test_seeded_study_grid_points_to_depth_120(self):
+        points = random.Random(20261020).sample(table4_params(), 30)
+        assert assert_exact_recursion_equals_exact_values(points, 120) == 11374
 
 
 class TestScalarOracle:

@@ -389,22 +389,19 @@ class TestDepthMachinery:
     def test_actual_profile_builds_one_heuristic_profile(self, monkeypatch):
         params = EXAMPLE_PARAMS["ex3b"]
         want = compute_actual_profile(params)
-        thresholds.heuristic_profile.cache_clear()
-        thresholds.search_caps.cache_clear()
+        thresholds._h0_terms.cache_clear()
         calls = []
-        real = thresholds.constants
-        monkeypatch.setattr(thresholds, "constants", lambda p: calls.append(p) or real(p))
+        real = thresholds.HeuristicConstants
+        monkeypatch.setattr(thresholds, "HeuristicConstants",
+                            lambda *fields: calls.append(fields) or real(*fields))
         assert compute_actual_profile(params) == want
+        heuristic_profile(params)
         assert len(calls) == 1
-        assert thresholds.heuristic_profile.cache_info().misses == 1
+        assert thresholds._h0_terms.cache_info().misses == 1
 
     def test_no_bound_for_provably_infinite(self):
         params = SystemParams(2, 1, 10.0, 12.0, 0.1, 1.0, 0.1)
         assert 2 not in search_caps(params)
-        # The bound itself is a bug trap for an index that needs no search.
-        spec = threshold_spec(params)
-        with pytest.raises(ValueError, match="no finite-threshold bound"):
-            thresholds._search_cap(params, spec, spec[2], heuristic_profile(params)[2])
 
 
 def direct_constants(params):
@@ -508,6 +505,35 @@ def assert_matches_direct_computation(params):
         assert affine_pieces(params, k) == want[k - 1][3:]
 
 
+def per_function_h0_terms(params):
+    """c, c', R1 or None, R2 and the search caps, each formed on its own from the h0-free
+    record with the expressions of the separate constants and search-cap functions that
+    the H0Terms record replaced: the oracle that the one-pass build moves no bit."""
+    spec = threshold_spec(params)
+    t = spec.h0_free
+    c = (params.h0 / params.C1) * t.rate_gap
+    c_prime = -params.h0 / t.c2_mu2
+    r1 = None if t.rate == 0 else -t.b / c
+    shift = -t.b_prime / c_prime
+    r2 = {k: shift + y for k, y in t.y.items()}
+    caps = {}
+    for s in t.finite:
+        if spec.independent:
+            heur = thresholds.first_int_at_root(r1)
+        elif s.l >= params.C2:
+            heur = max(thresholds.first_int_after_root(r2[s.k]), 0)
+        else:
+            heur = thresholds.first_int_after_root(r1)
+        d_prod, sandwich, linear = t.caps.get(s.index, (None, False, ()))
+        bounds = [heur + params.C1] if sandwich and not math.isinf(heur) else []
+        for numerator, factor, positive_only in linear:
+            if factor > 0 or not positive_only:
+                coef = factor * params.h0 / d_prod
+                bounds.append(math.ceil(numerator / coef) + 1)
+        caps[s.index] = int(max(bounds)) + params.C1
+    return c, c_prime, r1, r2, caps
+
+
 class TestH0FreeTerms:
     """constants, heuristic_profile, search_caps, condition1 and the recursion weights
     add their h0 terms to one h0-free record per WithoutH0 key, and equal the per-point formulas."""
@@ -532,6 +558,13 @@ class TestH0FreeTerms:
         for params in (*EXAMPLE_PARAMS.values(), ints, floats):
             assert_matches_direct_computation(params)
         assert threshold_spec(ints).h0_free is threshold_spec(floats).h0_free
+
+    def test_h0_terms_equal_the_per_function_expressions(self):
+        for params in (*table4_params(), *EXAMPLE_PARAMS.values()):
+            c, c_prime, r1, r2, caps = per_function_h0_terms(params)
+            cst = constants(params)
+            assert (cst.c, cst.c_prime, cst.r1, dict(cst.r2)) == (c, c_prime, r1, r2), params
+            assert list(search_caps(params).items()) == list(caps.items()), params
 
     def test_record_is_read_only(self):
         terms = threshold_spec(EXAMPLE_PARAMS["ex3"]).h0_free
