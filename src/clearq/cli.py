@@ -287,7 +287,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         parser.exit(2, f"clearq: {exc}\n")
     except MemoryError as exc:  # a table too large to allocate reserves nothing
-        parser.exit(2, f"clearq: out of memory: {exc}\n")
+        detail = f": {exc}" if str(exc) else ""  # a bare MemoryError() has no message
+        parser.exit(2, f"clearq: out of memory{detail}\n")
 
 
 if __name__ == "__main__":

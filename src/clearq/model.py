@@ -170,15 +170,8 @@ def band_sign(x: float) -> int:
     return 0
 
 
-def band_signs(x) -> np.ndarray:
-    """band_sign elementwise over an array, as an integer array."""
-    x = np.asarray(x)
-    tol = ZERO_BAND * (1.0 + np.abs(x))
-    return np.where(x > tol, 1, np.where(x < -tol, -1, 0))
-
-
 def _band_sides(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of where band_signs(x) is -1 and where it is +1, with a NaN in both.
+    """Masks of where band_sign is -1 and where it is +1 elementwise, with a NaN in both.
 
     A NaN thus fails any test that rejects either sign.
     """

@@ -11,9 +11,9 @@ alone.
 Rules accept scalars or numpy arrays and must act elementwise: the solver
 evaluates them once per (C1, depth) and the simulator once per estimate, on
 the whole (queue, k_busy) grid (``decision_grid``), whose shared index arrays
-are read-only.  The solver reuses a rule's decisions at each (C1, depth)
-while the rule object lives, so a rule must be a pure function of its
-arguments.
+are read-only.  A Policy keeps the solver's decisions per (C1, depth) in its
+``rows``, so a rule must be a pure function of its arguments; the solver
+evaluates any other callable on every solve.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import GRID_CACHE_SIZE, SystemParams, band_signs, read_only
+from .model import GRID_CACHE_SIZE, ZERO_BAND, SystemParams, read_only
 from .thresholds import heuristic_profile, threshold_spec
 
 BENCHMARK_IDS = ("pi1", "pi2", "pi3", "pi4", "tpi1", "tpi2", "tpi3", "tpi4")
@@ -37,10 +37,14 @@ class DepthExceeded(LookupError):
 
 @dataclass(frozen=True)
 class Policy:
-    """Deterministic decision rule with a stable identifier."""
+    """Deterministic decision rule with a stable identifier.
+
+    ``rows`` keeps the solver's decision rows by (C1, depth), at most GRID_CACHE_SIZE.
+    """
 
     id: str
     rule: Callable = field(repr=False)
+    rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, q, k_busy, l_busy):
         return self.rule(q, k_busy, l_busy)
@@ -72,8 +76,9 @@ def decision_grid(rule, c1: int, q_max: int) -> np.ndarray:
 def _k_busy(k_busy, c1: int) -> np.ndarray:
     """k_busy as an array; ValueError outside 0..C1-1, where an index would wrap or overflow."""
     k = np.asarray(k_busy)
-    if np.any((k < 0) | (k >= c1)):
-        raise ValueError(f"k_busy {np.min(k)}..{np.max(k)} outside 0..{c1 - 1}")
+    lo, hi = (k.min(), k.max()) if k.size else (0, 0)
+    if lo < 0 or hi >= c1:
+        raise ValueError(f"k_busy {lo}..{hi} outside 0..{c1 - 1}")
     return k
 
 
@@ -86,14 +91,18 @@ def optimal_greedy(value_table) -> Policy:
     i_max, levels, c1 = value_table.i_max, value_table.levels, value_table.params.C1
 
     def rule(q, k_busy, l_busy):
-        level = np.asarray(q) - 1
-        if np.any(level > i_max):
-            raise DepthExceeded(f"queue {np.max(np.asarray(q))} exceeds table depth {i_max}")
-        if np.any(level < 0):
-            raise ValueError(f"queue {np.min(np.asarray(q))} < 1: no job is waiting to assign")
+        q = np.asarray(q)
+        lo, hi = (q.min(), q.max()) if q.size else (1, 1)
+        if hi > i_max + 1:
+            raise DepthExceeded(f"queue {hi} exceeds table depth {i_max}")
+        if lo < 1:
+            raise ValueError(f"queue {lo} < 1: no job is waiting to assign")
         k = _k_busy(k_busy, c1)
-        # D(q - 1, k_busy + 1, C1 - k_busy - 1), read only where the rule is asked.
-        return band_signs(levels[level, k + 1] - levels[level, k]) > 0
+        # D(q - 1, k_busy + 1, C1 - k_busy - 1), read only where the rule is asked;
+        # positive beyond the zero band, so a NaN reads False.
+        level = q - 1
+        d = levels[level, k + 1] - levels[level, k]
+        return d > ZERO_BAND * (1.0 + np.abs(d))
 
     return Policy("optimal", rule)
 
@@ -136,8 +145,7 @@ def benchmark(params: SystemParams, which: str) -> Policy:
     collaborates iff q <= 10 and tpi2 iff q > 10 (the constant 10 is part of
     the benchmark definition); pi4/tpi4 collaborate iff no Station 2 wait,
     l_busy < C2.  The rules read nothing but C2, so the policy is one shared
-    object per (which, C2), and the solver derives its decisions once per
-    depth.
+    object per (which, C2), whose rows hold its decisions at each depth.
     """
     return _benchmark(which, params.C2)
 

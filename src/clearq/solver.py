@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import struct
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,7 +42,7 @@ from .model import (
     WithoutH0,
     read_only,
 )
-from .policies import decision_grid
+from .policies import Policy, decision_grid
 from .thresholds import constants, threshold_spec
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
@@ -228,27 +227,19 @@ def _kernel(c1: int, n_policies: int, optimal: bool) -> Callable:
     return namespace["kernel"]
 
 
-# Each rule's decision rows by (C1, depth), kept while the rule object lives.
-# Rules are held weakly: a greedy rule holds its value table's levels.
-_DECISION_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _decision_rows(rule: Callable, c1: int, i_max: int) -> list:
-    """A policy row's decision rows, evaluated once per rule, C1 and depth.
+    """A policy row's decision rows, evaluated once per Policy, C1 and depth.
 
-    A rule keeps its GRID_CACHE_SIZE latest depths.  A rule that cannot be
-    weakly referenced, or hashed, is evaluated on every call.
+    A Policy keeps its GRID_CACHE_SIZE latest depths in its ``rows``; any
+    other rule is evaluated on every call.
     """
-    try:
-        memo = _DECISION_ROWS.get(rule)
-    except TypeError:
+    if not isinstance(rule, Policy):
         return decision_grid(rule, c1, i_max).tolist()
-    rows = None if memo is None else memo.get((c1, i_max))
+    memo = rule.rows
+    rows = memo.get((c1, i_max))
     if rows is None:
         rows = decision_grid(rule, c1, i_max).tolist()
-        if memo is None:
-            memo = _DECISION_ROWS[rule] = {}
-        elif len(memo) >= GRID_CACHE_SIZE:
+        if len(memo) >= GRID_CACHE_SIZE:
             del memo[next(iter(memo))]
         memo[c1, i_max] = rows
     return rows
@@ -296,9 +287,9 @@ def solve_under_policy(params: SystemParams, policy, i_max: int) -> ValueTable:
 
     The policy is called as policy(q, k_busy, l_busy), once with integer
     arrays over every decision of the table, so it must be elementwise and
-    total for q up to i_max.  Its decisions are worked out once per
-    (C1, depth) and reused for as long as the policy object lives, so it
-    must be a pure function of its arguments.
+    total for q up to i_max.  A ``policies.Policy`` keeps its decisions per
+    (C1, depth) in its ``rows`` and reuses them, so its rule must be a pure
+    function of its arguments; any other callable is evaluated on every solve.
     """
     return _solve(params, i_max, (policy,), False)[0]
 
@@ -365,7 +356,7 @@ def recursion_check(params: SystemParams, diff_table: DiffTable) -> RecursionRep
         pos[1:] += q[1:] * np.maximum(0.0, prev[:-1])  # k >= 2
         neg = base + q * prev  # the form where it is <= 0
         neg[:-1] += r[:-1] * np.minimum(prev[1:], 0.0)  # l >= 1
-        tol = ZERO_BAND * (1.0 + np.abs(prev))  # band_signs(prev), as two masks
+        tol = ZERO_BAND * (1.0 + np.abs(prev))  # model.band_sign(prev), as two masks
         # max(x / s, y / s) is max(x, y) / s in floats, since rounding is monotone.
         scaled = np.maximum(np.where(prev < -tol, 0.0, np.abs(here - pos)),
                             np.where(prev > tol, 0.0, np.abs(here - neg))) / (1.0 + np.abs(here))

@@ -174,6 +174,17 @@ class TestSolveCommand:
         assert err.startswith("clearq: out of memory: ") and err.count("\n") == 1
         assert not (tmp_path / "values.csv").exists()
 
+    def test_bare_memory_error_one_line_without_detail(self, monkeypatch, capsys):
+        # A failed list allocation, as in simulate's batch sizes, raises MemoryError() bare.
+        def command(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_simulate", command)
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--preset", "ex1", "--policy", "pi1", "--i0", "2", "--reps", "10"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "clearq: out of memory\n"
+
 
 class TestThresholdsCommand:
     def test_condition_column_and_values(self, tmp_path):

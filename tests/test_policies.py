@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from clearq.experiments import EXAMPLE_PARAMS
+from clearq.experiments import EXAMPLE_PARAMS, table4_params
 from clearq.model import SystemParams
 from clearq.policies import (
     DepthExceeded,
     benchmark,
+    decision_grid,
     optimal_greedy,
     pi_prime,
     policy_by_id,
 )
 from clearq.solver import diff, solve_optimal, solve_under_policy
-from clearq.thresholds import compute_actual_profile, heuristic_profile
+from clearq.thresholds import compute_actual_profile, heuristic_profile, threshold_spec
+from test_solver import band_signs
 
 
 def decide(policy, q, k_busy, l_busy):
@@ -146,6 +148,71 @@ def test_k_busy_outside_the_flexible_servers_rejected(make, k_busy):
     policy = make(params)
     with pytest.raises(ValueError, match="k_busy"):
         policy(3, k_busy, params.C1 - 1 - k_busy)
+
+
+def greedy_grid_reference(table, q_max):
+    """The greedy rule's decision grid as first written: band_signs of D, positive."""
+    level, k_busy = np.meshgrid(np.arange(q_max), np.arange(table.params.C1), indexing="ij")
+    return band_signs(table.levels[level, k_busy + 1] - table.levels[level, k_busy]) > 0
+
+
+def heuristic_grid_reference(params, q_max):
+    """The heuristic rule's decision grid as first written, from the profile by D column."""
+    spec, profile = threshold_spec(params), heuristic_profile(params)
+    th = np.full(params.C1 + 1, math.inf)
+    for s in spec:
+        th[s.k] = profile[s.index]
+    q, k_busy = np.meshgrid(np.arange(1, q_max + 1), np.arange(params.C1), indexing="ij")
+    return (q <= th[k_busy + 1]) != spec.independent
+
+
+class TestDecisionGrids:
+    """The greedy and heuristic grids equal their first form, at every study point and preset."""
+
+    def test_grids_equal_the_reference_expressions(self):
+        for params in table4_params() + list(EXAMPLE_PARAMS.values()):
+            table = solve_optimal(params, 40)
+            greedy = decision_grid(optimal_greedy(table), params.C1, 40)
+            assert (greedy == greedy_grid_reference(table, 40)).all(), params
+            heuristic = decision_grid(pi_prime(params), params.C1, 40)
+            assert (heuristic == heuristic_grid_reference(params, 40)).all(), params
+            for policy in (optimal_greedy(table), pi_prime(params)):
+                assert decision_grid(policy, params.C1, 0).shape == (0, params.C1)
+
+    def test_nan_in_the_table_reads_independent(self):
+        params = EXAMPLE_PARAMS["ex1"]
+        table = solve_optimal(params, 12)
+        levels = table.levels.copy()
+        levels[3, 2] = np.nan  # D(3, 2, .) and D(3, 3, .) are NaN
+        broken = type(table)(params, 12, table.boundary, levels, table.kind)
+        grid = decision_grid(optimal_greedy(broken), params.C1, 12)
+        assert not grid[3, 1] and not grid[3, 2]
+        assert (grid == greedy_grid_reference(broken, 12)).all()
+        assert grid.any()
+
+    def test_error_messages(self):
+        params = EXAMPLE_PARAMS["ex1"]  # C1 = 4
+        greedy = optimal_greedy(solve_optimal(params, 5))
+        cases = [
+            (greedy, (7, 2, 1), DepthExceeded, "queue 7 exceeds table depth 5"),
+            (greedy, (np.array([1, 9, 0]), np.array([0, 1, 2]), np.array([3, 2, 1])),
+             DepthExceeded, "queue 9 exceeds table depth 5"),
+            (greedy, (0, 0, 3), ValueError, "queue 0 < 1: no job is waiting to assign"),
+            (greedy, (np.array([3, -2]), np.array([0, 0]), np.array([3, 3])),
+             ValueError, "queue -2 < 1: no job is waiting to assign"),
+        ]
+        for policy in (greedy, pi_prime(params)):
+            cases += [
+                (policy, (3, -1, 4), ValueError, "k_busy -1..-1 outside 0..3"),
+                (policy, (np.array([3, 3]), np.array([0, 5]), np.array([3, -2])),
+                 ValueError, "k_busy 0..5 outside 0..3"),
+                (policy, (np.array([3, 3]), np.array([3, 4]), np.array([0, -1])),
+                 ValueError, "k_busy 3..4 outside 0..3"),
+            ]
+        for policy, args, error, message in cases:
+            with pytest.raises(error) as exc:
+                policy(*args)
+            assert str(exc.value) == message
 
 
 class TestBenchmarks:

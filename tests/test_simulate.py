@@ -1,9 +1,14 @@
+import dataclasses
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clearq.experiments import EXAMPLE_PARAMS
-from clearq.model import State, SystemParams
+import clearq.simulate as simulate
+from clearq.model import RATE_COST_FIELDS, State, SystemParams
 from clearq.policies import (
     POLICY_IDS,
     DepthExceeded,
@@ -14,6 +19,7 @@ from clearq.policies import (
 )
 from clearq.simulate import BATCH_SIZE, SimConfig, SimEstimate, estimate
 from clearq.solver import solve_optimal, solve_under_policy
+from test_solver import scalar_second_moment, scalar_solve
 
 
 def reference_batch_costs(params, policy, initial_state, n, rng):
@@ -239,3 +245,53 @@ class TestAgainstReference:
             estimate(params, policy, config)
         with pytest.raises(DepthExceeded):
             run_episode(params, policy, State(10, 2, params.C1 - 2), 0)
+
+
+class TestSecondMoment:
+    """The simulator's spread against the exact second moment M = E[cost^2]."""
+
+    def test_hand_worked_single_flexible_server(self):
+        # C1 = 1: one job in service costs h tau with tau ~ Exp(mu), so v = h/mu and
+        # Var = (h/mu)^2; with one more job queued, the two stages' variances add.
+        floats = SystemParams(1, 2, 3.0, 1.5, 0.5, 1.0, 0.3)
+        params = dataclasses.replace(  # exact rationals, so every equality below is exact
+            floats, **{f: Fraction(repr(getattr(floats, f))) for f in RATE_COST_FIELDS})
+        mu1, mu2, h0, h1, h2 = (getattr(params, f) for f in RATE_COST_FIELDS)
+        station1, station2, first = h1 / mu1, h2 / mu2, (h0 + h1) / mu1
+        for which, after in (("pi1", station1), ("pi3", station2)):
+            rule = benchmark(params, which).rule
+            v, m = scalar_solve(params, 1, rule), scalar_second_moment(params, 1, rule)
+            assert m[State(0, 0, 0)] == v[State(0, 0, 0)] == 0
+            assert (v[State(0, 1, 0)], m[State(0, 1, 0)]) == (station1, 2 * station1 ** 2)
+            assert (v[State(0, 0, 1)], m[State(0, 0, 1)]) == (station2, 2 * station2 ** 2)
+            # From (1, 1, 0) the freed server stays at Station 1 (pi1) or collaborates (pi3).
+            state = State(1, 1, 0)
+            assert v[state] == first + after
+            assert m[state] - v[state] ** 2 == first ** 2 + after ** 2
+
+    @pytest.mark.parametrize("policy_id", ["heuristic", "pi1"])
+    @pytest.mark.parametrize("name", ["ex1", "ex5", "ex7"])
+    def test_sample_variance_matches_exact(self, monkeypatch, name, policy_id):
+        params = EXAMPLE_PARAMS[name]
+        policy = policy_by_id(params, policy_id)
+        state = State(20, params.C1 // 2, params.C1 - params.C1 // 2)
+        n = 200_000
+        batches = []
+        real = simulate._batch_costs
+
+        def recorded(*args):
+            batches.append(real(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(simulate, "_batch_costs", recorded)
+        est = estimate(params, policy, SimConfig(seed=7, replications=n, initial_state=state))
+        costs = np.concatenate(batches)
+        assert len(costs) == n
+        sample_var = float(np.var(costs, ddof=1))
+        assert est.std_error == pytest.approx(math.sqrt(sample_var / n), rel=1e-12)
+        # The sample variance's standard error, from the sample's own fourth central moment.
+        fourth = float(np.mean((costs - costs.mean()) ** 4))
+        se = math.sqrt((fourth - sample_var ** 2) / n)
+        v = scalar_solve(params, state.i, policy.rule)[state]
+        exact_var = scalar_second_moment(params, state.i, policy.rule)[state] - v ** 2
+        assert abs(sample_var - exact_var) <= 3.5 * se, (sample_var, exact_var, se)

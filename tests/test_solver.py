@@ -15,14 +15,15 @@ from clearq.model import (
     GRID_CACHE_SIZE,
     RATE_COST_FIELDS,
     WITHOUT_H0_CACHE_SIZE,
+    ZERO_BAND,
     State,
     SystemParams,
-    band_signs,
     service_rate,
 )
 from clearq.policies import (
     POLICY_IDS,
     Policy,
+    _benchmark,
     benchmark,
     decision_grid,
     optimal_greedy,
@@ -38,6 +39,7 @@ from clearq.solver import (
 )
 from clearq.thresholds import (
     boundary_diff_formula,
+    compute_actual_profile,
     constants,
     heuristic_profile,
     search_caps,
@@ -259,6 +261,13 @@ class TestDiff:
         assert dt.levels[3, 2] < 0
 
 
+def band_signs(x):
+    """model.band_sign elementwise over an array, as an integer array."""
+    x = np.asarray(x)
+    tol = ZERO_BAND * (1.0 + np.abs(x))
+    return np.where(x > tol, 1, np.where(x < -tol, -1, 0))
+
+
 def recursion_check_reference(params, diff_table):
     """``recursion_check`` one k at a time over every level, with the same arithmetic.
 
@@ -386,6 +395,43 @@ def scalar_solve(params, i_max, rule=None):
     return v
 
 
+def scalar_second_moment(params, i_max, rule=None):
+    """E[cost^2] by state, under ``scalar_solve``'s decisions: rule's, or the cheaper move.
+
+    From state s the cost is H(s) tau + C', with tau ~ Exp(R(s)) independent of
+    the next state s_j and of C', so M(s) = 2 (H(s)/R(s)) v(s) + sum_j p_j M(s_j)
+    and the variance is M(s) - v(s)^2.
+    """
+    v = scalar_solve(params, i_max, rule)
+
+    def successor(i, k, l, station1):
+        """The state after a completion; with jobs in queue the freed server stays or moves."""
+        if station1:
+            left, stay, move, context = (State(0, k - 1, l), State(i - 1, k, l),
+                                         State(i - 1, k - 1, l + 1), (i, k - 1, l))
+        else:
+            left, stay, move, context = (State(0, k, l - 1), State(i - 1, k + 1, l - 1),
+                                         State(i - 1, k, l), (i, k, l - 1))
+        if i == 0:
+            return left
+        if rule is None:
+            return move if v[move] < v[stay] else stay  # min(stay, move) keeps stay at a tie
+        return move if rule(*context) else stay
+
+    empty = State(0, 0, 0)
+    m = {empty: 0 * v[empty]}
+    for s in enumerate_states(params, i_max)[1:]:
+        i, k, l = s
+        acc = 2 * (i * params.h0 + k * params.h1 + l * params.h2) * v[s]
+        if k > 0:
+            acc += k * params.mu1 * m[successor(i, k, l, True)]
+        served = min(l, params.C2)
+        if served > 0:
+            acc += served * params.mu2 * m[successor(i, k, l, False)]
+        m[s] = acc / service_rate(params, k, l)
+    return m
+
+
 def exact_solve(params, i_max):
     """``scalar_solve`` in exact rationals, each rate and cost taken as Fraction(repr(x)).
 
@@ -479,6 +525,24 @@ class TestExactRecursion:
     def test_seeded_study_grid_points_to_depth_120(self):
         points = random.Random(20261020).sample(table4_params(), 30)
         assert assert_exact_recursion_equals_exact_values(points, 120) == 11374
+
+    def test_seeded_study_grid_thresholds_are_the_exact_sign_changes(self):
+        # A slice of the points with an index to search, drawn once; an exact zero counts
+        # on the collaborative side: the first D < 0 collaborative, the first D >= 0 independent.
+        searched = [params for params in table4_params() if search_caps(params)]
+        assert len(searched) == 1288
+        certified = 0
+        for params in random.Random(20261020).sample(searched, 130):
+            spec, reported = threshold_spec(params), compute_actual_profile(params)
+            finite = spec.h0_free.finite
+            d = exact_d_recursion(params, max(reported[s.index] for s in finite))
+            for s in finite:
+                column = [d[i, s.k] for i in range(reported[s.index] + 1)]
+                exact = next((i for i, x in enumerate(column)
+                              if (x >= 0 if spec.independent else x < 0)), None)
+                assert exact == reported[s.index], (params, s.index)
+                certified += 1
+        assert certified == 273
 
 
 class TestScalarOracle:
@@ -661,15 +725,16 @@ class TestSharedData:
             search_caps(EX1)[4] = 0
 
     def test_rule_writing_into_its_queue_argument_raises(self):
-        def writer(q, kb, lb):
+        def write(q, kb, lb):
             q -= 1
             return q <= 3
 
+        writer = Policy("writer", write)
         want = scalar_solve(EX1, 9, lambda q, kb, lb: q <= 3)
         for _ in range(2):  # a failed evaluation leaves nothing to reuse
             with pytest.raises(ValueError, match="read-only"):
                 solve_under_policy(EX1, writer, 9)
-            assert writer not in solver._DECISION_ROWS
+            assert writer.rows == {}
         table = solve_under_policy(EX1, lambda q, kb, lb: np.asarray(q) <= 3, 9)
         assert entries(table) == want
 
@@ -724,7 +789,7 @@ class TestDecisionRows:
             return real(rule, c1, q_max)
 
         monkeypatch.setattr(solver, "decision_grid", counting)
-        solver._DECISION_ROWS.clear()
+        _benchmark.cache_clear()  # fresh policies, with no rows from earlier tests
         first = sweep(SweepSpec(**spec, i0_values=(20,)))
         assert sweep(SweepSpec(**spec, i0_values=(20,))) == first
         sweep(SweepSpec(**spec, i0_values=(25,)))
@@ -739,24 +804,22 @@ class TestDecisionRows:
         greedy = optimal_greedy(table)
         want = solve_under_policy(EX1, greedy, 400).levels
         assert (solve_under_policy(EX1, greedy, 400).levels == want).all()
-        assert list(solver._DECISION_ROWS[greedy]) == [(EX1.C1, 400)]
+        assert list(greedy.rows) == [(EX1.C1, 400)]
         gone = weakref.ref(greedy)
         del greedy, table
         gc.collect()
         assert gone() is None
-        assert not [policy for policy in solver._DECISION_ROWS if policy.id == "optimal"]
 
     def test_depths_per_rule_are_bounded(self):
-        def rule(q, kb, lb):
-            return np.asarray(q) <= 3
-
+        policy = Policy("first-three", lambda q, kb, lb: np.asarray(q) <= 3)
         depths = range(1, GRID_CACHE_SIZE + 6)
         for depth in depths:
-            solve_under_policy(EX1, rule, depth)
-        assert list(solver._DECISION_ROWS[rule]) == [
+            solve_under_policy(EX1, policy, depth)
+        assert list(policy.rows) == [
             (EX1.C1, depth) for depth in depths[-GRID_CACHE_SIZE:]]
 
     def test_rule_without_weak_references_is_evaluated_every_solve(self):
+        """Only a Policy keeps rows: a callable object or a plain function is called per solve."""
         class Counted:
             __slots__ = ("calls",)
 
@@ -767,6 +830,12 @@ class TestDecisionRows:
                 self.calls += 1
                 return np.asarray(q) <= 3
 
+        calls = []
+
+        def plain(q, kb, lb):
+            calls.append(q.shape)
+            return np.asarray(q) <= 3
+
         rule = Counted()
         with pytest.raises(TypeError):
             weakref.ref(rule)
@@ -775,3 +844,7 @@ class TestDecisionRows:
         assert rule.calls == 2  # one call per solve
         assert (first.levels == second.levels).all()
         assert entries(first) == scalar_solve(EX1, 9, rule)
+        for _ in range(2):
+            assert (solve_under_policy(EX1, plain, 9).levels == first.levels).all()
+        assert calls == [(9, EX1.C1)] * 2
+        assert not hasattr(plain, "rows")
