@@ -624,7 +624,7 @@ def check_greedy_reproduces_optimal(
     return f"greedy value differs at {(i, k, c1 - k)}"
 
 
-def check_threshold_structure(params: SystemParams, dt: DiffTable):
+def check_threshold_structure(params: SystemParams, table: ValueTable):
     """Threshold-level structural guarantees.
 
     Exactness and increment assertions are scoped to non-degenerate points:
@@ -636,7 +636,7 @@ def check_threshold_structure(params: SystemParams, dt: DiffTable):
     spec = threshold_spec(params)
     heur = heuristic_profile(params)
     try:
-        act = actual_profile(params, dt)
+        act = actual_profile(params, table)
     except (CapExceeded, NaNInDiff) as exc:
         return str(exc)
     cst = constants(params)
@@ -751,7 +751,7 @@ def verify_point(params: SystemParams, i_max: int) -> list[CheckResult]:
         "policy_dominance": check_policy_dominance(params, table, family_tables, i_max),
         "greedy_reproduces_optimal": check_greedy_reproduces_optimal(
             params, table, greedy_table, i_max),
-        "threshold_structure": check_threshold_structure(params, dt),
+        "threshold_structure": check_threshold_structure(params, table),
     }
     return [
         CheckResult(name, params, passed=(detail is None), detail=detail or "")

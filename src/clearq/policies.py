@@ -11,9 +11,9 @@ alone.
 Rules accept scalars or numpy arrays and must act elementwise: the solver
 evaluates them once per (C1, depth) and the simulator once per estimate, on
 the whole (queue, k_busy) grid (``decision_grid``), whose shared index arrays
-are read-only.  A Policy keeps the solver's decisions per (C1, depth) in its
-``rows``, so a rule must be a pure function of its arguments; the solver
-evaluates any other callable on every solve.
+are read-only.  The solvers take Policy objects, and each Policy keeps its
+decisions per (C1, depth) in its ``rows`` (``Policy.decision_rows``), so a
+rule must be a pure function of its arguments.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ class DepthExceeded(LookupError):
 class Policy:
     """Deterministic decision rule with a stable identifier.
 
-    ``rows`` keeps the solver's decision rows by (C1, depth), at most GRID_CACHE_SIZE.
+    ``rows`` keeps its decision rows by (C1, depth), at most GRID_CACHE_SIZE.
     """
 
     id: str
@@ -48,6 +48,15 @@ class Policy:
 
     def __call__(self, q, k_busy, l_busy):
         return self.rule(q, k_busy, l_busy)
+
+    def decision_rows(self, c1: int, depth: int) -> list:
+        """``decision_grid``'s rows as lists, evaluated once per (C1, depth); oldest out first."""
+        rows = self.rows.get((c1, depth))
+        if rows is None:
+            if len(self.rows) >= GRID_CACHE_SIZE:
+                del self.rows[next(iter(self.rows))]
+            rows = self.rows[c1, depth] = decision_grid(self, c1, depth).tolist()
+        return rows
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)

@@ -140,19 +140,19 @@ def estimate(params: SystemParams, policy, config: SimConfig) -> SimEstimate:
 
     Replications run in fixed-size batches with generator streams derived
     from the seed, so results are reproducible and batches could be farmed
-    out to workers without changing the estimate.
+    out to workers without changing the estimate.  The cost array is
+    allocated whole first, so a count too large to hold fails before any batch
+    runs; each batch spawns its own stream as it starts.
     """
     state = initial_state(params, config.initial_state)
     n = config.replications
-    sizes = [BATCH_SIZE] * (n // BATCH_SIZE)
-    if n % BATCH_SIZE:
-        sizes.append(n % BATCH_SIZE)
-    seeds = np.random.SeedSequence(config.seed).spawn(len(sizes))
+    costs = np.empty(n)
+    seeds = np.random.SeedSequence(config.seed)
     tables = _event_tables(params, policy, state)
-    costs = np.concatenate([
-        _batch_costs(tables, state.k, size, np.random.default_rng(seed))
-        for size, seed in zip(sizes, seeds)
-    ])
+    for start in range(0, n, BATCH_SIZE):
+        rng = np.random.default_rng(seeds.spawn(1)[0])  # child start // BATCH_SIZE of one spawn
+        stop = min(start + BATCH_SIZE, n)
+        costs[start:stop] = _batch_costs(tables, state.k, stop - start, rng)
     mean = float(np.mean(costs))
     if n == 1:
         return SimEstimate(mean, 0.0, 1, degenerate=True)

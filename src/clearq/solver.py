@@ -42,8 +42,7 @@ from .model import (
     WithoutH0,
     read_only,
 )
-from .policies import Policy, decision_grid
-from .thresholds import constants, threshold_spec
+from .thresholds import _require_optimal, constants, threshold_spec
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _column_index(c1: int, depth: int, k_min: int) -> tuple[np.ndarray, ...]:
@@ -227,24 +226,6 @@ def _kernel(c1: int, n_policies: int, optimal: bool) -> Callable:
     return namespace["kernel"]
 
 
-def _decision_rows(rule: Callable, c1: int, i_max: int) -> list:
-    """A policy row's decision rows, evaluated once per Policy, C1 and depth.
-
-    A Policy keeps its GRID_CACHE_SIZE latest depths in its ``rows``; any
-    other rule is evaluated on every call.
-    """
-    if not isinstance(rule, Policy):
-        return decision_grid(rule, c1, i_max).tolist()
-    memo = rule.rows
-    rows = memo.get((c1, i_max))
-    if rows is None:
-        rows = decision_grid(rule, c1, i_max).tolist()
-        if len(memo) >= GRID_CACHE_SIZE:
-            del memo[next(iter(memo))]
-        memo[c1, i_max] = rows
-    return rows
-
-
 # Levels per kernel call: the floats of one chunk are held as Python objects
 # until they are packed into the table block with one struct.pack_into call.
 CHUNK = 512
@@ -257,14 +238,13 @@ def _solve(
         raise ValueError("i_max must be non-negative")
     c1 = params.C1
     boundary, full_row, coefficients = _fixed_parts(params.without_h0)
-    kinds = ["optimal"] * optimal + [
-        f"policy:{getattr(p, 'id', getattr(p, '__name__', 'anonymous'))}" for p in policies]
+    kinds = ["optimal"] * optimal + [f"policy:{p.id}" for p in policies]
     # block[i, r] is level i of row r, the order in which the kernel makes them.
     block = np.empty((i_max + 1, len(kinds), c1 + 1))
     block[0] = full_row
     if i_max:
         kernel = _kernel(c1, len(policies), optimal)
-        decisions = [_decision_rows(p, c1, i_max) for p in policies]
+        decisions = [p.decision_rows(c1, i_max) for p in policies]
         rows, width = (full_row,) * len(kinds), len(kinds) * (c1 + 1)
         for start in range(1, i_max + 1, CHUNK):
             stop = min(start + CHUNK, i_max + 1)
@@ -283,13 +263,12 @@ def solve_optimal(params: SystemParams, i_max: int) -> ValueTable:
 
 
 def solve_under_policy(params: SystemParams, policy, i_max: int) -> ValueTable:
-    """Expected clearing costs when every decision follows the given policy.
+    """Expected clearing costs when every decision follows the given ``policies.Policy``.
 
-    The policy is called as policy(q, k_busy, l_busy), once with integer
-    arrays over every decision of the table, so it must be elementwise and
-    total for q up to i_max.  A ``policies.Policy`` keeps its decisions per
-    (C1, depth) in its ``rows`` and reuses them, so its rule must be a pure
-    function of its arguments; any other callable is evaluated on every solve.
+    Its rule is called as rule(q, k_busy, l_busy), once with integer arrays
+    over every decision of the table, so it must be elementwise and total for
+    q up to i_max.  The Policy keeps those decisions per (C1, depth) in its
+    ``rows`` and reuses them, so its rule must be a pure function of its arguments.
     """
     return _solve(params, i_max, (policy,), False)[0]
 
@@ -298,7 +277,7 @@ def solve_family(params: SystemParams, policies, i_max: int) -> list[ValueTable]
     """The optimal table, then one table per policy in order, from one pass over the levels.
 
     Each table holds the same values as ``solve_optimal`` or
-    ``solve_under_policy`` gives alone; the policies follow the same rules.
+    ``solve_under_policy`` gives alone; the policies are Policy objects, as there.
     """
     return _solve(params, i_max, tuple(policies), True)
 
@@ -311,8 +290,7 @@ def _k_differences(a: np.ndarray) -> np.ndarray:
 
 def diff(table: ValueTable) -> DiffTable:
     """Difference table of an optimal solve."""
-    if table.kind != "optimal":
-        raise ValueError(f"diff requires an optimal table, got kind={table.kind!r}")
+    _require_optimal(table)
     return DiffTable(
         table.params, table.i_max, _k_differences(table.boundary), _k_differences(table.levels)
     )

@@ -45,10 +45,6 @@ from .model import (
 INF = math.inf
 
 
-class DegenerateSlope(ValueError):
-    """R1 requested with mu1 = mu2, where the affine slope c vanishes."""
-
-
 class CapExceeded(RuntimeError):
     """A finite threshold was not found below its analytic search cap."""
 
@@ -70,7 +66,7 @@ class HeuristicConstants:
     """Constants of the affine surrogate, all derived from one instance.
 
     y and R2 are read-only mappings indexed by k = 1..C1.  r1 is None when
-    mu1 = mu2 (slope c vanishes); use the R1 property for checked access.
+    mu1 = mu2 (slope c vanishes); no finite-expected index reads it then.
     """
 
     m: float
@@ -81,12 +77,6 @@ class HeuristicConstants:
     y: Mapping[int, float]
     r1: float | None
     r2: Mapping[int, float]
-
-    @property
-    def R1(self) -> float:
-        if self.r1 is None:
-            raise DegenerateSlope("R1 undefined: mu1 = mu2 makes c = 0")
-        return self.r1
 
 
 def constants(params: SystemParams) -> HeuristicConstants:
@@ -167,9 +157,9 @@ class H0FreeTerms:
     finite: tuple[IndexSpec, ...]  # the finite-expected indices
     skeleton: Mapping[int, float | None]  # fixed threshold by index, None where finite
     # By finite-expected index: d_prod = service_rate(k, l) * service_rate(k - 1, l + 1),
-    # whether the sandwich applies (l < C2), and (numerator, rate factor, whether a
-    # non-positive coefficient drops it) of each linear bound, in the order taken.
-    caps: Mapping[int, tuple[float, bool, tuple[tuple[float, float, bool], ...]]]
+    # whether the sandwich applies (l < C2), and (numerator, positive rate factor) of
+    # each linear bound, in the order taken.
+    caps: Mapping[int, tuple[float, bool, tuple[tuple[float, float], ...]]]
     weights: tuple[tuple[float, float, float, float], ...]  # (p_k, q_k, r_k, b_k) by k - 1
 
 
@@ -255,15 +245,16 @@ def _threshold_spec(params: WithoutH0) -> ThresholdSpec:
     caps = {}
     for index, k, l, _ in finite_indices:
         if orientation is Orientation.INDEPENDENT:
-            bounds = [(-b, mu2 - mu1, False)]  # c6_bound over the c5 coefficient
+            bounds = [(-b, mu2 - mu1)]  # c6_bound over the c5 coefficient; mu1 < mu2 here
         else:
             c2_bound = boundary_diff_formula(params, k, l)
             bounds = []
-            if rate >= 0:
-                # mu1 >= mu2: the monotone-decrease bound, c2_bound over the c1 coefficient.
-                bounds.append((c2_bound, mu1 - (mu2 if l < c2 else 0.0), True))
+            # mu1 >= mu2: the monotone-decrease bound, c2_bound over a positive c1 coefficient.
+            factor = mu1 - (mu2 if l < c2 else 0.0)
+            if rate >= 0 and factor > 0:
+                bounds.append((c2_bound, factor))
             if rate <= 0 and l >= c2:
-                bounds.append((c2_bound, mu1, False))  # c2_bound over the c3 coefficient
+                bounds.append((c2_bound, mu1))  # c2_bound over the c3 coefficient
         caps[index] = (d_prods[k - 1], l < c2, tuple(bounds))
     terms = H0FreeTerms(
         m, b, b_prime, MappingProxyType(y), rate, 1.0 / mu1 - 1.0 / mu2, c2 * mu2, finite_indices,
@@ -358,17 +349,16 @@ def _h0_terms(params: SystemParams) -> H0Terms:
     for s in t.finite:
         d_prod, sandwich, linear = t.caps[s.index]  # sandwich is l < C2
         if spec.independent:  # the heuristic threshold, as heuristic_profile says
-            heur[s.index] = first_int_at_root(cst.R1)
+            heur[s.index] = first_int_at_root(r1)
         elif not sandwich:
             heur[s.index] = max(first_int_after_root(r2[s.k]), 0)
         else:
-            heur[s.index] = first_int_after_root(cst.R1)
+            heur[s.index] = first_int_after_root(r1)
         # The cap, as search_caps says.
         bounds = [heur[s.index] + c1] if sandwich else []
-        for numerator, factor, positive_only in linear:
-            if factor > 0 or not positive_only:
-                coef = finite_term("a cap coefficient", factor * h0 / d_prod, divisor=True)
-                bounds.append(math.ceil(finite_term("a cap bound", numerator / coef)) + 1)
+        for numerator, factor in linear:
+            coef = finite_term("a cap coefficient", factor * h0 / d_prod, divisor=True)
+            bounds.append(math.ceil(finite_term("a cap bound", numerator / coef)) + 1)
         caps[s.index] = int(max(bounds)) + c1
     heuristic = ThresholdProfile(spec.orientation, ProfileKind.HEURISTIC, MappingProxyType(heur))
     return H0Terms(spec, cst, heuristic, MappingProxyType(caps), max(caps.values(), default=0))
@@ -401,23 +391,34 @@ def required_depth(params: SystemParams) -> int:
     return _h0_terms(params).depth
 
 
-def _first_sign_changes(terms: H0Terms, depth: int, d_column) -> ThresholdProfile:
-    """First sign change of a depth-deep solve's difference, per index.
+def _require_optimal(table):
+    """The value table, if it is an optimal solve, the only one D is taken of; else ValueError."""
+    if table.kind != "optimal":
+        raise ValueError(f"diff requires an optimal table, got kind={table.kind!r}")
+    return table
 
-    d_column(k, n) gives D(0..n, k, C1 - k).  Indices classified provably
-    infinite are emitted as inf without search; always-zero indices as 0.  A
-    finite-expected index whose sign change is missing below the analytic cap
-    raises CapExceeded, a NaN at or before it NaNInDiff (bug traps); a depth
-    below the cap is a precondition error.
+
+def actual_profile(params: SystemParams, table) -> ThresholdProfile:
+    """First sign change of D, per index, read off an optimal value table.
+
+    Each D column k is value column k minus column k - 1 up to its cap: diff's
+    subtraction, bit for bit, with no difference table built.  Indices
+    classified provably infinite are emitted as inf without search;
+    always-zero indices as 0.  A finite-expected index whose sign change is
+    missing below the analytic cap raises CapExceeded, a NaN at or before it
+    NaNInDiff (bug traps); a table that is not optimal, or below the cap, is a
+    precondition error.
     """
+    v, depth = _require_optimal(table).levels, table.i_max
+    terms = _h0_terms(params)
     spec = terms.spec
     entries = dict(spec.h0_free.skeleton)
     for s in spec.h0_free.finite:
         cap = terms.caps[s.index]
         if depth < cap:
-            raise ValueError(f"diff table depth {depth} is below the search cap {cap} "
+            raise ValueError(f"value table depth {depth} is below the search cap {cap} "
                              f"required at index {s.index}")
-        column = d_column(s.k, cap)
+        column = v[:cap + 1, s.k] - v[:cap + 1, s.k - 1]
         tol = ZERO_BAND * (1.0 + abs(column))
         # The collaborative threshold is the first D < 0, the independent the first D >= 0,
         # by band_sign.  Each test is a negated comparison, so a NaN passes it and is found.
@@ -432,27 +433,19 @@ def _first_sign_changes(terms: H0Terms, depth: int, d_column) -> ThresholdProfil
     return ThresholdProfile(spec.orientation, ProfileKind.ACTUAL, MappingProxyType(entries), depth)
 
 
-def actual_profile(params: SystemParams, diff_table) -> ThresholdProfile:
-    """First sign change of the solved difference table, per index (see _first_sign_changes)."""
-    return _first_sign_changes(_h0_terms(params), diff_table.i_max,
-                               lambda k, n: diff_table.levels[:n + 1, k])
-
-
 def compute_actual_profile(params: SystemParams) -> ThresholdProfile:
-    """Solve to the required depth and extract the actual profile.
+    """Solve to the required depth and extract the actual profile (see actual_profile).
 
-    Each D column is read off the solved values up to its cap, as value column
-    k minus column k - 1: diff's subtraction, bit for bit, with no difference
-    table built.  A point with no finite-expected index is not solved; its
-    profile holds the fixed thresholds with i_max_used 0.
+    A point with no finite-expected index is not solved; its profile holds the
+    fixed thresholds with i_max_used 0.
     """
     from .solver import solve_optimal  # deferred: solver imports this module
 
     terms = _h0_terms(params)
     if not terms.caps:
-        return _first_sign_changes(terms, 0, None)
-    v = solve_optimal(params, terms.depth).levels
-    return _first_sign_changes(terms, terms.depth, lambda k, n: v[:n + 1, k] - v[:n + 1, k - 1])
+        return ThresholdProfile(terms.spec.orientation, ProfileKind.ACTUAL,
+                                terms.spec.h0_free.skeleton, 0)
+    return actual_profile(params, solve_optimal(params, terms.depth))
 
 
 class Condition1Verdict(Enum):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import clearq.cli as cli
+import clearq.simulate as simulate
 import clearq.solver as solver
 from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep
 from clearq.thresholds import CapExceeded, Classification, search_caps, threshold_spec
@@ -174,8 +175,25 @@ class TestSolveCommand:
         assert err.startswith("clearq: out of memory: ") and err.count("\n") == 1
         assert not (tmp_path / "values.csv").exists()
 
+    def test_replications_too_many_to_allocate_one_line_error(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # The cost array's allocation fails at once, far beyond any address space,
+        # before any batch runs.
+        def no_batch(*args):
+            pytest.fail("a batch ran before the cost array was allocated")
+
+        monkeypatch.setattr(simulate, "_batch_costs", no_batch)
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--preset", "ex1", "--policy", "pi1", "--i0", "2",
+                 "--reps", str(10**17), "--out", str(tmp_path / "sim.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("clearq: out of memory: Unable to allocate ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "sim.json").exists()
+
     def test_bare_memory_error_one_line_without_detail(self, monkeypatch, capsys):
-        # A failed list allocation, as in simulate's batch sizes, raises MemoryError() bare.
+        # A failed allocation of a Python object, a list say, raises MemoryError() bare.
         def command(args):
             raise MemoryError()
 

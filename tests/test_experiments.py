@@ -565,6 +565,18 @@ def _set_d(cells):
     return edit
 
 
+def _set_optimal_d(cells):
+    """A ``table`` edit of _edited_verify: in the optimal table, v(i, k, C1 - k) =
+    v(i, k - 1, C1 - k + 1) + x for each (i, k): x of cells, so D(i, k, C1 - k) is x
+    up to rounding (D(i, k + 1, C1 - k - 1) moves with it)."""
+    def edit(t):
+        if t.kind == "optimal":
+            for (i, k), x in cells.items():
+                t.levels[i, k] = t.levels[i, k - 1] + x
+        return t
+    return edit
+
+
 EX1_UNEDITED = solve_optimal(EXAMPLE_PARAMS["ex1"], 10)
 
 
@@ -627,7 +639,7 @@ class TestCheckFaults:
     def test_threshold_structure_flagged(self, monkeypatch):
         # ex5 has h0 = h2; a negative D(5,2,2) moves i_D(2) to 5, below i_D(1).
         details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex5"], 10,
-                                 d=_set_d({(5, 2): -1.0}))
+                                 table=_set_optimal_d({(5, 2): -1.0}))
         assert details["threshold_structure"] == (
             "i_D(1) > i_D(2); h0=h2 but i_H(2) != i_D(2); h0=h2 but i_D(2) != i_D(1) + 1")
 
@@ -671,9 +683,11 @@ class TestCheckFaults:
     def test_threshold_search_past_its_cap_is_a_failure(self, monkeypatch):
         # ex1 expects a finite i_D(3) below its cap of 70; a D(., 3, 1) that never
         # turns negative makes the search raise, and verify_point reports it.
-        def edit(dt):
-            dt.levels[:, 3] = 1.0
-        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10, d=edit)
+        def edit(t):
+            if t.kind == "optimal":
+                t.levels[:, 3] = t.levels[:, 2] + 1.0
+            return t
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10, table=edit)
         assert details["threshold_structure"] == str(thresholds.CapExceeded(3, 70)) == (
             "no sign change up to analytic cap 70 at index 3; this indicates a solver bug")
 
@@ -734,9 +748,10 @@ class TestNaNFails:
     def test_at_a_threshold_sign_change(self, monkeypatch):
         # ex1 solves to depth 103 for its threshold search.  D(2,2,2) is the first
         # negative entry of k = 2; read as a band zero, a NaN there would move i_D(2)
-        # from 2 to 3 and pass the check.
+        # from 2 to 3 and pass the check.  A NaN v(2,2,2) makes D(2,2,2) and D(2,3,1)
+        # NaN, and index 2 is searched first.
         details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10,
-                                 d=_set_d({(2, 2): math.nan}))
+                                 table=_set("optimal", {(2, 2): math.nan}))
         assert details["threshold_structure"] == (
             "D(2,2,2) is NaN at or before the sign change at index 2; "
             "this indicates a solver bug")

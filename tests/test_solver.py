@@ -29,6 +29,7 @@ from clearq.policies import (
     optimal_greedy,
     policy_by_id,
 )
+import clearq.policies as policies
 import clearq.solver as solver
 from clearq.solver import (
     diff,
@@ -607,7 +608,7 @@ class TestScalarOracle:
         # Rows shifted by one level give other values, so an off-by-one shows.
         for shifted in (solver.CHUNK - 1, solver.CHUNK + 1):
             assert scalar_solve(EX1, depth, flipping_at(shifted)) != want
-        table = solve_under_policy(EX1, rule, depth)
+        table = solve_under_policy(EX1, Policy("flip", rule), depth)
         assert entries(table) == want
         # Rules flipping around the boundary, each row of a kernel on its own decisions.
         policies = [Policy(f"flip{shift:+d}", flipping_at(solver.CHUNK + shift))
@@ -673,7 +674,7 @@ class TestScalarOracle:
                     assert collab[i - 1, k_busy] == want
 
     def test_scalar_only_rule_result_broadcasts(self):
-        table = solve_under_policy(EX1, lambda q, kb, lb: 1, 6)
+        table = solve_under_policy(EX1, Policy("one", lambda q, kb, lb: 1), 6)
         want = scalar_solve(EX1, 6, lambda q, kb, lb: 1)
         assert entries(table) == want
 
@@ -735,7 +736,8 @@ class TestSharedData:
             with pytest.raises(ValueError, match="read-only"):
                 solve_under_policy(EX1, writer, 9)
             assert writer.rows == {}
-        table = solve_under_policy(EX1, lambda q, kb, lb: np.asarray(q) <= 3, 9)
+        table = solve_under_policy(EX1, Policy("first-three", lambda q, kb, lb: np.asarray(q) <= 3),
+                                   9)
         assert entries(table) == want
 
     def test_study_grid_points_that_differ_only_in_h0_share_their_h0_free_parts(self):
@@ -770,7 +772,7 @@ class TestSharedData:
             assert entries(table) == scalar_solve(params, 12)
         rule = benchmark(ints, "pi4").rule
         for params in (ints, floats):
-            table = solve_under_policy(params, rule, 12)
+            table = solve_under_policy(params, Policy("pi4", rule), 12)
             assert entries(table) == scalar_solve(params, 12, rule)
 
 
@@ -782,13 +784,13 @@ class TestDecisionRows:
         spec = dict(server_configs=((3, 2),), h0_values=(0.1, 1.0), h2_values=(0.1, 2.0),
                     mu2_values=(4.0, 12.0))
         evaluated = Counter()
-        real = solver.decision_grid
+        real = policies.decision_grid
 
         def counting(rule, c1, q_max):
             evaluated[rule.id, q_max] += 1
             return real(rule, c1, q_max)
 
-        monkeypatch.setattr(solver, "decision_grid", counting)
+        monkeypatch.setattr(policies, "decision_grid", counting)
         _benchmark.cache_clear()  # fresh policies, with no rows from earlier tests
         first = sweep(SweepSpec(**spec, i0_values=(20,)))
         assert sweep(SweepSpec(**spec, i0_values=(20,))) == first
@@ -818,8 +820,8 @@ class TestDecisionRows:
         assert list(policy.rows) == [
             (EX1.C1, depth) for depth in depths[-GRID_CACHE_SIZE:]]
 
-    def test_rule_without_weak_references_is_evaluated_every_solve(self):
-        """Only a Policy keeps rows: a callable object or a plain function is called per solve."""
+    def test_any_callable_rule_is_evaluated_once_per_policy_and_depth(self):
+        """A Policy keeps rows over any rule: a callable object or a plain function."""
         class Counted:
             __slots__ = ("calls",)
 
@@ -839,12 +841,13 @@ class TestDecisionRows:
         rule = Counted()
         with pytest.raises(TypeError):
             weakref.ref(rule)
-        first = solve_under_policy(EX1, rule, 9)
-        second = solve_under_policy(EX1, rule, 9)
-        assert rule.calls == 2  # one call per solve
+        counted = Policy("counted", rule)
+        first = solve_under_policy(EX1, counted, 9)
+        second = solve_under_policy(EX1, counted, 9)
+        assert rule.calls == 1  # one call per (C1, depth)
         assert (first.levels == second.levels).all()
         assert entries(first) == scalar_solve(EX1, 9, rule)
-        for _ in range(2):
-            assert (solve_under_policy(EX1, plain, 9).levels == first.levels).all()
+        for _ in range(2):  # each new Policy evaluates its rule once
+            assert (solve_under_policy(EX1, Policy("plain", plain), 9).levels == first.levels).all()
         assert calls == [(9, EX1.C1)] * 2
         assert not hasattr(plain, "rows")

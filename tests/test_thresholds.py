@@ -8,12 +8,12 @@ import clearq.solver as solver
 import clearq.thresholds as thresholds
 from clearq.experiments import EXAMPLE_PARAMS, table4_params
 from clearq.model import WITHOUT_H0_CACHE_SIZE, SystemParams, band_sign, cost_gap_sign
-from clearq.solver import DiffTable, diff, solve_optimal
+from clearq.policies import benchmark
+from clearq.solver import ValueTable, diff, solve_optimal, solve_under_policy
 from clearq.thresholds import (
     CapExceeded,
     Classification,
     Condition1Verdict,
-    DegenerateSlope,
     NaNInDiff,
     Orientation,
     ProfileKind,
@@ -57,15 +57,13 @@ param_strategy = st.builds(
 
 class TestConstants:
     def test_ex1_r1(self):
-        assert constants(EXAMPLE_PARAMS["ex1"]).R1 == pytest.approx(9.4118, abs=5e-5)
+        assert constants(EXAMPLE_PARAMS["ex1"]).r1 == pytest.approx(9.4118, abs=5e-5)
 
     def test_ex3_r2(self):
         assert constants(EXAMPLE_PARAMS["ex3"]).r2[2] == pytest.approx(3.5, abs=1e-12)
 
     def test_equal_rates_degenerate_slope(self):
-        cst = constants(SystemParams(2, 1, 10.0, 10.0, 0.1, 1.0, 0.5))
-        with pytest.raises(DegenerateSlope):
-            cst.R1
+        assert constants(SystemParams(2, 1, 10.0, 10.0, 0.1, 1.0, 0.5)).r1 is None
 
     @given(param_strategy)
     @settings(max_examples=60, deadline=None)
@@ -210,20 +208,43 @@ class TestActualProfile:
 
     def test_shallow_table_rejected(self):
         params = EXAMPLE_PARAMS["ex1"]
-        dt = diff(solve_optimal(params, 3))
+        table = solve_optimal(params, 3)
         with pytest.raises(ValueError, match="search cap"):
-            actual_profile(params, dt)
+            actual_profile(params, table)
+
+    def test_non_optimal_table_rejected_as_by_diff(self):
+        params = EXAMPLE_PARAMS["ex1"]
+        table = solve_under_policy(params, benchmark(params, "pi1"), required_depth(params))
+        with pytest.raises(ValueError, match="diff requires an optimal table") as exc:
+            actual_profile(params, table)
+        with pytest.raises(ValueError) as by_diff:
+            diff(table)
+        assert str(exc.value) == str(by_diff.value)
 
     def test_cap_exceeded_is_a_bug_trap(self):
-        # A difference table that never turns negative must trip the trap.
+        # A value table whose difference never turns negative must trip the trap.
         params = SystemParams(1, 1, 10.0, 4.0, 0.1, 1.0, 0.1)
         cap = search_caps(params)[1]
-        # D(i, 1, 0) = 1.0 for i = 0..cap+1; NaN marks cells outside the index set.
-        boundary = np.full((1, 1), np.nan)
-        levels = np.array([[np.nan, 1.0]] * (cap + 2))
-        fake = DiffTable(params, cap + 1, boundary, levels)
+        # v(i, 1, 0) - v(i, 0, 1) = 1.0 for i = 0..cap+1.
+        boundary = np.zeros((1, 1))
+        levels = np.array([[0.0, 1.0]] * (cap + 2))
+        fake = ValueTable(params, cap + 1, boundary, levels, "optimal")
         with pytest.raises(CapExceeded):
             actual_profile(params, fake)
+
+    def test_independent_cap_exceeded_is_a_bug_trap(self):
+        # Independent orientation: a difference that stays below 0 up to the cap trips it.
+        params = EXAMPLE_PARAMS["ex7"]
+        spec, caps = threshold_spec(params), search_caps(params)
+        assert spec.independent
+        first = spec.h0_free.finite[0]
+        depth = required_depth(params)
+        # v(i, k, C1 - k) = -k, so D = -1.0 at every level and k.
+        levels = np.tile(-np.arange(params.C1 + 1.0), (depth + 1, 1))
+        fake = ValueTable(params, depth, np.zeros((params.C1, params.C1)), levels, "optimal")
+        with pytest.raises(CapExceeded) as exc:
+            actual_profile(params, fake)
+        assert (exc.value.index, exc.value.cap) == (first.index, caps[first.index])
 
     @pytest.mark.parametrize("name, at, index", [
         ("ex1", (2, 2), 2),  # i_D(2) = 2: at the sign change, which would move to 3
@@ -231,21 +252,23 @@ class TestActualProfile:
         ("ex7", (5, 4), 0),  # independent: before i~_D(0) = 12, which would move to 5
     ])
     def test_nan_at_or_before_a_sign_change_is_a_bug_trap(self, name, at, index):
+        # A NaN value v(i, k, C1 - k) makes D(i, k) and D(i, k + 1) NaN; D(i, k) is read first.
         params = EXAMPLE_PARAMS[name]
-        dt = diff(solve_optimal(params, required_depth(params)))
-        dt.levels[at] = math.nan
+        table = solve_optimal(params, required_depth(params))
+        table.levels[at] = math.nan
         i, k = at
         with pytest.raises(NaNInDiff) as exc:
-            actual_profile(params, dt)
+            actual_profile(params, table)
         assert str(exc.value) == (f"D({i},{k},{params.C1 - k}) is NaN at or before the sign "
                                   f"change at index {index}; this indicates a solver bug")
 
     def test_nan_after_the_sign_changes_is_not_read(self):
+        # NaN at D(3, 1), D(3, 2) and D(12, 4), each past its index's sign change.
         params = EXAMPLE_PARAMS["ex1"]
-        dt = diff(solve_optimal(params, required_depth(params)))
-        want = actual_profile(params, dt).entries
-        dt.levels[3, 2] = dt.levels[12, 4] = math.nan
-        assert actual_profile(params, dt).entries == want == {1: 0, 2: 2, 3: 10, 4: 11}
+        table = solve_optimal(params, required_depth(params))
+        want = actual_profile(params, table).entries
+        table.levels[3, 1] = table.levels[12, 4] = math.nan
+        assert actual_profile(params, table).entries == want == {1: 0, 2: 2, 3: 10, 4: 11}
 
     @given(param_strategy)
     @settings(max_examples=20, deadline=None)
@@ -299,39 +322,31 @@ class TestStudyGrid:
         assert len(unsearched) == 980
         for params, act, depths, n_diff in unsearched:
             assert depths == [] and n_diff == 0
-            want = actual_profile(params, diff(solve_optimal(params, 0)))
+            want = actual_profile(params, solve_optimal(params, 0))
             assert dict(act.entries) == dict(want.entries)
             assert (act.orientation, act.kind, act.i_max_used) == (want.orientation, want.kind, 0)
             assert want.i_max_used == 0
 
-    def test_columns_read_off_the_solved_table_equal_the_diff_table(self, monkeypatch):
-        # At every grid point and example, each D column the search reads is the diff
-        # table's, bit for bit, and the profile is the one read off the diff table.
-        real_search = thresholds._first_sign_changes
-        read = []
-
-        def recorded_search(params, depth, d_column):
-            def column(k, n):
-                got = d_column(k, n)
-                read.append((k, n, got))
-                return got
-            return real_search(params, depth, column)
-
-        monkeypatch.setattr(thresholds, "_first_sign_changes", recorded_search)
+    def test_columns_read_off_the_solved_table_equal_the_diff_table(self):
+        # At every grid point and example, each D column the search reads off the value
+        # table is the diff table's, bit for bit, and the profile is the one read off
+        # the diff table's columns by band_sign, one entry at a time.
         for params in table4_params() + list(EXAMPLE_PARAMS.values()):
-            read.clear()
             act = compute_actual_profile(params)
-            got = read[:]
-            dt = diff(solve_optimal(params, required_depth(params)))
-            caps = search_caps(params)
-            assert sorted((k, n) for k, n, _ in got) == sorted(
-                (threshold_spec(params)[index].k, cap) for index, cap in caps.items())
-            for k, n, column in got:
-                assert column.tobytes() == dt.levels[:n + 1, k].tobytes(), (params, k)
-            want = actual_profile(params, dt)
-            assert dict(act.entries) == dict(want.entries)
-            assert (act.orientation, act.kind, act.i_max_used) == (
-                want.orientation, want.kind, want.i_max_used)
+            table = solve_optimal(params, required_depth(params))
+            dt = diff(table)
+            spec, v = threshold_spec(params), table.levels
+            want = dict(spec.h0_free.skeleton)
+            for index, cap in search_caps(params).items():
+                k = spec[index].k
+                column = v[:cap + 1, k] - v[:cap + 1, k - 1]
+                assert column.tobytes() == dt.levels[:cap + 1, k].tobytes(), (params, k)
+                want[index] = next(
+                    i for i, x in enumerate(dt.levels[:cap + 1, k].tolist())
+                    if (band_sign(x) >= 0 if spec.independent else band_sign(x) < 0))
+            assert dict(act.entries) == want, params
+            assert act == actual_profile(params, table), params
+            assert act.i_max_used == required_depth(params)
 
     def test_both_sandwich_ends_are_attained(self, grid_profiles):
         # At a finite-expected index with l < C2, i_H <= i_D <= i_H + C1 - 1.
@@ -372,7 +387,7 @@ class TestDepthMachinery:
     def test_required_depth_covers_finite_indices(self):
         params = EXAMPLE_PARAMS["ex3b"]
         depth = required_depth(params)
-        act = actual_profile(params, diff(solve_optimal(params, depth)))
+        act = actual_profile(params, solve_optimal(params, depth))
         assert all(math.isinf(v) or v <= depth for v in act.entries.values())
 
     @settings(max_examples=60, deadline=None)
@@ -526,10 +541,9 @@ def per_function_h0_terms(params):
             heur = thresholds.first_int_after_root(r1)
         d_prod, sandwich, linear = t.caps.get(s.index, (None, False, ()))
         bounds = [heur + params.C1] if sandwich and not math.isinf(heur) else []
-        for numerator, factor, positive_only in linear:
-            if factor > 0 or not positive_only:
-                coef = factor * params.h0 / d_prod
-                bounds.append(math.ceil(numerator / coef) + 1)
+        for numerator, factor in linear:
+            coef = factor * params.h0 / d_prod
+            bounds.append(math.ceil(numerator / coef) + 1)
         caps[s.index] = int(max(bounds)) + params.C1
     return c, c_prime, r1, r2, caps
 
