@@ -32,7 +32,6 @@ from .solver import (
     ValueTable,
     _solve,
     diff,
-    recursion_check,
     solve_family,
     solve_optimal,
 )
@@ -46,6 +45,7 @@ from .thresholds import (
     condition1,
     constants,
     heuristic_profile,
+    recursion_check,
     required_depth,
     surrogate,
     threshold_spec,
@@ -643,6 +643,7 @@ def check_threshold_structure(params: SystemParams, table: ValueTable):
     # Independent-orientation thresholds carry a tilde and are indexed by l.
     d_name, h_name, ix = ("i~_D", "i~_H", "l") if spec.independent else ("i_D", "i_H", "k")
     finite = Classification.FINITE_EXPECTED
+    h_gap = band_sign(params.h0 - params.h2)
     issues = []
     verdicts = {}  # condition1 per index, each worked out once
     indices = act.indices()
@@ -664,7 +665,6 @@ def check_threshold_structure(params: SystemParams, table: ValueTable):
         if strict == (i_d == 0):
             issues.append(f"zero-threshold iff fails at k={k}")
         if i_d >= 1:
-            h_gap = band_sign(params.h0 - params.h2)
             if h_gap > 0 and i_h < i_d:
                 issues.append(f"h0>h2 but i_H({k}) < i_D({k})")
             if h_gap < 0 and i_h > i_d:
@@ -686,12 +686,7 @@ def check_threshold_structure(params: SystemParams, table: ValueTable):
             if prev_holds and neighbour_strict and not snaps_to_integer(cst.r2[k - 1]):
                 if act[k] != act[k - 1] + 1:
                     issues.append(f"condition holds at k={k} but i_D increment != 1")
-        if (
-            band_sign(params.h0 - params.h2) == 0
-            and neighbour_strict
-            and strict
-            and act[k] != act[k - 1] + 1
-        ):
+        if h_gap == 0 and neighbour_strict and strict and act[k] != act[k - 1] + 1:
             issues.append(f"h0=h2 but i_D({k}) != i_D({k - 1}) + 1")
         if (
             neighbour_strict

@@ -210,3 +210,11 @@ def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def allocate(make, what: str, *args) -> np.ndarray:
+    """make(*args), with numpy's ValueError for a size past its index range a MemoryError."""
+    try:
+        return make(*args)
+    except ValueError as exc:  # "Maximum allowed dimension exceeded", say
+        raise MemoryError(f"cannot allocate {what} ({exc})") from None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import State, SystemParams, _is_integer, in_state_space
+from .model import State, SystemParams, _is_integer, allocate, in_state_space
 from .policies import decision_grid
 
 BATCH_SIZE = 16384
@@ -79,7 +79,7 @@ def _event_tables(params: SystemParams, policy, initial_state: State):
     """
     i0, k0, l0 = initial_state
     c1 = params.C1
-    t = np.arange(i0 + k0 + l0)
+    t = allocate(np.arange, f"an episode of {i0 + k0 + l0} events", i0 + k0 + l0)
     queue = np.maximum(i0 - t, 0)[:, None]
     in_service = k0 + l0 - np.maximum(t - i0, 0)[:, None]
     at1 = np.arange(c1 + 1)
@@ -146,7 +146,7 @@ def estimate(params: SystemParams, policy, config: SimConfig) -> SimEstimate:
     """
     state = initial_state(params, config.initial_state)
     n = config.replications
-    costs = np.empty(n)
+    costs = allocate(np.empty, f"the costs of {n} replications", n)
     seeds = np.random.SeedSequence(config.seed)
     tables = _event_tables(params, policy, state)
     for start in range(0, n, BATCH_SIZE):

@@ -36,13 +36,12 @@ import numpy as np
 from .model import (
     GRID_CACHE_SIZE,
     WITHOUT_H0_CACHE_SIZE,
-    ZERO_BAND,
     State,
     SystemParams,
     WithoutH0,
+    allocate,
     read_only,
 )
-from .thresholds import _require_optimal, constants, threshold_spec
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _column_index(c1: int, depth: int, k_min: int) -> tuple[np.ndarray, ...]:
@@ -240,7 +239,7 @@ def _solve(
     boundary, full_row, coefficients = _fixed_parts(params.without_h0)
     kinds = ["optimal"] * optimal + [f"policy:{p.id}" for p in policies]
     # block[i, r] is level i of row r, the order in which the kernel makes them.
-    block = np.empty((i_max + 1, len(kinds), c1 + 1))
+    block = allocate(np.empty, f"a table of queue depth {i_max}", (i_max + 1, len(kinds), c1 + 1))
     block[0] = full_row
     if i_max:
         kernel = _kernel(c1, len(policies), optimal)
@@ -288,63 +287,16 @@ def _k_differences(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_optimal(table: ValueTable) -> ValueTable:
+    """The value table, if it is an optimal solve, the only one D is taken of; else ValueError."""
+    if table.kind != "optimal":
+        raise ValueError(f"diff requires an optimal table, got kind={table.kind!r}")
+    return table
+
+
 def diff(table: ValueTable) -> DiffTable:
     """Difference table of an optimal solve."""
     _require_optimal(table)
     return DiffTable(
         table.params, table.i_max, _k_differences(table.boundary), _k_differences(table.levels)
     )
-
-
-@dataclass(frozen=True)
-class RecursionReport:
-    max_scaled_residual: float
-    worst_state: State | None
-
-
-# Levels per block of recursion_check, which bounds its temporaries at C1 x
-# _RESIDUAL_BLOCK floats each.
-_RESIDUAL_BLOCK = 2048
-
-
-def recursion_check(params: SystemParams, diff_table: DiffTable) -> RecursionReport:
-    """Residuals of the one-step difference recursions.
-
-    At each fully-busy state the difference satisfies an exact three-term
-    recursion whose form depends on the sign of the difference one level
-    down; both forms apply at a zero.  Residuals are scaled by 1/(1 + |D|).
-    The levels are taken a block at a time, every k at once.
-    """
-    c1 = params.C1
-    d = diff_table.levels
-    # Column k - 1 of each holds p_k, q_k, r_k, b_k and c_k; only c_k reads h0.
-    cst = constants(params)
-    p, q, r, b, c = np.array([
-        (*weights, cst.c if c1 - k < params.C2 else cst.c_prime)
-        for k, weights in enumerate(threshold_spec(params).h0_free.weights, 1)
-    ]).T[:, :, None]
-    worst, worst_state = 0.0, None
-    for start in range(1, diff_table.i_max + 1, _RESIDUAL_BLOCK):
-        stop = min(start + _RESIDUAL_BLOCK, diff_table.i_max + 1)
-        # dk[k - 1, n] is D(start - 1 + n, k, C1 - k), contiguous along the levels.
-        dk = np.ascontiguousarray(d[start - 1:stop, 1:].T)
-        here, prev = dk[:, 1:], dk[:, :-1]
-        base = p * (np.arange(float(start), stop) * c + b)
-        pos = base + r * prev  # the form where D one level down is >= 0
-        pos[1:] += q[1:] * np.maximum(0.0, prev[:-1])  # k >= 2
-        neg = base + q * prev  # the form where it is <= 0
-        neg[:-1] += r[:-1] * np.minimum(prev[1:], 0.0)  # l >= 1
-        tol = ZERO_BAND * (1.0 + np.abs(prev))  # model.band_sign(prev), as two masks
-        # max(x / s, y / s) is max(x, y) / s in floats, since rounding is monotone.
-        scaled = np.maximum(np.where(prev < -tol, 0.0, np.abs(here - pos)),
-                            np.where(prev > tol, 0.0, np.abs(here - neg))) / (1.0 + np.abs(here))
-        top = float(scaled.max())
-        if top != top:
-            top = np.inf  # a NaN difference fails, it is never skipped
-        if top > worst:
-            # The first maximum in (i, k) order, as a scan would report it.
-            hits = scaled == top if top < np.inf else ~(scaled < np.inf)
-            level = int(hits.any(axis=0).argmax())
-            k_index = int(hits[:, level].argmax())
-            worst, worst_state = top, State(start + level, k_index + 1, c1 - k_index - 1)
-    return RecursionReport(worst, worst_state)

@@ -2,9 +2,9 @@
 
 The optimal assignment rule switches between independent and collaborative
 service at an index-dependent queue length.  This module computes the affine
-surrogate H of the value difference D, its closed-form crossing points, the
-supporting constants and probabilities, and the actual crossing points read
-off a solved difference table.
+surrogate H of the value difference D, its closed-form crossing points and
+supporting constants, the actual crossing points read off an optimal value
+table, and the residuals of D's one-step recursion.
 
 Tie rule: a surrogate or difference value inside the numerical zero band
 counts as *collaborative-side*.  Concretely the collaborative-orientation
@@ -14,8 +14,8 @@ positive.  The golden values in the acceptance suite pin this direction at
 exactly-integer crossing roots; see the README for the full convention.
 
 Which orientation applies, each index's D column and classification, and
-the h0-free terms of everything else here are derived by ``threshold_spec``
-once per ``params.without_h0``.  The h0 terms (the constants, the heuristic
+the h0-free terms of everything else here are one ``ThresholdSpec`` record
+per ``params.without_h0``.  The h0 terms (the constants, the heuristic
 profile and the search caps) are one ``H0Terms`` record per parameter set.
 """
 from __future__ import annotations
@@ -23,15 +23,18 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
+
+import numpy as np
 
 from .model import (
     PARAMS_CACHE_SIZE,
     WITHOUT_H0_CACHE_SIZE,
     ZERO_BAND,
+    State,
     SystemParams,
     WithoutH0,
     band_sign,
@@ -41,6 +44,7 @@ from .model import (
     service_rate,
     snaps_to_integer,
 )
+from .solver import DiffTable, _require_optimal, solve_optimal
 
 INF = math.inf
 
@@ -144,9 +148,16 @@ class IndexSpec(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class H0FreeTerms:
-    """What the surrogate, caps, profiles and recursion weights derive without h0; read-only."""
+class ThresholdSpec:
+    """A parameter set's threshold orientation, its indices in index order, and what the
+    surrogate, caps, profiles and recursion weights derive without h0; read-only.
 
+    Collaborative orientation: index k = 1..C1, read off D column k.
+    Independent orientation: index l = 0..C1-1, read off D column C1 - l.
+    """
+
+    orientation: Orientation
+    indices: tuple[IndexSpec, ...]
     m: float
     b: float
     b_prime: float
@@ -161,19 +172,6 @@ class H0FreeTerms:
     # each linear bound, in the order taken.
     caps: Mapping[int, tuple[float, bool, tuple[tuple[float, float], ...]]]
     weights: tuple[tuple[float, float, float, float], ...]  # (p_k, q_k, r_k, b_k) by k - 1
-
-
-@dataclass(frozen=True)
-class ThresholdSpec:
-    """A parameter set's threshold orientation and its indices, in index order.
-
-    Collaborative orientation: index k = 1..C1, read off D column k.
-    Independent orientation: index l = 0..C1-1, read off D column C1 - l.
-    """
-
-    orientation: Orientation
-    indices: tuple[IndexSpec, ...]
-    h0_free: H0FreeTerms = field(compare=False, repr=False)
 
     @property
     def independent(self) -> bool:
@@ -256,12 +254,12 @@ def _threshold_spec(params: WithoutH0) -> ThresholdSpec:
             if rate <= 0 and l >= c2:
                 bounds.append((c2_bound, mu1))  # c2_bound over the c3 coefficient
         caps[index] = (d_prods[k - 1], l < c2, tuple(bounds))
-    terms = H0FreeTerms(
-        m, b, b_prime, MappingProxyType(y), rate, 1.0 / mu1 - 1.0 / mu2, c2 * mu2, finite_indices,
+    return ThresholdSpec(
+        orientation, indices, m, b, b_prime, MappingProxyType(y), rate, 1.0 / mu1 - 1.0 / mu2,
+        c2 * mu2, finite_indices,
         MappingProxyType({s.index: FIXED_THRESHOLDS.get(s.classification) for s in indices}),
         MappingProxyType(caps), tuple(weights),
     )
-    return ThresholdSpec(orientation, indices, terms)
 
 
 def classify(params: SystemParams, index: int) -> Classification:
@@ -337,17 +335,16 @@ def _h0_terms(params: SystemParams) -> H0Terms:
     each keeps the float expression of the per-point formulas, so no bit moves.
     """
     spec = threshold_spec(params)
-    t = spec.h0_free
     c1, h0 = params.C1, params.h0
-    c = finite_term("c", (h0 / c1) * t.rate_gap, divisor=t.rate != 0)
-    c_prime = finite_term("c'", -h0 / t.c2_mu2, divisor=True)
-    r1 = None if t.rate == 0 else finite_term("R1", -t.b / c)
-    shift = finite_term("-b'/c'", -t.b_prime / c_prime)  # R2(k) = y(k) - b'/c'
-    r2 = MappingProxyType({k: shift + y for k, y in t.y.items()})
-    cst = HeuristicConstants(t.m, t.b, c, t.b_prime, c_prime, t.y, r1, r2)
-    heur, caps = dict(t.skeleton), {}
-    for s in t.finite:
-        d_prod, sandwich, linear = t.caps[s.index]  # sandwich is l < C2
+    c = finite_term("c", (h0 / c1) * spec.rate_gap, divisor=spec.rate != 0)
+    c_prime = finite_term("c'", -h0 / spec.c2_mu2, divisor=True)
+    r1 = None if spec.rate == 0 else finite_term("R1", -spec.b / c)
+    shift = finite_term("-b'/c'", -spec.b_prime / c_prime)  # R2(k) = y(k) - b'/c'
+    r2 = MappingProxyType({k: shift + y for k, y in spec.y.items()})
+    cst = HeuristicConstants(spec.m, spec.b, c, spec.b_prime, c_prime, spec.y, r1, r2)
+    heur, caps = dict(spec.skeleton), {}
+    for s in spec.finite:
+        d_prod, sandwich, linear = spec.caps[s.index]  # sandwich is l < C2
         if spec.independent:  # the heuristic threshold, as heuristic_profile says
             heur[s.index] = first_int_at_root(r1)
         elif not sandwich:
@@ -391,13 +388,6 @@ def required_depth(params: SystemParams) -> int:
     return _h0_terms(params).depth
 
 
-def _require_optimal(table):
-    """The value table, if it is an optimal solve, the only one D is taken of; else ValueError."""
-    if table.kind != "optimal":
-        raise ValueError(f"diff requires an optimal table, got kind={table.kind!r}")
-    return table
-
-
 def actual_profile(params: SystemParams, table) -> ThresholdProfile:
     """First sign change of D, per index, read off an optimal value table.
 
@@ -412,8 +402,8 @@ def actual_profile(params: SystemParams, table) -> ThresholdProfile:
     v, depth = _require_optimal(table).levels, table.i_max
     terms = _h0_terms(params)
     spec = terms.spec
-    entries = dict(spec.h0_free.skeleton)
-    for s in spec.h0_free.finite:
+    entries = dict(spec.skeleton)
+    for s in spec.finite:
         cap = terms.caps[s.index]
         if depth < cap:
             raise ValueError(f"value table depth {depth} is below the search cap {cap} "
@@ -439,13 +429,65 @@ def compute_actual_profile(params: SystemParams) -> ThresholdProfile:
     A point with no finite-expected index is not solved; its profile holds the
     fixed thresholds with i_max_used 0.
     """
-    from .solver import solve_optimal  # deferred: solver imports this module
-
     terms = _h0_terms(params)
     if not terms.caps:
-        return ThresholdProfile(terms.spec.orientation, ProfileKind.ACTUAL,
-                                terms.spec.h0_free.skeleton, 0)
+        return ThresholdProfile(terms.spec.orientation, ProfileKind.ACTUAL, terms.spec.skeleton, 0)
     return actual_profile(params, solve_optimal(params, terms.depth))
+
+
+@dataclass(frozen=True)
+class RecursionReport:
+    max_scaled_residual: float
+    worst_state: State | None
+
+
+# Levels per block of recursion_check, which bounds its temporaries at C1 x
+# _RESIDUAL_BLOCK floats each.
+_RESIDUAL_BLOCK = 2048
+
+
+def recursion_check(params: SystemParams, diff_table: DiffTable) -> RecursionReport:
+    """Residuals of the one-step difference recursions.
+
+    At each fully-busy state the difference satisfies an exact three-term
+    recursion whose form depends on the sign of the difference one level
+    down; both forms apply at a zero.  Residuals are scaled by 1/(1 + |D|).
+    The levels are taken a block at a time, every k at once.
+    """
+    c1 = params.C1
+    d = diff_table.levels
+    # Column k - 1 of each holds p_k, q_k, r_k, b_k and c_k; only c_k reads h0.
+    terms = _h0_terms(params)
+    cst = terms.constants
+    p, q, r, b, c = np.array([
+        (*weights, cst.c if c1 - k < params.C2 else cst.c_prime)
+        for k, weights in enumerate(terms.spec.weights, 1)
+    ]).T[:, :, None]
+    worst, worst_state = 0.0, None
+    for start in range(1, diff_table.i_max + 1, _RESIDUAL_BLOCK):
+        stop = min(start + _RESIDUAL_BLOCK, diff_table.i_max + 1)
+        # dk[k - 1, n] is D(start - 1 + n, k, C1 - k), contiguous along the levels.
+        dk = np.ascontiguousarray(d[start - 1:stop, 1:].T)
+        here, prev = dk[:, 1:], dk[:, :-1]
+        base = p * (np.arange(float(start), stop) * c + b)
+        pos = base + r * prev  # the form where D one level down is >= 0
+        pos[1:] += q[1:] * np.maximum(0.0, prev[:-1])  # k >= 2
+        neg = base + q * prev  # the form where it is <= 0
+        neg[:-1] += r[:-1] * np.minimum(prev[1:], 0.0)  # l >= 1
+        tol = ZERO_BAND * (1.0 + np.abs(prev))  # model.band_sign(prev), as two masks
+        # max(x / s, y / s) is max(x, y) / s in floats, since rounding is monotone.
+        scaled = np.maximum(np.where(prev < -tol, 0.0, np.abs(here - pos)),
+                            np.where(prev > tol, 0.0, np.abs(here - neg))) / (1.0 + np.abs(here))
+        top = float(scaled.max())
+        if top != top:
+            top = np.inf  # a NaN difference fails, it is never skipped
+        if top > worst:
+            # The first maximum in (i, k) order, as a scan would report it.
+            hits = scaled == top if top < np.inf else ~(scaled < np.inf)
+            level = int(hits.any(axis=0).argmax())
+            k_index = int(hits[:, level].argmax())
+            worst, worst_state = top, State(start + level, k_index + 1, c1 - k_index - 1)
+    return RecursionReport(worst, worst_state)
 
 
 class Condition1Verdict(Enum):
@@ -483,7 +525,7 @@ def condition1(params: SystemParams, k: int) -> Condition1Verdict:
         if band_sign(rhs - decay) > 0:
             return Condition1Verdict.HOLDS_QUEUE_SIDE
         return Condition1Verdict.FAILS
-    _, q, rr, _ = spec.h0_free.weights[k - 1]
+    _, q, rr, _ = spec.weights[k - 1]
     lhs = rr / (1.0 - q) * decay
     rhs = params.h0 / (params.h2 - params.h0) * (i_h - cst.r2[k])
     if band_sign(rhs - lhs) > 0:

@@ -23,11 +23,12 @@ from clearq.experiments import (
 from clearq.model import State, SystemParams
 from clearq.policies import optimal_greedy, pi_prime
 from clearq.simulate import SimConfig, estimate
-from clearq.solver import diff, recursion_check, solve_optimal, solve_under_policy
+from clearq.solver import diff, solve_optimal, solve_under_policy
 from clearq.thresholds import (
     boundary_diff_formula,
     compute_actual_profile,
     heuristic_profile,
+    recursion_check,
     threshold_spec,
 )
 

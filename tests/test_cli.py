@@ -7,7 +7,7 @@ import pytest
 
 import clearq.cli as cli
 import clearq.simulate as simulate
-import clearq.solver as solver
+import clearq.thresholds as thresholds
 from clearq.experiments import EXAMPLE_PARAMS, SweepSpec, sweep
 from clearq.thresholds import CapExceeded, Classification, search_caps, threshold_spec
 
@@ -192,6 +192,35 @@ class TestSolveCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "sim.json").exists()
 
+    DEEP = 10**20  # past numpy's index range, which it reports as ValueError
+
+    @pytest.mark.parametrize("argv, what", [
+        (["solve", "--preset", "ex1", "--imax", str(DEEP), "--outdir", "out"],
+         f"a table of queue depth {DEEP}"),
+        (["curve", "--preset", "ex1", "--k", "1", "--imax", str(DEEP), "--out", "dh.csv"],
+         f"a table of queue depth {DEEP}"),
+        (["verify", "--grid", "examples", "--imax", str(DEEP), "--jobs", "1", "--out", "v.json"],
+         f"a table of queue depth {DEEP}"),
+        # Rates 10 orders of magnitude apart: the search cap, and so the solve depth.
+        (["thresholds", "--c1", "2", "--c2", "1", "--mu1", "1e-5", "--mu2", "1e5", "--h0", "1",
+          "--h1", "1", "--h2", "1", "--outdir", "out"],
+         "a table of queue depth 99999999989999960067"),
+        (["simulate", "--preset", "ex1", "--policy", "pi1", "--i0", "2", "--reps", str(DEEP),
+          "--out", "sim.json"], f"the costs of {DEEP} replications"),
+        (["simulate", "--preset", "ex1", "--policy", "pi1", "--i0", str(DEEP), "--reps", "10",
+          "--out", "sim.json"], f"an episode of {DEEP + 4} events"),
+    ], ids=["solve", "curve", "verify", "thresholds", "simulate-reps", "simulate-i0"])
+    def test_size_past_the_index_range_is_out_of_memory(self, argv, what, tmp_path, monkeypatch,
+                                                        capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"clearq: out of memory: cannot allocate {what} (")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_bare_memory_error_one_line_without_detail(self, monkeypatch, capsys):
         # A failed allocation of a Python object, a list say, raises MemoryError() bare.
         def command(args):
@@ -242,14 +271,14 @@ class TestThresholdsCommand:
         # Value column k of every level holds k * fill, so D = 1.0 never turns negative
         # (CapExceeded), or D is NaN (NaNInDiff), at every level.
         params = EXAMPLE_PARAMS["ex1"]
-        real = solver.solve_optimal
+        real = thresholds.solve_optimal
 
         def corrupted(params, i_max):
             table = real(params, i_max)
             table.levels[:] = np.arange(params.C1 + 1) * fill
             return table
 
-        monkeypatch.setattr(solver, "solve_optimal", corrupted)
+        monkeypatch.setattr(thresholds, "solve_optimal", corrupted)
         first = next(s for s in threshold_spec(params)
                      if s.classification is Classification.FINITE_EXPECTED)
         if math.isnan(fill):

@@ -1,6 +1,8 @@
-"""Import hygiene of the package: no module imports a name it never reads, and the
-solver takes Policy objects without importing the policies module."""
+"""Import hygiene of the package: no module imports a name it never reads, the
+solver takes Policy objects without importing the policies module, and the
+modules import one another at module level only, with no cycle."""
 import ast
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "clearq"
@@ -44,3 +46,45 @@ def test_solver_does_not_import_policies():
             imported.add("." * node.level + (node.module or ""))
     assert imported & {".policies", "clearq.policies"} == set()
     assert ".model" in imported  # the scan reads relative imports
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """The package modules that the imports anywhere in the tree name, as ``solver``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names if alias.name.startswith("clearq."))
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "clearq"
+                                                   or (node.module or "").startswith("clearq.")):
+            if node.module in (None, "clearq"):  # from . import solver
+                names.update(alias.name for alias in node.names)
+            else:
+                names.add(node.module)
+    return {name.removeprefix("clearq.") for name in names}
+
+
+def import_graph() -> dict[str, set[str]]:
+    return {path.stem: package_imports(_tree(path.name)) for path in PACKAGE.glob("*.py")}
+
+
+def test_package_imports_are_found():
+    tree = ast.parse("import os\nimport clearq.model\nfrom . import solver\n"
+                     "from .thresholds import x\nfrom clearq.cli import main\n")
+    assert package_imports(tree) == {"model", "solver", "thresholds", "cli"}
+
+
+def test_no_function_imports_a_package_module():
+    deferred = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path.name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and package_imports(node):
+                deferred[f"{path.stem}.{node.name}"] = package_imports(node)
+    assert deferred == {}
+
+
+def test_package_import_graph_is_acyclic():
+    graph = import_graph()
+    order = list(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+    assert graph["solver"] == {"model"}
+    assert "solver" in graph["thresholds"]
+    assert order.index("model") < order.index("solver") < order.index("thresholds")

@@ -31,9 +31,9 @@ from clearq.policies import (
 )
 import clearq.policies as policies
 import clearq.solver as solver
+import clearq.thresholds as thresholds
 from clearq.solver import (
     diff,
-    recursion_check,
     solve_family,
     solve_optimal,
     solve_under_policy,
@@ -43,6 +43,7 @@ from clearq.thresholds import (
     compute_actual_profile,
     constants,
     heuristic_profile,
+    recursion_check,
     search_caps,
     threshold_spec,
 )
@@ -297,12 +298,12 @@ def recursion_check_reference(params, diff_table):
                 applies, np.abs(here - pred) / (1.0 + np.abs(here)), 0.0)
     scaled[np.isnan(scaled)] = np.inf
     if not scaled.size:
-        return solver.RecursionReport(0.0, None)
+        return thresholds.RecursionReport(0.0, None)
     at = int(np.argmax(scaled))  # the first maximum in (i, k, form) order
     if not scaled.flat[at] > 0.0:
-        return solver.RecursionReport(0.0, None)
+        return thresholds.RecursionReport(0.0, None)
     level, k_index, _ = np.unravel_index(at, scaled.shape)
-    return solver.RecursionReport(
+    return thresholds.RecursionReport(
         float(scaled.flat[at]), State(int(level) + 1, int(k_index) + 1, c1 - int(k_index) - 1))
 
 
@@ -318,7 +319,7 @@ class TestRecursion:
     def test_blocks_equal_reference(self, monkeypatch, block):
         # Faults set the worst residual: NaN and inf count as infinite, and the
         # first of equal maxima is reported, also when they lie in different blocks.
-        monkeypatch.setattr(solver, "_RESIDUAL_BLOCK", block)
+        monkeypatch.setattr(thresholds, "_RESIDUAL_BLOCK", block)
         cases = []
         for params in EXAMPLE_PARAMS.values():
             for depth in (0, 1, 12, 40):
@@ -535,7 +536,7 @@ class TestExactRecursion:
         certified = 0
         for params in random.Random(20261020).sample(searched, 130):
             spec, reported = threshold_spec(params), compute_actual_profile(params)
-            finite = spec.h0_free.finite
+            finite = spec.finite
             d = exact_d_recursion(params, max(reported[s.index] for s in finite))
             for s in finite:
                 column = [d[i, s.k] for i in range(reported[s.index] + 1)]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 import clearq.solver as solver
 import clearq.thresholds as thresholds
 from clearq.experiments import EXAMPLE_PARAMS, table4_params
-from clearq.model import WITHOUT_H0_CACHE_SIZE, SystemParams, band_sign, cost_gap_sign
+from clearq.model import (
+    WITHOUT_H0_CACHE_SIZE,
+    SystemParams,
+    band_sign,
+    cost_gap_sign,
+    snaps_to_integer,
+)
 from clearq.policies import benchmark
 from clearq.solver import ValueTable, diff, solve_optimal, solve_under_policy
 from clearq.thresholds import (
@@ -31,8 +38,8 @@ from clearq.thresholds import (
 
 
 def probs(params, k):
-    """(p_k, q_k, r_k) of the difference recursion at k = 1..C1, off threshold_spec's h0-free record."""
-    return threshold_spec(params).h0_free.weights[k - 1][:3]
+    """(p_k, q_k, r_k) of the difference recursion at k = 1..C1, off threshold_spec's record."""
+    return threshold_spec(params).weights[k - 1][:3]
 
 
 def affine_pieces(params, k):
@@ -237,7 +244,7 @@ class TestActualProfile:
         params = EXAMPLE_PARAMS["ex7"]
         spec, caps = threshold_spec(params), search_caps(params)
         assert spec.independent
-        first = spec.h0_free.finite[0]
+        first = spec.finite[0]
         depth = required_depth(params)
         # v(i, k, C1 - k) = -k, so D = -1.0 at every level and k.
         levels = np.tile(-np.arange(params.C1 + 1.0), (depth + 1, 1))
@@ -286,7 +293,7 @@ class TestActualProfile:
 @pytest.fixture(scope="module")
 def grid_profiles():
     """(params, actual profile, optimal solve depths, diff calls) at each table4 point."""
-    real_solve, real_diff = solver.solve_optimal, solver.diff
+    real_solve, real_diff = thresholds.solve_optimal, solver.diff
     depths, diffs, out = [], [], []
 
     def counted_solve(params, i_max):
@@ -294,7 +301,7 @@ def grid_profiles():
         return real_solve(params, i_max)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "solve_optimal", counted_solve)
+        mp.setattr(thresholds, "solve_optimal", counted_solve)
         mp.setattr(solver, "diff", lambda table: diffs.append(table) or real_diff(table))
         for params in table4_params():
             act = compute_actual_profile(params)
@@ -336,7 +343,7 @@ class TestStudyGrid:
             table = solve_optimal(params, required_depth(params))
             dt = diff(table)
             spec, v = threshold_spec(params), table.levels
-            want = dict(spec.h0_free.skeleton)
+            want = dict(spec.skeleton)
             for index, cap in search_caps(params).items():
                 k = spec[index].k
                 column = v[:cap + 1, k] - v[:cap + 1, k - 1]
@@ -514,7 +521,7 @@ def assert_matches_direct_computation(params):
     assert {s.index: condition1(params, s.index) for s in threshold_spec(params)} == verdicts
     # The weights recursion_check and condition1 read, and c_k, b_k beside them.
     want = [direct_weights(params, k) for k in range(1, params.C1 + 1)]
-    assert [(p, q, r, b) for p, q, r, _, b in want] == list(threshold_spec(params).h0_free.weights)
+    assert [(p, q, r, b) for p, q, r, _, b in want] == list(threshold_spec(params).weights)
     for k in range(1, params.C1 + 1):
         assert probs(params, k) == want[k - 1][:3]
         assert affine_pieces(params, k) == want[k - 1][3:]
@@ -525,21 +532,20 @@ def per_function_h0_terms(params):
     record with the expressions of the separate constants and search-cap functions that
     the H0Terms record replaced: the oracle that the one-pass build moves no bit."""
     spec = threshold_spec(params)
-    t = spec.h0_free
-    c = (params.h0 / params.C1) * t.rate_gap
-    c_prime = -params.h0 / t.c2_mu2
-    r1 = None if t.rate == 0 else -t.b / c
-    shift = -t.b_prime / c_prime
-    r2 = {k: shift + y for k, y in t.y.items()}
+    c = (params.h0 / params.C1) * spec.rate_gap
+    c_prime = -params.h0 / spec.c2_mu2
+    r1 = None if spec.rate == 0 else -spec.b / c
+    shift = -spec.b_prime / c_prime
+    r2 = {k: shift + y for k, y in spec.y.items()}
     caps = {}
-    for s in t.finite:
+    for s in spec.finite:
         if spec.independent:
             heur = thresholds.first_int_at_root(r1)
         elif s.l >= params.C2:
             heur = max(thresholds.first_int_after_root(r2[s.k]), 0)
         else:
             heur = thresholds.first_int_after_root(r1)
-        d_prod, sandwich, linear = t.caps.get(s.index, (None, False, ()))
+        d_prod, sandwich, linear = spec.caps.get(s.index, (None, False, ()))
         bounds = [heur + params.C1] if sandwich and not math.isinf(heur) else []
         for numerator, factor in linear:
             coef = factor * params.h0 / d_prod
@@ -559,10 +565,10 @@ class TestH0FreeTerms:
         # The whole grid's keys fit, so no point's record is rebuilt in any order.
         assert len(groups) == 324 <= WITHOUT_H0_CACHE_SIZE
         for points in groups.values():
-            terms = threshold_spec(points[0]).h0_free
+            terms = threshold_spec(points[0])
             assert len(points) == 7
             for params in points:
-                assert threshold_spec(params).h0_free is terms
+                assert threshold_spec(params) is terms
                 assert constants(params).y is terms.y
                 assert_matches_direct_computation(params)
 
@@ -571,7 +577,7 @@ class TestH0FreeTerms:
         floats = SystemParams(4, 2, 3.0, 1.0, 1.0, 2.0, 1.0)
         for params in (*EXAMPLE_PARAMS.values(), ints, floats):
             assert_matches_direct_computation(params)
-        assert threshold_spec(ints).h0_free is threshold_spec(floats).h0_free
+        assert threshold_spec(ints) is threshold_spec(floats)
 
     def test_h0_terms_equal_the_per_function_expressions(self):
         for params in (*table4_params(), *EXAMPLE_PARAMS.values()):
@@ -581,7 +587,7 @@ class TestH0FreeTerms:
             assert list(search_caps(params).items()) == list(caps.items()), params
 
     def test_record_is_read_only(self):
-        terms = threshold_spec(EXAMPLE_PARAMS["ex3"]).h0_free
+        terms = threshold_spec(EXAMPLE_PARAMS["ex3"])
         for mapping in (terms.y, terms.skeleton, terms.caps, terms.weights):
             with pytest.raises(TypeError):
                 mapping[1] = 0
@@ -590,6 +596,39 @@ class TestH0FreeTerms:
     @settings(max_examples=100, deadline=None)
     def test_random_points_match_direct_computation(self, params):
         assert_matches_direct_computation(params)
+
+
+def exact_roots(params):
+    """R1 (None when mu1 = mu2) and R2(k) by k from the model's formulas in Fraction
+    arithmetic, with each rate and cost taken as Fraction(repr(x))."""
+    c1, c2 = params.C1, params.C2
+    mu1, mu2, h0, h1, h2 = (Fraction(repr(x)) for x in
+                            (params.mu1, params.mu2, params.h0, params.h1, params.h2))
+    c = h0 / c1 * (1 / mu1 - 1 / mu2)
+    r1 = None if c == 0 else -(h1 / mu1 - h2 / mu2) / c
+    b_prime = (h1 - h2) / mu1 - c1 * h2 / (c2 * mu2)
+    c_prime = -h0 / (c2 * mu2)
+    return r1, {k: (k - 1) + min(c1 - k, c2) * mu2 / mu1 - b_prime / c_prime
+                for k in range(1, c1 + 1)}
+
+
+class TestSnappedRoots:
+    def test_every_snapped_root_is_an_exact_integer(self):
+        # A float root within the INT_SNAP band of an integer is read as that integer;
+        # at every grid point and example the exact root is that integer.
+        snapped, wrong = 0, []
+        for params in (*table4_params(), *EXAMPLE_PARAMS.values()):
+            cst = constants(params)
+            exact_r1, exact_r2 = exact_roots(params)
+            roots = [("R1", cst.r1, exact_r1)] if cst.r1 is not None else []
+            roots += [(f"R2({k})", r2, exact_r2[k]) for k, r2 in cst.r2.items()]
+            for name, root, exact in roots:
+                if snaps_to_integer(root):
+                    snapped += 1
+                    if exact != round(root):
+                        wrong.append((params, name, root, exact))
+        assert wrong == []
+        assert snapped == 5042
 
 
 class TestSurrogate:
