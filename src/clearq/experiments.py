@@ -7,6 +7,7 @@ satisfy and reports the first counterexample per failure.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -18,12 +19,16 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .model import (
+    WITHOUT_H0_CACHE_SIZE,
+    ZERO_BAND,
     SystemParams,
-    _band_sides,
+    WithoutH0,
     _check_rate_or_cost,
     _is_integer,
     band_sign,
+    check_index,
     cost_gap_sign,
+    read_only,
     snaps_to_integer,
 )
 from .policies import optimal_greedy, policy_by_id
@@ -40,6 +45,7 @@ from .thresholds import (
     Classification,
     Condition1Verdict,
     NaNInDiff,
+    _threshold_spec,
     actual_profile,
     boundary_diff_formula,
     condition1,
@@ -392,8 +398,9 @@ def write_table_csv(stats: list[ErrorStats], table: int, path) -> None:
 # Invariant verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One check at one point: ``detail`` names the first offending state when it fails."""
+
     name: str
     params: SystemParams
     passed: bool
@@ -432,48 +439,101 @@ class VerificationReport:
             fh.write("\n")
 
 
-def _ineq_tol(a, b):
-    """Inequality slack between a and b; elementwise when given arrays."""
-    return 1e-9 * (1.0 + (abs(a) + abs(b)))
+def _ineq_tol(size_a, size_b):
+    """Inequality slack between two values of magnitudes size_a and size_b; elementwise."""
+    return 1e-9 * (1.0 + (size_a + size_b))
 
 
-def _first(mask: np.ndarray) -> tuple[int, ...]:
-    """Index of the first True entry of a mask that holds one, in row-major order."""
-    return tuple(int(x) for x in np.unravel_index(int(mask.argmax()), mask.shape))
+def _first_failure(holds: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first False entry of a mask, in row-major order; None if every entry holds."""
+    if np.count_nonzero(holds) == holds.size:
+        return None
+    return tuple(int(x) for x in np.unravel_index(int(holds.argmin()), holds.shape))
+
+
+class _CheckTerms(NamedTuple):
+    """What the checks read of a parameter set that does not read h0; read-only.
+
+    Rows are rows of ``_PointArrays.d``: row k - 1 is D column k, whose Station 2 count
+    C1 - k falls with the row, so the rows with l >= C2 lead.
+    """
+
+    family: tuple[str, ...]  # the policy family, in policy_family order
+    independent: bool  # the threshold orientation
+    positive: tuple[int, bool] | None  # rows first.. (l < C2) where D > 0, strictly or weakly
+    blocked: int | None  # rows ..stop-1 (l >= C2) where D <= 0
+    monotone: tuple[tuple[int, int, bool], ...]  # row ranges (first, stop, non-increasing)
+    upper: bool  # whether D has the affine upper bound as well as the lower one
+    boundary: np.ndarray  # D(0, k, l) by the closed form, then its slack, in column order
+
+
+@functools.lru_cache(maxsize=WITHOUT_H0_CACHE_SIZE)
+def _check_terms(params: WithoutH0) -> _CheckTerms:
+    """The checks' h0-free terms, built once per ``params.without_h0``."""
+    c1, c2 = params.C1, params.C2
+    gap, rate = cost_gap_sign(params), band_sign(params.mu1 - params.mu2)
+    blocked = max(c1 - c2, 0)  # rows 0..blocked-1 have l >= C2
+    # mu1 <= mu2 with a free dedicated server: collaborative always weakly wins;
+    # strictly when h1/mu1 > h2/mu2.
+    positive = (blocked, gap > 0) if rate <= 0 and gap >= 0 else None
+    if rate >= 0:
+        falling, rising = c1, c1  # D non-increasing in the queue at every k
+    else:
+        falling = blocked if gap >= 0 else 0  # rows 0..falling-1: non-increasing
+        rising = blocked if gap <= 0 else c1  # rows rising..C1-1: non-decreasing
+    monotone = tuple((first, stop, falls) for first, stop, falls in
+                     ((0, falling, True), (rising, c1, False)) if first != stop)
+    # The i = 0 states lead the columns: by total jobs in service n, then k.
+    expected = [boundary_diff_formula(params, k, n - k)
+                for n in range(1, c1 + 1) for k in range(1, n + 1)]
+    (boundary,) = read_only(np.array([expected, [1e-12 * (1.0 + abs(x)) for x in expected]]))
+    return _CheckTerms(
+        policy_family(cost_regime_label(params)), _threshold_spec(params).independent,
+        positive, blocked if rate <= 0 and gap <= 0 else None, monotone, rate <= 0, boundary)
 
 
 class _PointArrays(NamedTuple):
     """What the checks read of a point's difference table up to i_max, derived once per point.
 
-    ``d[k - 1, i]`` is D(i, k, C1 - k) on the fully-busy levels.  ``neg`` and
-    ``pos`` mark where its band sign is negative and where positive, a NaN in
-    both, so a NaN fails every sign check.  ``l`` is the Station 2 count of each
-    row of ``d``, as a column, and ``columns`` is ``dt.columns(i_max)``.
+    ``columns`` is ``dt.columns(i_max)`` and ``size`` the magnitude of its entries.
+    ``d[k - 1, i]`` is D(i, k, C1 - k) on the fully-busy levels and ``d_size`` its
+    magnitude, views of the two.  ``not_neg`` and ``not_pos`` mark where its band
+    sign is not negative and where not positive, a NaN in neither, so a NaN fails
+    every sign check.  ``terms`` is the parameter set's ``_CheckTerms``.
     """
 
-    d: np.ndarray
-    neg: np.ndarray
-    pos: np.ndarray
-    l: np.ndarray
     columns: tuple
+    size: np.ndarray
+    d: np.ndarray
+    d_size: np.ndarray
+    not_neg: np.ndarray
+    not_pos: np.ndarray
+    terms: _CheckTerms
 
 
 def _point_arrays(params: SystemParams, dt: DiffTable, i_max: int) -> _PointArrays:
-    d = dt.levels[: i_max + 1, 1:].T
-    l = np.arange(params.C1 - 1, -1, -1)[:, None]
-    return _PointArrays(d, *_band_sides(d), l, dt.columns(i_max))
+    columns = dt.columns(i_max)
+    entry, c1 = columns[3], params.C1
+    size = np.abs(entry)
+    # The levels follow the C1 (C1 - 1) / 2 states with fewer than C1 jobs in service.
+    first = c1 * (c1 - 1) // 2
+    d, d_size = entry[first:].reshape(-1, c1).T, size[first:].reshape(-1, c1).T
+    tol = ZERO_BAND * (1.0 + d_size)  # model.band_sign, as two masks
+    return _PointArrays(columns, size, d, d_size, d >= -tol, d <= tol,
+                        _check_terms(params.without_h0))
 
 
 # Each check returns None when it holds, else a detail naming its first
-# offending state.  Each mask marks the states that fail, a NaN among them:
-# a comparison that must hold is negated, as in ~(hi >= lo - tol).
+# offending state.  Each mask marks the states where the check holds; a
+# comparison that must hold is False at a NaN, so a NaN fails.
 
 def check_value_monotone(params: SystemParams, table: ValueTable, i_max: int):
-    lo, hi = table.levels[:i_max], table.levels[1:i_max + 1]
-    bad = ~(hi >= lo - _ineq_tol(lo, hi))
-    if not bad.any():
+    v = table.levels[:i_max + 1]
+    size = np.abs(v)
+    lo, hi = v[:-1], v[1:]
+    at = _first_failure(hi >= lo - _ineq_tol(size[:-1], size[1:]))
+    if at is None:
         return None
-    at = _first(bad)
     i, k = at
     l = params.C1 - k
     return f"v({i + 1},{k},{l}) < v({i},{k},{l}): {float(hi[at])!r} < {float(lo[at])!r}"
@@ -483,70 +543,66 @@ def check_diagonal_monotone(params: SystemParams, arrays: _PointArrays):
     # In column order (by level, then total jobs in service, then k) the
     # partner (i, k+1, l-1) of a state with l >= 1 is the next state.
     i, k, l, d = arrays.columns
-    lo, hi = d[:-1], d[1:]
-    bad = (l[:-1] >= 1) & ~(hi >= lo - _ineq_tol(lo, hi))
-    if not bad.any():
+    size = arrays.size
+    holds = d[1:] >= d[:-1] - _ineq_tol(size[:-1], size[1:])
+    holds |= l[:-1] < 1
+    at = _first_failure(holds)
+    if at is None:
         return None
-    (n,) = _first(bad)
+    (n,) = at
     return f"D({i[n]},{k[n] + 1},{l[n] - 1}) < D({i[n]},{k[n]},{l[n]})"
 
 
 def check_single_sign_change(params: SystemParams, arrays: _PointArrays):
-    # Band-zeros commit to neither side; only a strict sign reversal counts.
-    independent = threshold_spec(params).independent
-    crossing, back = (arrays.pos, arrays.neg) if independent else (arrays.neg, arrays.pos)
-    bad = back & np.logical_or.accumulate(crossing, axis=1)
-    if not bad.any():
+    # Band-zeros commit to neither side; only a strict sign reversal counts.  D holds
+    # where it has not crossed yet, or where it does not cross back.
+    independent = arrays.terms.independent
+    before, stays = ((arrays.not_pos, arrays.not_neg) if independent
+                     else (arrays.not_neg, arrays.not_pos))
+    at = _first_failure(stays | np.logical_and.accumulate(before, axis=1))
+    if at is None:
         return None
-    k, i = _first(bad)
+    k, i = at
     k += 1
     side = "negative" if independent else "positive"
     return f"D returned {side} at ({i},{k},{params.C1 - k}) after crossing"
 
 
 def check_positive_no_blocking(params: SystemParams, arrays: _PointArrays):
-    # mu1 <= mu2 with a free dedicated server: collaborative always weakly wins.
-    if band_sign(params.mu1 - params.mu2) > 0 or cost_gap_sign(params) < 0:
+    if arrays.terms.positive is None:
         return None
+    first, strict = arrays.terms.positive
     # Strictly, D fails where it is not positive; weakly, where it is negative.
-    failing = (~arrays.pos | arrays.neg) if cost_gap_sign(params) > 0 else arrays.neg
-    bad = (arrays.l < params.C2) & failing
-    if not bad.any():
+    holds = arrays.not_neg[first:]
+    if strict:
+        holds = holds & ~arrays.not_pos[first:]
+    at = _first_failure(holds)
+    if at is None:
         return None
-    k, i = _first(bad)
-    k += 1
+    row, i = at
+    k = first + row + 1
     return f"D({i},{k},{params.C1 - k}) not positive"
 
 
 def check_nonpositive_blocked(params: SystemParams, arrays: _PointArrays):
-    if band_sign(params.mu2 - params.mu1) < 0 or cost_gap_sign(params) > 0:
+    if arrays.terms.blocked is None:
         return None
-    bad = (arrays.l >= params.C2) & arrays.pos
-    if not bad.any():
+    at = _first_failure(arrays.not_pos[:arrays.terms.blocked])
+    if at is None:
         return None
-    k, i = _first(bad)
+    k, i = at
     k += 1
     return f"D({i},{k},{params.C1 - k}) > 0"
 
 
 def check_monotone_in_queue(params: SystemParams, arrays: _PointArrays):
-    # The rows of arrays.d with l >= C2, k = 1..C1 - C2, lead.
-    c1 = params.C1
-    if band_sign(params.mu1 - params.mu2) >= 0:
-        falling, rising = c1, c1  # D non-increasing at every k
-    else:
-        gap = cost_gap_sign(params)
-        blocked = max(c1 - params.C2, 0)
-        falling = blocked if gap >= 0 else 0  # rows 0..falling-1: non-increasing
-        rising = blocked if gap <= 0 else c1  # rows rising..C1-1: non-decreasing
-    for first, stop, falls in ((0, falling, True), (rising, c1, False)):
-        if first == stop:
-            continue
-        lo, hi = arrays.d[first:stop, :-1], arrays.d[first:stop, 1:]
-        tol = _ineq_tol(lo, hi)
-        bad = ~(hi <= lo + tol) if falls else ~(hi >= lo - tol)
-        if bad.any():
-            row, i = _first(bad)
+    d, size, c1 = arrays.d, arrays.d_size, params.C1
+    for first, stop, falls in arrays.terms.monotone:
+        lo, hi = d[first:stop, :-1], d[first:stop, 1:]
+        tol = _ineq_tol(size[first:stop, :-1], size[first:stop, 1:])
+        at = _first_failure(hi <= lo + tol if falls else hi >= lo - tol)
+        if at is not None:
+            row, i = at
             k = first + row + 1
             trend = "non-increasing" if falls else "non-decreasing"
             return f"D not {trend} at ({i},{k},{c1 - k})"
@@ -556,15 +612,17 @@ def check_monotone_in_queue(params: SystemParams, arrays: _PointArrays):
 def check_affine_bounds(params: SystemParams, arrays: _PointArrays):
     cst = constants(params)
     i, k, l, d = arrays.columns
+    size = arrays.size
     lower = i * cst.c_prime + cst.b_prime
-    below = bad = ~(d >= lower - _ineq_tol(d, lower))
-    if band_sign(params.mu2 - params.mu1) >= 0:
+    holds = over_lower = d >= lower - _ineq_tol(size, np.abs(lower))
+    if arrays.terms.upper:
         upper = i * cst.c + cst.b
-        bad = below | ~(d <= upper + _ineq_tol(d, upper))
-    if not bad.any():
+        holds = over_lower & (d <= upper + _ineq_tol(size, np.abs(upper)))
+    at = _first_failure(holds)
+    if at is None:
         return None
-    (n,) = _first(bad)
-    bound = "below affine lower bound" if below[n] else "above affine upper bound"
+    (n,) = at
+    bound = "above affine upper bound" if over_lower[n] else "below affine lower bound"
     return f"D({i[n]},{k[n]},{l[n]}) {bound}"
 
 
@@ -577,13 +635,13 @@ def check_recursion_residual(params: SystemParams, dt: DiffTable):
 
 def check_boundary_formula(params: SystemParams, arrays: _PointArrays):
     # The C1 (C1 + 1) / 2 states at i = 0 lead the columns.
-    count = params.C1 * (params.C1 + 1) // 2
-    _, ks, ls, ds = (column[:count].tolist() for column in arrays.columns)
-    for k, l, d_val in zip(ks, ls, ds):
-        expected = boundary_diff_formula(params, k, l)
-        if not abs(d_val - expected) <= 1e-12 * (1.0 + abs(expected)):
-            return f"D(0,{k},{l}) != boundary formula"
-    return None
+    expected, slack = arrays.terms.boundary
+    _, k, l, d = arrays.columns
+    at = _first_failure(np.abs(d[:len(expected)] - expected) <= slack)
+    if at is None:
+        return None
+    (n,) = at
+    return f"D(0,{k[n]},{l[n]}) != boundary formula"
 
 
 def check_policy_dominance(
@@ -592,16 +650,16 @@ def check_policy_dominance(
     # family_tables: one table per policy of the point's family, in policy_family order.
     opt = table.levels[i_max]
     got = np.array([v_pi.levels[i_max] for v_pi in family_tables])
-    bad = ~(got >= opt - _ineq_tol(opt, got))
-    if not bad.any():
+    at = _first_failure(got >= opt - _ineq_tol(np.abs(opt), np.abs(got)))
+    if at is None:
         return None
-    row, k = _first(bad)
+    row, k = at
     policy_id = policy_family(cost_regime_label(params))[row]
     return f"v^{policy_id}({i_max},{k},{params.C1 - k}) < optimal"
 
 
-def _differs(opt: np.ndarray, got: np.ndarray) -> np.ndarray:
-    return ~(np.abs(got - opt) <= 1e-9 * (1.0 + np.abs(opt)))
+def _agrees(opt: np.ndarray, got: np.ndarray) -> np.ndarray:
+    return np.abs(got - opt) <= 1e-9 * (1.0 + np.abs(opt))
 
 
 def check_greedy_reproduces_optimal(
@@ -613,14 +671,15 @@ def check_greedy_reproduces_optimal(
     # of one parameter set share their boundary, which then needs no comparison.
     c1 = params.C1
     if greedy_table.boundary is not table.boundary:
-        bad = np.tri(c1, dtype=bool) & _differs(table.boundary, greedy_table.boundary)
-        if bad.any():
-            n, k = _first(bad)
+        outside = ~np.tri(c1, dtype=bool)  # above the diagonal, NaN in both
+        at = _first_failure(outside | _agrees(table.boundary, greedy_table.boundary))
+        if at is not None:
+            n, k = at
             return f"greedy value differs at {(0, k, n - k)}"
-    bad = _differs(table.levels[:i_max + 1], greedy_table.levels)
-    if not bad.any():
+    at = _first_failure(_agrees(table.levels[:i_max + 1], greedy_table.levels))
+    if at is None:
         return None
-    i, k = _first(bad)
+    i, k = at
     return f"greedy value differs at {(i, k, c1 - k)}"
 
 
@@ -634,34 +693,35 @@ def check_threshold_structure(params: SystemParams, table: ValueTable):
     shift one side by one.
     """
     spec = threshold_spec(params)
-    heur = heuristic_profile(params)
+    heur = heuristic_profile(params).entries
     try:
-        act = actual_profile(params, table)
+        act = actual_profile(params, table).entries
     except (CapExceeded, NaNInDiff) as exc:
         return str(exc)
     cst = constants(params)
+    c1, c2, independent = params.C1, params.C2, spec.independent
     # Independent-orientation thresholds carry a tilde and are indexed by l.
-    d_name, h_name, ix = ("i~_D", "i~_H", "l") if spec.independent else ("i_D", "i_H", "k")
+    d_name, h_name, ix = ("i~_D", "i~_H", "l") if independent else ("i_D", "i_H", "k")
     finite = Classification.FINITE_EXPECTED
+    holding = (Condition1Verdict.HOLDS_QUEUE_SIDE, Condition1Verdict.HOLDS_COLLAB_SIDE)
     h_gap = band_sign(params.h0 - params.h2)
     issues = []
     verdicts = {}  # condition1 per index, each worked out once
-    indices = act.indices()
+    indices = sorted(act)
     for a, b in zip(indices, indices[1:]):
         if act[a] > act[b]:
             issues.append(f"{d_name}({a}) > {d_name}({b})")
-    for s in spec:
-        index, k, l = s.index, s.k, s.l
+    for index, k, l, classification in spec:
         i_h, i_d = heur[index], act[index]
-        if l < params.C2 and s.classification is finite:
-            if not (i_h <= i_d <= i_h + params.C1 - 1):
+        strict = classification is finite
+        if l < c2 and strict:
+            if not (i_h <= i_d <= i_h + c1 - 1):
                 issues.append(f"sandwich fails at {ix}={index}: {i_h} vs {i_d}")
         if math.isinf(i_h) != math.isinf(i_d):
             issues.append(f"finiteness mismatch at {ix}={index}")
-        if spec.independent or l < params.C2:
+        if independent or l < c2:
             continue
         # Collaborative orientation with a Station 2 queue: index = k.
-        strict = s.classification is finite
         if strict == (i_d == 0):
             issues.append(f"zero-threshold iff fails at k={k}")
         if i_d >= 1:
@@ -674,29 +734,25 @@ def check_threshold_structure(params: SystemParams, table: ValueTable):
         clean_k = not snaps_to_integer(cst.r2[k])
         neighbour_strict = k >= 2 and spec[k - 1].classification is finite
         verdict = verdicts[k] = condition1(params, k)
-        holds = verdict in (
-            Condition1Verdict.HOLDS_QUEUE_SIDE,
-            Condition1Verdict.HOLDS_COLLAB_SIDE,
-        )
-        if holds and clean_k:
+        if verdict in holding and clean_k:
             if i_h != i_d:
                 issues.append(f"condition holds at k={k} but thresholds differ")
             # k - 1 has a longer Station 2 queue, so its verdict is already known.
             prev_holds = k >= 2 and verdicts[k - 1] == verdict
             if prev_holds and neighbour_strict and not snaps_to_integer(cst.r2[k - 1]):
-                if act[k] != act[k - 1] + 1:
+                if i_d != act[k - 1] + 1:
                     issues.append(f"condition holds at k={k} but i_D increment != 1")
-        if h_gap == 0 and neighbour_strict and strict and act[k] != act[k - 1] + 1:
+        if h_gap == 0 and neighbour_strict and strict and i_d != act[k - 1] + 1:
             issues.append(f"h0=h2 but i_D({k}) != i_D({k - 1}) + 1")
         if (
             neighbour_strict
             and strict
-            and not math.isinf(heur[k])
-            and heur[k] >= 1
-            and heur[k] != heur[k - 1] + 1
+            and not math.isinf(i_h)
+            and i_h >= 1
+            and i_h != heur[k - 1] + 1
         ):
             issues.append(f"i_H({k}) != i_H({k - 1}) + 1")
-    if params.C1 == 1:
+    if c1 == 1:
         for index in indices:
             if not math.isinf(act[index]) and act[index] != heur[index]:
                 issues.append(f"C1=1 but {d_name}({index}) != {h_name}({index})")
@@ -724,34 +780,32 @@ def verify_point(params: SystemParams, i_max: int) -> list[CheckResult]:
 
     The optimal table goes as deep as ``required_depth`` asks.  One pass of the level kernel to
     i_max, over policy rows alone, evaluates the point's policy family and the greedy rule read
-    off that table.  The arrays the checks share are derived once, by ``_point_arrays``.
+    off that table.  The arrays the checks share are derived once per point, by
+    ``_point_arrays``; what they read that does not depend on h0 is built once per
+    ``params.without_h0``.
     """
-    if i_max < 0:
-        raise ValueError("i_max must be non-negative")
+    check_index("i_max", i_max)
     table = solve_optimal(params, max(i_max, required_depth(params)))
     dt = diff(table)
     arrays = _point_arrays(params, dt, i_max)
-    policies = [policy_by_id(params, p) for p in policy_family(cost_regime_label(params))]
+    policies = [policy_by_id(params, p) for p in arrays.terms.family]
     *family_tables, greedy_table = _solve(params, i_max, (*policies, optimal_greedy(table)), False)
-    outcomes = {
-        "value_monotone_in_queue": check_value_monotone(params, table, i_max),
-        "diff_diagonal_monotone": check_diagonal_monotone(params, arrays),
-        "single_sign_change": check_single_sign_change(params, arrays),
-        "positive_without_blocking": check_positive_no_blocking(params, arrays),
-        "nonpositive_when_blocked": check_nonpositive_blocked(params, arrays),
-        "diff_monotone_in_queue": check_monotone_in_queue(params, arrays),
-        "affine_bounds": check_affine_bounds(params, arrays),
-        "recursion_residual": check_recursion_residual(params, dt),
-        "boundary_formula": check_boundary_formula(params, arrays),
-        "policy_dominance": check_policy_dominance(params, table, family_tables, i_max),
-        "greedy_reproduces_optimal": check_greedy_reproduces_optimal(
-            params, table, greedy_table, i_max),
-        "threshold_structure": check_threshold_structure(params, table),
-    }
-    return [
-        CheckResult(name, params, passed=(detail is None), detail=detail or "")
-        for name, detail in outcomes.items()
-    ]
+    details = (  # in POINT_CHECKS order
+        check_value_monotone(params, table, i_max),
+        check_diagonal_monotone(params, arrays),
+        check_single_sign_change(params, arrays),
+        check_positive_no_blocking(params, arrays),
+        check_nonpositive_blocked(params, arrays),
+        check_monotone_in_queue(params, arrays),
+        check_affine_bounds(params, arrays),
+        check_recursion_residual(params, dt),
+        check_boundary_formula(params, arrays),
+        check_policy_dominance(params, table, family_tables, i_max),
+        check_greedy_reproduces_optimal(params, table, greedy_table, i_max),
+        check_threshold_structure(params, table),
+    )
+    return [CheckResult(name, params, detail is None, detail or "")
+            for name, detail in zip(POINT_CHECKS, details)]
 
 
 def verify(
@@ -760,8 +814,7 @@ def verify(
     """Run the full invariant suite over the points, on at most ``jobs`` processes (one per point)."""
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if i_max < 0:  # before any worker starts
-        raise ValueError("i_max must be non-negative")
+    check_index("i_max", i_max)  # before any worker starts
     workers = min(jobs or 1, len(params_list))
     i_maxes = [i_max] * len(params_list)
     if workers <= 1:
@@ -787,6 +840,9 @@ def dh_curve(
     """Aligned series of the exact difference and its affine surrogate."""
     if (k is None) == (l is None):
         raise ValueError("give exactly one of k or l")
+    name, index = ("k", k) if l is None else ("l", l)
+    if not _is_integer(index):
+        raise ValueError(f"{name} must be an integer, got {index!r}")
     if k is None:
         if not 0 <= l < params.C1:
             raise ValueError(f"l must be in 0..{params.C1 - 1}, got {l}")

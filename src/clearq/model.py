@@ -132,6 +132,14 @@ def _is_integer(x) -> bool:
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
+def check_index(name: str, value) -> None:
+    """Raise ValueError naming the argument unless value is a non-negative integer."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
+
+
 def validate(params: SystemParams) -> SystemParams:
     """Return params unchanged iff every invariant holds, else raise."""
     for field in ("C1", "C2"):
@@ -168,15 +176,6 @@ def band_sign(x: float) -> int:
     if x < -tol:
         return -1
     return 0
-
-
-def _band_sides(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of where band_sign is -1 and where it is +1 elementwise, with a NaN in both.
-
-    A NaN thus fails any test that rejects either sign.
-    """
-    tol = ZERO_BAND * (1.0 + np.abs(x))
-    return ~(x >= -tol), ~(x <= tol)
 
 
 def cost_gap_sign(params: SystemParams) -> int:

@@ -13,7 +13,9 @@ evaluates them once per (C1, depth) and the simulator once per estimate, on
 the whole (queue, k_busy) grid (``decision_grid``), whose shared index arrays
 are read-only.  The solvers take Policy objects, and each Policy keeps its
 decisions per (C1, depth) in its ``rows`` (``Policy.decision_rows``), so a
-rule must be a pure function of its arguments.
+rule must be a pure function of its arguments.  A Policy may also carry
+``grid``, which forms the rule's whole grid at once, with the same bits;
+``decision_grid`` then asks it instead of the rule.
 """
 from __future__ import annotations
 
@@ -40,10 +42,13 @@ class Policy:
     """Deterministic decision rule with a stable identifier.
 
     ``rows`` keeps its decision rows by (C1, depth), at most GRID_CACHE_SIZE.
+    ``grid(c1, depth)``, if given, returns ``decision_grid(rule, c1, depth)``
+    without asking the rule, or None where only the rule can answer.
     """
 
     id: str
     rule: Callable = field(repr=False)
+    grid: Callable | None = field(default=None, compare=False, repr=False)
     rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, q, k_busy, l_busy):
@@ -74,8 +79,13 @@ def decision_grid(rule, c1: int, q_max: int) -> np.ndarray:
     The rule gets them as shared read-only arrays and must not write into them.
     Returns the boolean array ``collab[q - 1, k_busy]`` of shape (q_max, C1).
     A Station 1 completion from (q, k, C1 - k) decides at k_busy = k - 1, a
-    Station 2 completion at k_busy = k.
+    Station 2 completion at k_busy = k.  A Policy whose ``grid`` answers forms
+    the array itself, without calling the rule.
     """
+    if isinstance(rule, Policy) and rule.grid is not None:
+        collab = rule.grid(c1, q_max)
+        if collab is not None:
+            return collab
     q, k_busy, l_busy = _decision_contexts(c1, q_max)
     collab = np.empty((q_max, c1), dtype=bool)
     collab[:] = np.asarray(rule(q, k_busy, l_busy), dtype=bool)
@@ -113,7 +123,15 @@ def optimal_greedy(value_table) -> Policy:
         d = levels[level, k + 1] - levels[level, k]
         return d > ZERO_BAND * (1.0 + np.abs(d))
 
-    return Policy("optimal", rule)
+    def grid(c1_asked, depth):
+        # Queue q reads level q - 1, so the grid is the first depth levels; past them
+        # the rule raises.
+        if c1_asked != c1 or depth > i_max + 1:
+            return None
+        d = levels[:depth, 1:] - levels[:depth, :-1]
+        return d > ZERO_BAND * (1.0 + np.abs(d))
+
+    return Policy("optimal", rule, grid)
 
 
 def pi_prime(params: SystemParams) -> Policy:
@@ -125,16 +143,22 @@ def pi_prime(params: SystemParams) -> Policy:
     orientation: serve independently iff q <= th, that is q - 1 < th.
     """
     spec = threshold_spec(params)
-    profile = heuristic_profile(params)
-    th = np.full(params.C1 + 1, math.inf)  # by D column k; column 0 is never read
+    entries = heuristic_profile(params).entries
+    c1, independent = params.C1, spec.independent
+    th = [math.inf] * (c1 + 1)  # by D column k; column 0 is never read
     for s in spec:
-        th[s.k] = profile[s.index]
-    independent, c1 = spec.independent, params.C1
+        th[s.k] = entries[s.index]
+    th = np.array(th, dtype=float)
 
     def rule(q, k_busy, l_busy):
         return (np.asarray(q) <= th[_k_busy(k_busy, c1) + 1]) != independent
 
-    return Policy("heuristic", rule)
+    def grid(c1_asked, depth):
+        if c1_asked != c1:
+            return None
+        return (_decision_contexts(c1, depth)[0] <= th[1:]) != independent
+
+    return Policy("heuristic", rule, grid)
 
 
 # The benchmark rules that read no parameter; pi4 and tpi4 read C2.

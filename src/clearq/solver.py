@@ -40,6 +40,7 @@ from .model import (
     SystemParams,
     WithoutH0,
     allocate,
+    check_index,
     read_only,
 )
 
@@ -187,9 +188,10 @@ def _kernel(c1: int, n_policies: int, optimal: bool) -> Callable:
     The up pick of entry k and the down pick of entry k - 1 choose between the
     same stay = p{r}_{k} and move = p{r}_{k-1}, so one pick m{r}_{k} serves
     both.  The optimal row, row 0 when ``optimal`` leads, moves iff move is
-    cheaper, so a tie stays.  Each policy row takes the rows of its decision
-    grid for levels start..stop-1 as one more argument, in row order, and
-    moves iff it collaborates at k_busy = k - 1.  The generated source
+    cheaper, so a tie stays.  Each policy row takes an iterable of its
+    decision grid's rows from level start on as one more argument, in row
+    order, and moves iff it collaborates at k_busy = k - 1; the loop zips the
+    levels first, so it takes stop - start rows of each.  The generated source
     interpolates nothing but the column and row numbers.
     """
     ks = range(c1 + 1)
@@ -233,8 +235,7 @@ CHUNK = 512
 def _solve(
     params: SystemParams, i_max: int, policies: tuple, optimal: bool
 ) -> list[ValueTable]:
-    if i_max < 0:
-        raise ValueError("i_max must be non-negative")
+    check_index("i_max", i_max)
     c1 = params.C1
     boundary, full_row, coefficients = _fixed_parts(params.without_h0)
     kinds = ["optimal"] * optimal + [f"policy:{p.id}" for p in policies]
@@ -243,14 +244,14 @@ def _solve(
     block[0] = full_row
     if i_max:
         kernel = _kernel(c1, len(policies), optimal)
-        decisions = [p.decision_rows(c1, i_max) for p in policies]
+        # Decision row i - 1 belongs to level i.  The kernel zips its levels, first, with
+        # these iterators, so each chunk takes the next stop - start rows of each.
+        decisions = [iter(p.decision_rows(c1, i_max)) for p in policies]
         rows, width = (full_row,) * len(kinds), len(kinds) * (c1 + 1)
         for start in range(1, i_max + 1, CHUNK):
             stop = min(start + CHUNK, i_max + 1)
             chunk = []
-            # Decision row i - 1 belongs to level i.
-            rows = kernel(chunk, rows, coefficients, params.h0, start, stop,
-                          *(collab[start - 1:stop - 1] for collab in decisions))
+            rows = kernel(chunk, rows, coefficients, params.h0, start, stop, *decisions)
             # Native doubles, copied bit for bit to the chunk's byte offset in the block.
             struct.pack_into(f"{len(chunk)}d", block, 8 * start * width, *chunk)
     return [ValueTable(params, i_max, boundary, block[:, r], kind) for r, kind in enumerate(kinds)]

@@ -409,12 +409,13 @@ def actual_profile(params: SystemParams, table) -> ThresholdProfile:
             raise ValueError(f"value table depth {depth} is below the search cap {cap} "
                              f"required at index {s.index}")
         column = v[:cap + 1, s.k] - v[:cap + 1, s.k - 1]
-        tol = ZERO_BAND * (1.0 + abs(column))
-        # The collaborative threshold is the first D < 0, the independent the first D >= 0,
-        # by band_sign.  Each test is a negated comparison, so a NaN passes it and is found.
-        hits = ~(column < -tol) if spec.independent else ~(column >= -tol)
-        found = int(hits.argmax())
-        if not hits[found]:
+        # -ZERO_BAND * (1 + |D|), the negated zero band.  The collaborative threshold is
+        # the first D < 0, the independent the first D >= 0, by band_sign: the first
+        # entry where the comparison below fails, so a NaN is found too.
+        below = -ZERO_BAND * (1.0 + abs(column))
+        before = column < below if spec.independent else column >= below
+        found = int(before.argmin())
+        if before[found]:
             raise CapExceeded(s.index, cap)
         if math.isnan(column[found]):
             raise NaNInDiff(f"D({found},{s.k},{s.l}) is NaN at or before the sign change at "
@@ -452,7 +453,8 @@ def recursion_check(params: SystemParams, diff_table: DiffTable) -> RecursionRep
     At each fully-busy state the difference satisfies an exact three-term
     recursion whose form depends on the sign of the difference one level
     down; both forms apply at a zero.  Residuals are scaled by 1/(1 + |D|).
-    The levels are taken a block at a time, every k at once.
+    The levels are taken a block at a time, every k at once, and each
+    temporary is reused in place.
     """
     c1 = params.C1
     d = diff_table.levels
@@ -469,15 +471,26 @@ def recursion_check(params: SystemParams, diff_table: DiffTable) -> RecursionRep
         # dk[k - 1, n] is D(start - 1 + n, k, C1 - k), contiguous along the levels.
         dk = np.ascontiguousarray(d[start - 1:stop, 1:].T)
         here, prev = dk[:, 1:], dk[:, :-1]
-        base = p * (np.arange(float(start), stop) * c + b)
-        pos = base + r * prev  # the form where D one level down is >= 0
+        scale = np.abs(dk)
+        scale += 1.0  # 1 + |D|: the zero band's scale at prev, the residual's at here
+        tol = ZERO_BAND * scale[:, :-1]  # model.band_sign(prev), as two masks below
+        base = np.arange(float(start), stop) * c
+        base += b
+        base *= p
+        pos = r * prev  # the form where D one level down is >= 0
+        pos += base
         pos[1:] += q[1:] * np.maximum(0.0, prev[:-1])  # k >= 2
-        neg = base + q * prev  # the form where it is <= 0
+        neg = q * prev  # the form where it is <= 0
+        neg += base
         neg[:-1] += r[:-1] * np.minimum(prev[1:], 0.0)  # l >= 1
-        tol = ZERO_BAND * (1.0 + np.abs(prev))  # model.band_sign(prev), as two masks
+        # Each form's |residual|, 0 where it does not apply.
+        np.abs(np.subtract(here, pos, out=pos), out=pos)
+        np.copyto(pos, 0.0, where=prev < -tol)
+        np.abs(np.subtract(here, neg, out=neg), out=neg)
+        np.copyto(neg, 0.0, where=prev > tol)
         # max(x / s, y / s) is max(x, y) / s in floats, since rounding is monotone.
-        scaled = np.maximum(np.where(prev < -tol, 0.0, np.abs(here - pos)),
-                            np.where(prev > tol, 0.0, np.abs(here - neg))) / (1.0 + np.abs(here))
+        scaled = np.maximum(pos, neg, out=pos)
+        scaled /= scale[:, 1:]
         top = float(scaled.max())
         if top != top:
             top = np.inf  # a NaN difference fails, it is never skipped

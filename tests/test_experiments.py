@@ -35,7 +35,7 @@ from clearq.experiments import (
     verify_point,
     write_table_csv,
 )
-from clearq.model import ParameterError, SystemParams, cost_gap_sign
+from clearq.model import ZERO_BAND, ParameterError, SystemParams, band_sign, cost_gap_sign
 from clearq.policies import optimal_greedy, pi_prime, policy_by_id
 from clearq.solver import (
     DiffTable,
@@ -519,10 +519,86 @@ class TestVerify:
         with pytest.raises(ValueError, match="^i_max must be non-negative$"):
             verify_point(EXAMPLE_PARAMS["ex1"], -1)
 
+    @pytest.mark.parametrize("i_max", [True, 2.0, "3"])
+    def test_verify_point_depth_must_be_an_integer(self, i_max):
+        with pytest.raises(ValueError, match=f"^i_max must be an integer, got {i_max!r}$"):
+            verify_point(EXAMPLE_PARAMS["ex1"], i_max)
+
+    @pytest.mark.parametrize("i_max", [True, 2.0, "3"])
+    def test_verify_depth_must_be_an_integer(self, i_max):
+        with pytest.raises(ValueError, match=f"^i_max must be an integer, got {i_max!r}$"):
+            verify([EXAMPLE_PARAMS["ex1"]], i_max)
+
     def test_point_check_names_stable(self):
         results = verify_point(EXAMPLE_PARAMS["ex5"], 15)
         names = {r.name for r in results}
         assert "recursion_residual" in names and "threshold_structure" in names
+
+
+def check_terms_reference(params):
+    """The h0-free terms of the checks, each from the per-point expression the check
+    formed before they were built once per WithoutH0 key: the oracle of _check_terms."""
+    c1, c2, gap = params.C1, params.C2, cost_gap_sign(params)
+    l = np.arange(c1 - 1, -1, -1)  # the Station 2 count of each row of D, row k - 1 at k
+    rows = lambda mask: np.flatnonzero(mask).tolist()
+    positive = blocked = None
+    if not (band_sign(params.mu1 - params.mu2) > 0 or gap < 0):
+        first = rows(l < c2)[0]
+        assert rows(l < c2) == list(range(first, c1))
+        positive = (first, gap > 0)
+    if not (band_sign(params.mu2 - params.mu1) < 0 or gap > 0):
+        blocked = len(rows(l >= c2))
+        assert rows(l >= c2) == list(range(blocked))
+    if band_sign(params.mu1 - params.mu2) >= 0:
+        falling, rising = c1, c1
+    else:
+        falling = max(c1 - c2, 0) if gap >= 0 else 0
+        rising = max(c1 - c2, 0) if gap <= 0 else c1
+    monotone = tuple((first, stop, falls) for first, stop, falls in
+                     ((0, falling, True), (rising, c1, False)) if first != stop)
+    # check_boundary_formula's expression, at the i = 0 states in column order.
+    _, ks, ls, _ = diff(solve_optimal(params, 0)).columns()
+    expected = [thresholds.boundary_diff_formula(params, k, l)
+                for k, l in zip(ks.tolist(), ls.tolist())]
+    boundary = np.array([expected, [1e-12 * (1.0 + abs(x)) for x in expected]])
+    return experiments._CheckTerms(
+        policy_family(cost_regime_label(params)), thresholds.threshold_spec(params).independent,
+        positive, blocked, monotone, band_sign(params.mu2 - params.mu1) >= 0, boundary)
+
+
+class TestCheckTerms:
+    """The checks' h0-free terms: one read-only record per WithoutH0 key, equal to the
+    per-point expressions bit for bit."""
+
+    def test_study_grid_and_examples_equal_the_per_point_expressions(self):
+        groups: dict = {}
+        for params in table4_params() + list(EXAMPLE_PARAMS.values()):
+            groups.setdefault(params.without_h0, []).append(params)
+        assert len(groups) <= experiments.WITHOUT_H0_CACHE_SIZE
+        for points in groups.values():
+            terms = experiments._check_terms(points[0].without_h0)
+            assert not terms.boundary.flags.writeable
+            for params in points:
+                assert experiments._check_terms(params.without_h0) is terms
+                *fields, boundary = check_terms_reference(params)
+                assert list(terms[:-1]) == fields, params
+                assert terms.boundary.tobytes() == boundary.tobytes(), params
+
+    def test_point_arrays_equal_the_per_point_expressions(self):
+        # What _point_arrays derives from the difference table, against the expressions
+        # the checks formed from it: D by k, its band sides and the entries' magnitudes.
+        for params in table4_params() + list(EXAMPLE_PARAMS.values()):
+            dt = diff(solve_optimal(params, 40))
+            arrays = experiments._point_arrays(params, dt, 40)
+            d = dt.levels[:41, 1:].T
+            tol = ZERO_BAND * (1.0 + np.abs(d))
+            assert arrays.d.tobytes() == d.tobytes()
+            assert arrays.d_size.tobytes() == np.abs(d).tobytes()
+            assert (arrays.not_neg == (d >= -tol)).all() and (arrays.not_pos == (d <= tol)).all()
+            columns = dt.columns(40)
+            assert all((a == b).all() for a, b in zip(arrays.columns, columns))
+            assert arrays.size.tobytes() == np.abs(columns[3]).tobytes()
+            assert arrays.terms is experiments._check_terms(params.without_h0)
 
 
 def _edited_verify(monkeypatch, params, i_max, table=None, d=None):
@@ -680,6 +756,57 @@ class TestCheckFaults:
         details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10, table=edit)
         assert details["greedy_reproduces_optimal"] == "greedy value differs at (0, 1, 1)"
 
+    def test_value_first_offender(self, monkeypatch):
+        # By level, then k: the drop into level 4 at k = 3 comes before the one into level 7.
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10,
+                                 table=_set("optimal", {(7, 1): 1.0, (4, 3): 1.0}))
+        lo = float(EX1_UNEDITED.levels[3, 3])
+        assert details["value_monotone_in_queue"] == f"v(4,3,1) < v(3,3,1): 1.0 < {lo!r}"
+
+    def test_boundary_first_offender(self, monkeypatch):
+        # By total jobs in service, then k: D(0,2,1) (n = 3) comes before D(0,1,3) (n = 4).
+        def edit(dt):
+            dt.levels[0, 1] += 1e-6
+            dt.boundary[3, 2] += 1e-6
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10, d=edit)
+        assert details["boundary_formula"] == "D(0,2,1) != boundary formula"
+
+    def test_sign_change_first_offender(self, monkeypatch):
+        # By k, then level: ex1's D turns negative at i = 2 for k = 2 and at i = 10 for k = 3.
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 20,
+                                 d=_set_d({(12, 3): 1.0, (15, 2): 1.0}))
+        assert details["single_sign_change"] == "D returned positive at (15,2,2) after crossing"
+
+    def test_positive_without_blocking_first_offender(self, monkeypatch):
+        # ex3: D > 0 wherever l < C2 = 2; by k, then level.
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex3"], 10,
+                                 d=_set_d({(3, 4): -1.0, (5, 3): -1.0}))
+        assert details["positive_without_blocking"] == "D(5,3,1) not positive"
+
+    def test_nonpositive_when_blocked_first_offender(self, monkeypatch):
+        # ex7: D <= 0 wherever l >= C2 = 2; by k, then level.
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex7"], 10,
+                                 d=_set_d({(3, 2): 1.0, (5, 1): 1.0}))
+        assert details["nonpositive_when_blocked"] == "D(5,1,3) > 0"
+
+    def test_queue_monotonicity_first_offender(self, monkeypatch):
+        # mu1 < mu2 and h1/mu1 = h2/mu2: D is non-increasing at k = 1, 2 (l >= C2) and
+        # non-decreasing at k = 3, 4.  The non-increasing rows are checked first, each
+        # row by level.
+        params = SystemParams(4, 2, 10.0, 20.0, 0.1, 1.0, 2.0)
+        below = diff(solve_optimal(params, 10)).levels
+        details = _edited_verify(monkeypatch, params, 10, d=_set_d({
+            (3, 4): below[2, 4] - 1.0, (8, 2): below[7, 2] + 1.0}))
+        assert details["diff_monotone_in_queue"] == "D not non-increasing at (7,2,2)"
+
+    def test_recursion_first_offender(self, monkeypatch):
+        # By level, then k: the NaN D(3,4,0) comes before D(5,3,1), and each makes only
+        # residuals at its own level and above infinite.
+        details = _edited_verify(monkeypatch, EXAMPLE_PARAMS["ex1"], 10,
+                                 d=_set_d({(5, 3): math.nan, (3, 4): math.nan}))
+        assert details["recursion_residual"] == (
+            "max scaled residual inf at State(i=3, k=4, l=0)")
+
     def test_threshold_search_past_its_cap_is_a_failure(self, monkeypatch):
         # ex1 expects a finite i_D(3) below its cap of 70; a D(., 3, 1) that never
         # turns negative makes the search raise, and verify_point reports it.
@@ -830,6 +957,17 @@ class TestDhCurve:
             dh_curve(EXAMPLE_PARAMS["ex7"], k=1, l=0, i_max=5)
         with pytest.raises(ValueError):
             dh_curve(EXAMPLE_PARAMS["ex7"], i_max=5)
+
+    @pytest.mark.parametrize("index, i_max, want", [
+        ({"k": True}, 3, "k must be an integer, got True"),
+        ({"k": 2.0}, 3, "k must be an integer, got 2.0"),
+        ({"l": True}, 3, "l must be an integer, got True"),
+        ({"k": 1}, True, "i_max must be an integer, got True"),
+        ({"l": 1}, 3.0, "i_max must be an integer, got 3.0"),
+    ])
+    def test_indices_and_depth_must_be_integers(self, index, i_max, want):
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            dh_curve(EXAMPLE_PARAMS["ex1"], **index, i_max=i_max)
 
 
 def aggregate_stats_oracle(raw_rows):

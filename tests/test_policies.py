@@ -179,6 +179,29 @@ class TestDecisionGrids:
             for policy in (optimal_greedy(table), pi_prime(params)):
                 assert decision_grid(policy, params.C1, 0).shape == (0, params.C1)
 
+    def test_policy_grids_equal_their_rules(self):
+        # decision_grid forms a greedy or heuristic Policy's grid without its rule; the
+        # rule gives the same array.  Past the table's depth, or at another C1, the rule
+        # answers, with its own error.
+        for params in table4_params() + list(EXAMPLE_PARAMS.values()):
+            table = solve_optimal(params, 40)
+            for policy in (optimal_greedy(table), pi_prime(params)):
+                for depth in (0, 1, 40, 41):
+                    grid = policy.grid(params.C1, depth)
+                    assert grid.dtype == bool and grid.shape == (depth, params.C1)
+                    assert (grid == decision_grid(policy.rule, params.C1, depth)).all(), params
+                    assert decision_grid(policy, params.C1, depth) is not None
+        greedy = optimal_greedy(table)
+        assert greedy.grid(params.C1, 42) is None and greedy.grid(params.C1 + 1, 5) is None
+        with pytest.raises(DepthExceeded, match="^queue 42 exceeds table depth 40$"):
+            decision_grid(greedy, params.C1, 42)
+        with pytest.raises(ValueError, match=f"^k_busy 0..{params.C1} outside "):
+            decision_grid(greedy, params.C1 + 1, 5)
+        heuristic = pi_prime(params)
+        assert heuristic.grid(params.C1 + 1, 5) is None
+        with pytest.raises(ValueError, match=f"^k_busy 0..{params.C1} outside "):
+            decision_grid(heuristic, params.C1 + 1, 5)
+
     def test_nan_in_the_table_reads_independent(self):
         params = EXAMPLE_PARAMS["ex1"]
         table = solve_optimal(params, 12)

@@ -205,6 +205,13 @@ class TestOptimal:
         with pytest.raises(ValueError):
             solve_optimal(EX1, -1)
 
+    @pytest.mark.parametrize("i_max", [True, False, 2.0, "3", None])
+    def test_depth_must_be_an_integer(self, i_max):
+        # A bool or a float would be taken as a depth, not rejected.
+        with pytest.raises(ValueError, match=f"^i_max must be an integer, got {i_max!r}$"):
+            solve_optimal(EX1, i_max)
+        assert solve_optimal(EX1, np.int64(3)).i_max == 3
+
 
 class TestUnderPolicy:
     def test_greedy_reproduces_optimal(self):
